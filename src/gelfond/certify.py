@@ -1,10 +1,11 @@
 """Certified computation of the Gelfond exponent gamma(q;c).
 
 Pipeline: locate the unique zero lam* of the balance integral inside the
-admissible window W_c = (-1/q - c, -c); pick the enumerated cycle whose
-arc-base window contains the bisection bracket; certify a strict sign change
-of the balance integral at the ends of W_c intersected with that window; then
-evaluate
+admissible window W_c = (-1/q - c, -c); find the cycle whose arc-base window
+contains the bisection bracket by descending the Stern-Brocot tree of
+rotation numbers (sturmian.select_cycle, at most max_period cycles built);
+certify a strict sign change of the balance integral at the ends of W_c
+intersected with that window; then evaluate
 
     beta(c)  = mean of the potential over the exact cycle points,
     gamma(c) = beta(c) / log q.
@@ -31,7 +32,7 @@ from .circle import (BalanceValue, DEFAULT_TARGET_ERR, DEPTH_CAP, WINDOW_GUARD,
 from .errors import DomainError, GuardError, MultipleSignChangeError
 from .potential import PotentialParams, _f
 from .sturmian import (SturmianCycle, enumerate_cycles, lambda_window,
-                       rotation_number)
+                       rotation_number, select_cycle)
 
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -44,7 +45,7 @@ DEFAULT_VALIDITY_TOL = 1e-11
 PERIOD2_VALIDITY_Q2 = (0.427484440438785, 0.572515559561215)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GelfondCertificate:
     """Certified answer for one (q, c): cycle, sign bracket, beta, gamma."""
 
@@ -83,7 +84,7 @@ class GelfondCertificate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonPeriodicReport:
     """Honest failure: no cycle of the allowed periods certifies this c."""
 
@@ -201,16 +202,8 @@ def gelfond_exponent(params: PotentialParams,
     lam_star = 0.5 * (bra + brb)
     assert wlo < lam_star < whi  # lifted-coordinate sanity: c+lam in (-1/q, 0)
 
-    found = None
-    shift = 0
-    for cyc in enumerate_cycles(q, max_period):
-        win = lambda_window(cyc)
-        lo_f, hi_f = float(win.lo), float(win.hi)
-        k = round(lam_star - 0.5 * (lo_f + hi_f))
-        if lo_f + k <= bra and brb <= hi_f + k:
-            found, shift = cyc, k
-            break
-    if found is None:
+    selected = select_cycle(q, bra, brb, max_period)
+    if selected is None:
         rot = rotation_number(q, lam_star, iterations=100_000,
                               max_denominator=max(64, 4 * max_period))
         return NonPeriodicReport(
@@ -219,6 +212,7 @@ def gelfond_exponent(params: PotentialParams,
             f"balance-zero bracket",
         )
 
+    found, shift = selected
     win = lambda_window(found)
     l1 = max(float(win.lo) + shift, wlo + 2.0 * guard)
     l2 = min(float(win.hi) + shift, whi - 2.0 * guard)

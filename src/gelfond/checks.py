@@ -10,6 +10,7 @@ as regression baselines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,7 +154,11 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
     )
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """24-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use so that importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(24)
 
 
 def _tau_point(q: int, lam_mod: float, x: float) -> float:
@@ -203,6 +208,7 @@ def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
         if 0.0 < t < 1.0:
             cuts.add(t)
     grid = sorted(cuts)
+    nodes, weights = _gauss_rule()
     cum = {0.0: 0.0}
     total = 0.0
     for lo, hi in zip(grid, grid[1:]):
@@ -210,11 +216,11 @@ def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
         edges = np.linspace(lo, hi, n_sub + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halves = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mids[:, None] + halves[:, None] * _GAUSS_NODES[None, :])
+        pts = (mids[:, None] + halves[:, None] * nodes[None, :])
         vals = _transfer_derivative_array(q, c, lam_mod,
                                           lam_mod + pts.ravel(), depth)
         vals = vals.reshape(pts.shape)
-        total += float(np.sum(halves * (vals @ _GAUSS_WEIGHTS)))
+        total += float(np.sum(halves * (vals @ weights)))
         cum[hi] = total
     return cum
 

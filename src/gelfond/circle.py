@@ -134,7 +134,7 @@ def exit_sets(q: int, lam: float, depth: int, drop_tol: float = DROP_TOL,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalanceValue:
     """Truncated balance integral with a rigorous tail bound.
 

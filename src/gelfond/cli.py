@@ -4,8 +4,8 @@ Output is deterministic: fixed column orders, 15-significant-digit reals,
 rationals as num/den, no timestamps.  Worker processes (``--threads``) feed
 an order-preserving map, so parallel runs emit identical bytes.
 
-Exit codes: 0 success, 1 partial/other failure, 2 nonperiodic report,
-3 guard violation.
+Exit codes: 0 success, 1 partial/other failure or bad input (printed as
+``error: ...``), 2 nonperiodic report, 3 guard violation.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -90,10 +91,17 @@ def frac(f: Fraction) -> str:
 
 
 def parse_c(text: str) -> float:
-    """Accept a float or a num/den fraction for the phase parameter."""
-    if "/" in text:
-        return float(Fraction(text)) % 1.0
-    return float(text) % 1.0
+    """Accept a float or a num/den fraction for the phase parameter.
+
+    Raises ValueError for text that names no finite number.
+    """
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"phase {text!r} has a zero denominator") from None
+    if not math.isfinite(value):
+        raise ValueError(f"phase must be a finite number, got {text!r}")
+    return value % 1.0
 
 
 def _writer(path: str):
@@ -526,7 +534,8 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard error: {exc}", file=sys.stderr)
         return 3
-    except GelfondError as exc:
+    except (GelfondError, ValueError) as exc:
+        # ValueError is how the package rejects out-of-range arguments
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ SINGULARITY_GUARD = 1e-9  # default guard for derivative evaluation
 _SERIES_CUTOFF = 1e-4     # below this |x+c mod 1| the derivative formulas cancel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PotentialParams:
     """Base q >= 2 and phase c in [0,1)."""
 

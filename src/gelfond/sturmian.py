@@ -10,17 +10,27 @@ window [s_max - 1/q, s_min].
 
 The truncated circle map equals x -> q*x on the arc and is constant outside;
 its rotation number, computed from a monotone degree-one lift, identifies
-which cycle (if any) carries the invariant measure of a given arc.
+which cycle (if any) carries the invariant measure of a given arc.  That
+rotation number is a + p/m on the window of the cycle (a, p/m), so the
+windows are pairwise disjoint and ordered by a + p/m (a devil's staircase):
+the window holding a given arc base is found by descending the Stern-Brocot
+tree of p/m, see select_cycle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# build_cycle keeps this many cycles; enough for every cycle of period <= 13
+# at q = 2, 3, 5 and 8 (58 per base digit, 812 in all), so the certificates
+# of a run share one cycle object each.
+CYCLE_CACHE_SIZE = 1024
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SturmianCycle:
     """Periodic orbit inside a closed arc of length 1/q.
 
@@ -75,11 +85,13 @@ class LambdaWindow:
         return d <= float(self.length) + tol or d >= 1.0 - tol
 
 
+@functools.lru_cache(maxsize=CYCLE_CACHE_SIZE)
 def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     """Construct the cycle for one (base digit, rotation) pair.
 
     rotation must be 0 (fixed point a/(q-1)) or a fraction p/m in (0,1) in
-    lowest terms; the resulting orbit has exact period m.
+    lowest terms; the resulting orbit has exact period m.  Cycles are
+    immutable and cached, so equal arguments return the same object.
     """
     if not 0 <= base_digit <= q - 2:
         raise ValueError(f"base digit must be in 0..q-2, got {base_digit}")
@@ -130,6 +142,67 @@ def enumerate_cycles(q: int, max_period: int) -> list[SturmianCycle]:
 def lambda_window(cycle: SturmianCycle) -> LambdaWindow:
     """Exact window of arc bases whose arc contains the cycle support."""
     return LambdaWindow(lo=cycle.s_max - Fraction(1, cycle.q), hi=cycle.s_min)
+
+
+def select_cycle(q: int, bra: float, brb: float,
+                 max_period: int) -> tuple[SturmianCycle, int] | None:
+    """The cycle of period <= max_period whose window holds [bra, brb].
+
+    Returns (cycle, k) when lo + k <= bra and brb <= hi + k for the float
+    window ends lo, hi and k = round(lam - (lo + hi)/2), lam the bracket
+    midpoint; None when the bracket straddles a window edge or lies in no
+    window of the allowed periods.
+
+    lam is reduced into [-1/q, 1 - 1/q), which holds every window.  The
+    fixed-point windows [a/(q-1) - 1/q, a/(q-1)] fix the base digit a; the
+    windows of rotations p/m in (0, 1) with that digit lie between the fixed
+    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
+    tree between 0/1 and 1/1 meets the one holding the bracket, if any,
+    before its denominator exceeds max_period.  Denominators grow along the
+    walk, so it builds at most max_period cycles.
+    """
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    lam = 0.5 * (bra + brb)
+    n = math.floor(lam + 1.0 / q)  # lam - n lies in [-1/q, 1 - 1/q)
+
+    def place(cycle):
+        """(0, k) if the window holds the bracket, -1 or +1 if the bracket
+        lies left or right of it, None if it straddles an edge."""
+        win = lambda_window(cycle)
+        lo_f, hi_f = float(win.lo), float(win.hi)
+        k = round(lam - 0.5 * (lo_f + hi_f))
+        if lo_f + k <= bra and brb <= hi_f + k:
+            return 0, k
+        if brb <= lo_f + n:
+            return -1, k
+        if bra >= hi_f + n:
+            return 1, k
+        return None, k
+
+    a = q - 2
+    while a > 0 and float(Fraction(a, q - 1) - Fraction(1, q)) + n > lam:
+        a -= 1
+    cycle = build_cycle(q, a, Fraction(0))
+    side, k = place(cycle)
+    if side == 0:
+        return cycle, k
+    if side != 1:
+        return None
+    left, right = (0, 1), (1, 1)
+    while left[1] + right[1] <= max_period:
+        p, m = left[0] + right[0], left[1] + right[1]
+        cycle = build_cycle(q, a, Fraction(p, m))
+        side, k = place(cycle)
+        if side == 0:
+            return cycle, k
+        if side is None:
+            return None
+        if side < 0:
+            right = (p, m)
+        else:
+            left = (p, m)
+    return None
 
 
 def truncated_map_lift(q: int, lam: float, x: float) -> float:

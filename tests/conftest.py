@@ -5,7 +5,9 @@ are cross-checked by central finite differences of the potential, the
 balance integral by midpoint quadrature of f' weighted with a first-exit
 time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
-cycles (no balance integral, no bisection, nothing imported from gelfond).
+cycles (no balance integral, no bisection, nothing imported from gelfond),
+and the Stern-Brocot cycle selection by a linear scan over every enumerated
+cycle.
 """
 
 import math
@@ -123,6 +125,21 @@ def orbit_mean_50(rotation: Fraction, c) -> float:
                                             / u.denominator)))
             for u in (pt + c for pt in pts))
         return float(total / len(pts))
+
+
+def linear_scan_select(cycles, bra: float, brb: float):
+    """(cycle, k) for the first cycle whose float arc-base window
+    [s_max - 1/q, s_min], shifted by k = round(lam - midpoint), contains the
+    bracket [bra, brb]; None if no cycle's does.  This is the scan the
+    Stern-Brocot descent replaced, kept as its oracle."""
+    lam = 0.5 * (bra + brb)
+    for cyc in cycles:
+        lo_f = float(cyc.points[-1] - Fraction(1, cyc.q))
+        hi_f = float(cyc.points[0])
+        k = round(lam - 0.5 * (lo_f + hi_f))
+        if lo_f + k <= bra and brb <= hi_f + k:
+            return cyc, k
+    return None
 
 
 @pytest.fixture

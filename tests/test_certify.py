@@ -1,16 +1,26 @@
+import dataclasses
+import functools
 import math
+import os
+import pickle
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from gelfond import (DomainError, GelfondCertificate, NonPeriodicReport,
-                     PotentialParams, beta_curve, beta_period2_closed_form,
+import gelfond.certify as certify
+from gelfond import (BalanceValue, DomainError, GelfondCertificate,
+                     GelfondError, NonPeriodicReport, PotentialParams,
+                     beta_curve, beta_period2_closed_form, build_cycle,
                      enumerate_cycles, find_balance_point, gelfond_exponent,
                      lambda_window, orbit_potential_mean, tables,
                      validity_interval)
 from gelfond.certify import PERIOD2_VALIDITY_Q2
 from gelfond.potential import _f
 
+from conftest import linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -241,6 +251,14 @@ class TestTables:
             assert r.period == p
             assert r.beta == pytest.approx(b, abs=1e-11)
 
+    def test_table2_baseline_rotations(self):
+        certified = [(lbl, rot) for lbl, p, rot, _ in TABLE2_BASELINE
+                     if p is not None]
+        assert len(certified) == 61
+        for lbl, rot in certified:
+            res = cert(2, float(F(lbl)) % 1.0)
+            assert res.cycle.rotation == F(rot), lbl
+
     def test_table1_row_count(self):
         rows1, _ = tables(2, 6, c_list=[])
         assert len(rows1) == 11  # periods 2..6
@@ -271,3 +289,106 @@ class TestBetaCurve:
                   if p.status == "OK"]
         best = max(points, key=lambda p: p.beta)
         assert min(best.c, 1.0 - best.c) <= 2.0 / 64
+
+
+class TestSelectionMatchesLinearScan:
+    """gelfond_exponent with the Stern-Brocot selection against the same
+    pipeline with the linear scan over enumerate_cycles it replaced."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        # the bracket and the nonperiodic rotation estimate do not depend on
+        # the selection; both runs share one evaluation of each
+        monkeypatch.setattr(certify, "_balance_bracket",
+                            functools.cache(certify._balance_bracket))
+        monkeypatch.setattr(certify, "rotation_number",
+                            functools.cache(certify.rotation_number))
+        scans = {}
+
+        def linear_select(q, bra, brb, max_period):
+            if (q, max_period) not in scans:
+                scans[q, max_period] = enumerate_cycles(q, max_period)
+            return linear_scan_select(scans[q, max_period], bra, brb)
+
+        def outcome(q, c, max_period):
+            try:
+                res = gelfond_exponent(PotentialParams(q, c), max_period)
+            except (GelfondError, ValueError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return res.to_json_dict()
+
+        def run(q, c, max_period=13):
+            new = outcome(q, c, max_period)
+            with monkeypatch.context() as m:
+                m.setattr(certify, "select_cycle", linear_select)
+                old = outcome(q, c, max_period)
+            return new, old
+
+        return run
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    @pytest.mark.parametrize("max_period", [1, 3, 13])
+    def test_seeded_mirror_pairs(self, outcomes, q, max_period):
+        rng = random.Random(100 * q + max_period)
+        cs = [0.0, 8.0 / 21.0]
+        for _ in range(3):
+            c = rng.random()
+            cs += [c, (1.0 - c) % 1.0]
+        for c in cs:
+            new, old = outcomes(q, c, max_period)
+            assert new == old, (q, c, max_period)
+
+    @pytest.mark.parametrize("row", VALIDITY_BASELINE,
+                             ids=lambda r: f"{r[0]}-{r[1]}")
+    def test_validity_endpoints(self, outcomes, row):
+        # 1e-9 inside each endpoint certifies the row's cycle; 1e-9 outside
+        # falls in a gap of higher periods
+        period, rot, _, _, c_lo, c_hi = row
+        for c, inside in ((c_lo + 1e-9, True), (c_lo - 1e-9, False),
+                          (c_hi - 1e-9, True), (c_hi + 1e-9, False)):
+            new, old = outcomes(2, c % 1.0)
+            assert new == old, c
+            if inside:
+                assert (new["period"], new["rotation"]) == (period, rot)
+
+    def test_depth_error_unchanged(self, outcomes):
+        new, old = outcomes(2, 0.18208128)
+        assert new == old
+        assert new.startswith("DepthError: ")
+
+    def test_max_period_zero_rejected(self, outcomes):
+        # c = 0.05 sits in the fixed point's window, which the descent
+        # tests before any period cap
+        new, old = outcomes(2, 0.05, 0)
+        assert new == old == "ValueError: max_period must be >= 1"
+
+
+class TestCompactRecords:
+    def test_pickle_and_replace(self):
+        res = cert(2, 0.25)
+        gap = gelfond_exponent(PotentialParams(2, 8.0 / 21.0))
+        for obj in (res, res.params, res.cycle, res.v1, gap):
+            assert not hasattr(obj, "__dict__")
+            assert pickle.loads(pickle.dumps(obj)) == obj
+        moved = dataclasses.replace(res, beta=res.beta + 1.0)
+        assert moved.beta == res.beta + 1.0 and moved.cycle is res.cycle
+        v = dataclasses.replace(res.v1, err_bound=2.0)
+        assert isinstance(v, BalanceValue) and v.value == res.v1.value
+        cyc = dataclasses.replace(res.cycle, base_digit=0)
+        assert cyc == res.cycle
+        with pytest.raises(ValueError):
+            dataclasses.replace(res.params, q=1)
+
+    def test_certificates_share_cycles(self):
+        a, b = cert(2, 0.25), cert(2, 0.26)
+        assert a.cycle is b.cycle is build_cycle(2, 0, F(3, 4))
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        code = ("import sys, gelfond; "
+                "sys.exit('numpy.polynomial' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(certify.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -21,6 +21,11 @@ class TestHelpers:
         assert parse_c("8/21") == pytest.approx(8.0 / 21.0)
         assert parse_c("1.25") == 0.25
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1/0", "x"])
+    def test_parse_c_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_c(text)
+
 
 class TestGelfondCommand:
     def test_landmark(self, capsys):
@@ -56,6 +61,32 @@ class TestGelfondCommand:
         doc = json.loads(out)
         assert doc["status"] == "nonperiodic"
         assert doc["rotation"] == "9/14"
+
+
+class TestBadInput:
+    """Bad input prints one error line and exits 1, with no traceback."""
+
+    def assert_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_c_nan(self, capsys):
+        self.assert_error(capsys, ["gelfond", "--c", "nan"],
+                          "phase must be a finite number, got 'nan'")
+
+    def test_c_zero_denominator(self, capsys):
+        self.assert_error(capsys, ["gelfond", "--c", "1/0"],
+                          "phase '1/0' has a zero denominator")
+
+    def test_q_one(self, capsys):
+        self.assert_error(capsys, ["gelfond", "--q", "1", "--c", "0.3"],
+                          "q must be an integer >= 2, got 1")
+
+    def test_resolution_one(self, capsys):
+        self.assert_error(capsys, ["beta-curve", "--resolution", "1"],
+                          "resolution must be >= 2")
 
 
 class TestCyclesCommand:

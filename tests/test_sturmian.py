@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import gelfond.sturmian as sturmian
 from gelfond import (IrrationalFlag, RationalRotation, build_cycle,
                      enumerate_cycles, lambda_window, measure_support,
                      rotation_number, rotation_staircase, truncated_map_lift)
+from gelfond.sturmian import select_cycle
 
+from conftest import linear_scan_select
 from reference_tables import PRINTED_TABLE1
 
 
@@ -74,6 +78,71 @@ class TestBuildCycle:
     def test_rejects_bad_digit(self):
         with pytest.raises(ValueError):
             build_cycle(2, 1, F(1, 2))
+
+
+class TestSelectCycle:
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_windows_ordered_by_rotation(self, q):
+        # the descent's premise: ordered by base digit, then rotation, the
+        # windows are disjoint, increasing and inside [-1/q, 1 - 1/q)
+        cycles = sorted(enumerate_cycles(q, 13),
+                        key=lambda c: (c.base_digit, c.rotation))
+        wins = [lambda_window(c) for c in cycles]
+        assert wins[0].lo == F(-1, q)
+        assert wins[-1].hi < 1 - F(1, q)
+        for w1, w2 in zip(wins, wins[1:]):
+            assert w1.lo < w1.hi < w2.lo
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_matches_linear_scan(self, q, monkeypatch):
+        # brackets of the certificate's width: uniform over the lifted
+        # range of lam, within 2e-12 of a window edge, or ending on one (at
+        # q = 5 and 8 some adjacent windows share a float edge)
+        built = []
+        cached = sturmian.build_cycle
+
+        def counting_build(*args):
+            built.append(args)
+            return cached(*args)
+
+        monkeypatch.setattr(sturmian, "build_cycle", counting_build)
+        cycles = enumerate_cycles(q, 13)
+        edges = [float(e) for c in cycles
+                 for e in (lambda_window(c).lo, lambda_window(c).hi)]
+        rng = random.Random(q)
+        found = 0
+        for max_period in (1, 3, 13):
+            scan = [c for c in cycles if c.period <= max_period]
+            for i in range(600):
+                width = rng.uniform(4e-13, 1e-12)
+                edge = rng.choice(edges) + rng.choice((-1, 0))
+                if i % 3 == 0:
+                    bra = rng.uniform(-1.0 - 1.0 / q, 0.0)
+                elif i % 3 == 1:
+                    bra = edge + rng.uniform(-2e-12, 2e-12)
+                else:
+                    bra = edge - rng.choice((width, 0.0))
+                brb = bra + width
+                built.clear()
+                got = select_cycle(q, bra, brb, max_period)
+                assert got == linear_scan_select(scan, bra, brb)
+                assert len(built) <= max_period
+                found += got is not None
+        assert found > 600
+
+    def test_denominator_cap(self):
+        # the 9/14 window of q=2 holds its own midpoint only from period 14
+        win = lambda_window(build_cycle(2, 0, F(9, 14)))
+        mid = float((win.lo + win.hi) / 2)
+        assert select_cycle(2, mid - 1e-13, mid + 1e-13, 13) is None
+        cyc, k = select_cycle(2, mid - 1e-13, mid + 1e-13, 14)
+        assert (cyc.rotation, k) == (F(9, 14), 0)
+
+    def test_straddled_edge_selects_nothing(self):
+        lo = float(lambda_window(build_cycle(2, 0, F(1, 2))).lo)
+        assert select_cycle(2, lo - 1e-13, lo + 1e-13, 13) is None
+        cyc, k = select_cycle(2, lo + 1e-13, lo + 3e-13, 13)
+        assert (cyc.rotation, k) == (F(1, 2), 0)
 
 
 class TestTruncatedLift:
