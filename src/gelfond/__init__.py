@@ -8,49 +8,45 @@ closed form from exact cycle points, reproduces the reference tables, and
 independently verifies the growth on the polynomial side.
 """
 
-from .circle import (BalanceValue, CircleInterval, IntervalUnion, exit_sets,
-                     exit_time_profile, inverse_branch_image, sturmian_balance)
+from .circle import (BalanceValue, exit_sets, exit_time_profile,
+                     sturmian_balance)
 from .certify import (GelfondCertificate, NonPeriodicReport, ValidityInterval,
                       beta_curve, beta_period2_closed_form, exponent_table,
                       find_balance_point, gelfond_exponent,
-                      orbit_potential_mean, tables, validity_interval,
-                      validity_table)
+                      orbit_potential_mean, validity_interval, validity_table)
 from .checks import (GridReport, centering_bound_check,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
                      sturmian_condition_probe)
 from .errors import (DepthError, DomainError, GelfondError, GuardError,
                      MultipleSignChangeError, SingularityError)
-from .potential import (NEG_INFINITY, ExtendedReal, PotentialParams, amplitude,
-                        potential, potential_derivative,
-                        potential_second_derivative)
+from .potential import (PotentialParams, amplitude, potential,
+                        potential_derivative, potential_second_derivative)
 from .series import (ExponentFitRow, SupNormSample, TMCoefficient, digit_sum,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit, sup_norm_sample, tm_coefficient)
-from .sturmian import (IrrationalFlag, IrrationalRotation, LambdaWindow,
-                       RationalRotation, SturmianCycle, build_cycle,
-                       enumerate_cycles, lambda_window, measure_support,
-                       rotation_number, rotation_staircase, truncated_map_lift)
+from .sturmian import (IrrationalRotation, LambdaWindow, RationalRotation,
+                       SturmianCycle, build_cycle, enumerate_cycles,
+                       lambda_window, rotation_number, rotation_staircase,
+                       truncated_map_lift)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceValue", "CircleInterval", "IntervalUnion", "exit_sets",
-    "exit_time_profile", "inverse_branch_image", "sturmian_balance",
+    "BalanceValue", "exit_sets", "exit_time_profile", "sturmian_balance",
     "GelfondCertificate", "NonPeriodicReport", "ValidityInterval",
     "beta_curve", "beta_period2_closed_form", "exponent_table",
     "find_balance_point", "gelfond_exponent", "orbit_potential_mean",
-    "tables", "validity_interval", "validity_table",
+    "validity_interval", "validity_table",
     "GridReport", "centering_bound_check", "inner_shift_negativity_grid",
     "outer_shift_negativity_grid", "sturmian_condition_probe",
     "DepthError", "DomainError", "GelfondError", "GuardError",
     "MultipleSignChangeError", "SingularityError",
-    "NEG_INFINITY", "ExtendedReal", "PotentialParams", "amplitude",
+    "PotentialParams", "amplitude",
     "potential", "potential_derivative", "potential_second_derivative",
     "ExponentFitRow", "SupNormSample", "TMCoefficient", "digit_sum",
     "modulus_product", "multiplicativity_check", "polynomial_sum",
     "sup_exponent_fit", "sup_norm_sample", "tm_coefficient",
-    "IrrationalFlag", "IrrationalRotation", "LambdaWindow",
-    "RationalRotation", "SturmianCycle", "build_cycle", "enumerate_cycles",
-    "lambda_window", "measure_support", "rotation_number",
-    "rotation_staircase", "truncated_map_lift",
+    "IrrationalRotation", "LambdaWindow", "RationalRotation",
+    "SturmianCycle", "build_cycle", "enumerate_cycles", "lambda_window",
+    "rotation_number", "rotation_staircase", "truncated_map_lift",
 ]

@@ -37,6 +37,7 @@ from .sturmian import (SturmianCycle, enumerate_cycles, lambda_window,
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
 DEFAULT_VALIDITY_TOL = 1e-11
+COARSE_POINTS = 64  # balance evaluations in the bracket's coarse scan
 
 # Validity interval of the q=2 period-2 cycle {1/3, 2/3}: the c-range where
 # the balance integral vanishes inside that cycle's window.  Endpoints are
@@ -133,7 +134,7 @@ def _certified_sign(v: BalanceValue) -> int:
     return 0
 
 
-def _balance_bracket(params: PotentialParams, tol: float, *, coarse: int = 64,
+def _balance_bracket(params: PotentialParams, tol: float, *,
                      guard: float = WINDOW_GUARD,
                      target_err: float = DEFAULT_TARGET_ERR,
                      depth_cap: int = DEPTH_CAP) -> tuple[float, float]:
@@ -142,7 +143,7 @@ def _balance_bracket(params: PotentialParams, tol: float, *, coarse: int = 64,
     wlo, whi = _window_bounds(params)
     a = wlo + 2.0 * guard
     b = whi - 2.0 * guard
-    xs = [a + (b - a) * i / (coarse - 1) for i in range(coarse)]
+    xs = [a + (b - a) * i / (COARSE_POINTS - 1) for i in range(COARSE_POINTS)]
     signed = []
     for x in xs:
         v = sturmian_balance(params, x, target_err, guard=guard,
@@ -322,13 +323,15 @@ class Table1Row:
 
 
 @dataclass(frozen=True)
-class Table2Row:
+class ExponentRow:
+    """One (q, c) of a table or curve; beta, gamma and period when OK."""
+
     c_label: str
     c: float
     beta: float | None
     gamma: float | None
     period: int | None
-    status: str  # OK, SKIPPED, or ERROR: <message>
+    status: str  # OK, SKIPPED (table2) or GAP (curve), or ERROR: <message>
 
 
 def _validity_row(args) -> Table1Row:
@@ -343,17 +346,18 @@ def _validity_row(args) -> Table1Row:
                          None, None, f"ERROR: {exc}")
 
 
-def _table2_row(args) -> Table2Row:
-    q, c_value, max_period = args
+def _exponent_row(args) -> ExponentRow:
+    q, c_value, max_period, uncertified = args
     label = str(c_value)
     c = float(c_value) % 1.0
     try:
         res = gelfond_exponent(PotentialParams(q, c), max_period)
     except Exception as exc:
-        return Table2Row(label, c, None, None, None, f"ERROR: {exc}")
+        return ExponentRow(label, c, None, None, None, f"ERROR: {exc}")
     if isinstance(res, GelfondCertificate):
-        return Table2Row(label, c, res.beta, res.gamma, res.cycle.period, "OK")
-    return Table2Row(label, c, None, None, None, "SKIPPED")
+        return ExponentRow(label, c, res.beta, res.gamma, res.cycle.period,
+                           "OK")
+    return ExponentRow(label, c, None, None, None, uncertified)
 
 
 def _pmap(fn, items, threads):
@@ -376,49 +380,21 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
 
 def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
                    c_list=None, *,
-                   threads: int | None = None) -> list[Table2Row]:
-    """One certified beta/gamma row per requested c."""
+                   threads: int | None = None) -> list[ExponentRow]:
+    """One certified beta/gamma row per requested c; SKIPPED if none."""
     if c_list is None:
         c_list = DEFAULT_TABLE2_FRACTIONS if q == 2 else []
-    return _pmap(_table2_row, [(q, cv, max_period) for cv in c_list], threads)
-
-
-def tables(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
-           c_list=None, *, validity_tol: float = DEFAULT_VALIDITY_TOL,
-           threads: int | None = None,
-           min_period: int = 2) -> tuple[list[Table1Row], list[Table2Row]]:
-    """Validity-interval rows (one per cycle) and beta/gamma rows per c."""
-    rows1 = validity_table(q, max_period, validity_tol=validity_tol,
-                           threads=threads, min_period=min_period)
-    rows2 = exponent_table(q, max_period, c_list, threads=threads)
-    return rows1, rows2
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    c: float
-    beta: float | None
-    gamma: float | None
-    period: int | None
-    status: str  # OK, GAP, or ERROR: <message>
-
-
-def _curve_point(args) -> CurvePoint:
-    q, c, max_period = args
-    try:
-        res = gelfond_exponent(PotentialParams(q, c), max_period)
-    except Exception as exc:
-        return CurvePoint(c, None, None, None, f"ERROR: {exc}")
-    if isinstance(res, GelfondCertificate):
-        return CurvePoint(c, res.beta, res.gamma, res.cycle.period, "OK")
-    return CurvePoint(c, None, None, None, "GAP")
+    return _pmap(_exponent_row,
+                 [(q, cv, max_period, "SKIPPED") for cv in c_list], threads)
 
 
 def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
                resolution: int = 256, *,
-               threads: int | None = None) -> list[CurvePoint]:
-    """Certified (c, beta, gamma, period) across a uniform c grid; gaps flagged."""
+               threads: int | None = None) -> list[ExponentRow]:
+    """Certified (c, beta, gamma, period) across a uniform c grid; GAP rows
+    where no cycle certifies."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     cs = [i / resolution for i in range(resolution)]
-    return _pmap(_curve_point, [(q, c, max_period) for c in cs], threads)
+    return _pmap(_exponent_row, [(q, c, max_period, "GAP") for c in cs],
+                 threads)

@@ -27,57 +27,6 @@ DEPTH_CAP = 400           # default truncation-depth cap
 DEFAULT_TARGET_ERR = 1e-13
 
 
-@dataclass(frozen=True)
-class CircleInterval:
-    """Half-open arc [lo, hi_raw) with lo in [0,1); hi_raw = lo + 1 is the
-    full circle."""
-
-    lo: float
-    hi_raw: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo < 1.0):
-            raise ValueError(f"lo must be in [0,1), got {self.lo!r}")
-        if not (self.lo <= self.hi_raw <= self.lo + 1.0):
-            raise ValueError(
-                f"hi_raw must be in [lo, lo+1], got lo={self.lo!r} hi_raw={self.hi_raw!r}"
-            )
-
-    @property
-    def length(self) -> float:
-        return self.hi_raw - self.lo
-
-    def contains(self, x: float) -> bool:
-        return (x - self.lo) % 1.0 < self.length
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Finite union of pairwise-disjoint circle arcs, sorted by lo."""
-
-    parts: tuple[CircleInterval, ...]
-
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts, key=lambda p: p.lo))
-        object.__setattr__(self, "parts", parts)
-        for a, b in zip(parts, parts[1:]):
-            if a.hi_raw > b.lo + 1e-15:
-                raise ValueError(f"overlapping parts: {a} and {b}")
-        if len(parts) >= 2 and parts[-1].hi_raw - 1.0 > parts[0].lo + 1e-15:
-            raise ValueError("last part wraps into the first")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalUnion":
-        return cls(tuple(CircleInterval(lo, lo + ln) for lo, ln in pairs))
-
-    @property
-    def total_length(self) -> float:
-        return math.fsum(p.length for p in self.parts)
-
-    def contains(self, x: float) -> bool:
-        return any(p.contains(x) for p in self.parts)
-
-
 def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
     """Apply the inverse branch to (lo, len) pairs; returns (pairs, dropped).
 
@@ -106,31 +55,20 @@ def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
     return out, dropped
 
 
-def inverse_branch_image(q: int, lam: float, union: IntervalUnion,
-                         drop_tol: float = DROP_TOL) -> IntervalUnion:
-    """Image of a union under the inverse branch into [lam, lam+1/q).
-
-    Total length contracts by exactly 1/q (up to parts below drop_tol, which
-    are discarded).  Each input arc yields at most two output arcs.
-    """
-    pairs = [(p.lo, p.length) for p in union.parts]
-    out, _ = _tau_pairs(pairs, q, lam % 1.0, drop_tol)
-    return IntervalUnion.from_pairs(out)
-
-
-def exit_sets(q: int, lam: float, depth: int, drop_tol: float = DROP_TOL,
-              depth_cap: int = DEPTH_CAP) -> list[IntervalUnion]:
-    """Exit sets A_1..A_depth; A_1 is the base arc, A_{n+1} its tau image."""
+def exit_sets(q: int, lam: float, depth: int,
+              depth_cap: int = DEPTH_CAP) -> list[list[tuple[float, float]]]:
+    """Exit sets A_1..A_depth as (lo, len) arcs; A_1 is the base arc,
+    A_{n+1} its tau image.  The arcs of one level are pairwise disjoint."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > depth_cap:
         raise DepthError(f"depth {depth} exceeds cap {depth_cap}")
     lam_mod = lam % 1.0
     pairs = [(lam_mod, 1.0 / q)]
-    out = [IntervalUnion.from_pairs(pairs)]
+    out = [pairs]
     for _ in range(depth - 1):
-        pairs, _ = _tau_pairs(pairs, q, lam_mod, drop_tol)
-        out.append(IntervalUnion.from_pairs(pairs))
+        pairs, _ = _tau_pairs(pairs, q, lam_mod, DROP_TOL)
+        out.append(pairs)
     return out
 
 
@@ -233,8 +171,7 @@ def exit_time_profile(q: int, lam: float, depth: int,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    sets = exit_sets(q, lam, depth)
-    level_pairs = [[(p.lo, p.length) for p in u.parts] for u in sets]
+    level_pairs = exit_sets(q, lam, depth)
     offset = 0.318309886  # 1/pi, keeps samples off dyadic/q-adic endpoints
     out = []
     for i in range(grid_size):

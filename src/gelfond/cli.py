@@ -48,7 +48,6 @@ class RunConfig:
     grid_size: int = 1024
     threads: int = 0  # 0 means all available cores
     output: str = ""  # empty means stdout
-    format: str = "csv"
 
     def __post_init__(self):
         if self.q < 2:
@@ -90,15 +89,21 @@ def frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """A phase written as num/den (or a decimal); ValueError if it names
+    no number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"phase {text!r} has a zero denominator") from None
+
+
 def parse_c(text: str) -> float:
     """Accept a float or a num/den fraction for the phase parameter.
 
     Raises ValueError for text that names no finite number.
     """
-    try:
-        value = float(Fraction(text)) if "/" in text else float(text)
-    except ZeroDivisionError:
-        raise ValueError(f"phase {text!r} has a zero denominator") from None
+    value = float(_parse_fraction(text)) if "/" in text else float(text)
     if not math.isfinite(value):
         raise ValueError(f"phase must be a finite number, got {text!r}")
     return value % 1.0
@@ -135,11 +140,10 @@ def cmd_gelfond(args) -> int:
                                target_err=args.v_target_err,
                                depth_cap=args.depth_cap)
     except GuardError as exc:
-        if args.json:
-            print(json.dumps({"schema_version": 1, "status": "guard_error",
-                              "reason": str(exc)}, sort_keys=True))
-        else:
-            print(f"guard error: {exc}", file=sys.stderr)
+        if not args.json:
+            raise  # main prints it and exits 3
+        print(json.dumps({"schema_version": 1, "status": "guard_error",
+                          "reason": str(exc)}, sort_keys=True))
         return 3
     if isinstance(res, NonPeriodicReport):
         if args.json:
@@ -212,7 +216,8 @@ def cmd_table2(args) -> int:
     c_list = None
     if args.c_list:
         with open(args.c_list, encoding="utf-8") as fh:
-            c_list = [Fraction(line.strip()) for line in fh if line.strip()]
+            c_list = [_parse_fraction(line.strip()) for line in fh
+                      if line.strip()]
     rows2 = exponent_table(args.q, args.max_period, c_list=c_list,
                            threads=_threads(args))
     out = []

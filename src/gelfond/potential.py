@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
@@ -42,60 +41,6 @@ class PotentialParams:
         if not (0.0 <= self.c < 1.0):
             raise ValueError(f"c must lie in [0,1), got {self.c!r}")
 
-
-@total_ordering
-class ExtendedReal:
-    """A real number or the distinguished NEG_INFINITY state.
-
-    NEG_INFINITY compares strictly below every finite value, so comparisons
-    are total; it is a dedicated state rather than float('-inf') so that
-    serialization stays unambiguous.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value=None):
-        self._value = None if value is None else float(value)
-
-    @property
-    def is_neg_infinity(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self):
-        """The finite value, or None for NEG_INFINITY."""
-        return self._value
-
-    def __float__(self) -> float:
-        return float("-inf") if self._value is None else self._value
-
-    def _key(self, other):
-        if isinstance(other, ExtendedReal):
-            return float(other)
-        if isinstance(other, (int, float)):
-            return float(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) == key
-
-    def __lt__(self, other):
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) < key
-
-    def __hash__(self):
-        return hash(float(self))
-
-    def __repr__(self):
-        return "NEG_INFINITY" if self._value is None else f"ExtendedReal({self._value!r})"
-
-
-NEG_INFINITY = ExtendedReal(None)
 
 _PI = math.pi
 
@@ -161,12 +106,9 @@ def amplitude(params: PotentialParams, x: float) -> float:
     return _amp(params.q, x + params.c)
 
 
-def potential(params: PotentialParams, x: float) -> ExtendedReal:
-    """log(amplitude), NEG_INFINITY exactly where the amplitude vanishes."""
-    val = _f(params.q, x + params.c)
-    if val == float("-inf"):
-        return NEG_INFINITY
-    return ExtendedReal(val)
+def potential(params: PotentialParams, x: float) -> float:
+    """log(amplitude), -inf exactly where the amplitude vanishes."""
+    return _f(params.q, x + params.c)
 
 
 def potential_derivative(params: PotentialParams, x: float,

@@ -233,11 +233,17 @@ class IrrationalRotation:
     uncertainty: float
 
 
-@dataclass(frozen=True)
-class IrrationalFlag:
-    """Marker that the invariant measure of the arc is not represented."""
-
-    estimate: IrrationalRotation
+def _confirming_cycle(q: int, lam: float,
+                      rotation: Fraction) -> SturmianCycle | None:
+    """The cycle of rotation number a + p/m whose window holds lam, if any."""
+    a = rotation.numerator // rotation.denominator
+    frac = rotation - a
+    if frac == 0 and a == q - 1:
+        a = 0  # lam near 1-1/q sees digit q-1
+    if not 0 <= a <= q - 2:
+        return None
+    cycle = build_cycle(q, a, frac)
+    return cycle if lambda_window(cycle).contains_mod1(lam) else None
 
 
 def _lift_orbit_estimate(q: int, lam: float, iterations: int) -> float:
@@ -270,32 +276,11 @@ def rotation_number(q: int, lam: float, iterations: int = 10_000,
             break
     else:
         return IrrationalRotation(est, unc)
-    if abs(cand - est) > unc:
-        return IrrationalRotation(est, unc)
-    a = cand.numerator // cand.denominator
-    frac = cand - a
-    if frac == 0:
-        a = a % (q - 1) if a == q - 1 else a  # lam near 1-1/q sees digit q-1
-    if not (0 <= a <= q - 2):
-        return IrrationalRotation(est, unc)
-    cycle = build_cycle(q, a, frac)
-    if lambda_window(cycle).contains_mod1(lam):
-        return RationalRotation(cand, cycle)
+    if abs(cand - est) <= unc:
+        cycle = _confirming_cycle(q, lam, cand)
+        if cycle is not None:
+            return RationalRotation(cand, cycle)
     return IrrationalRotation(est, unc)
-
-
-def measure_support(q: int, lam: float, max_period: int,
-                    iterations: int = 10_000):
-    """Support of the invariant measure on the arc based at lam.
-
-    Returns the certified SturmianCycle when the rotation number is rational
-    with denominator <= max_period, else an IrrationalFlag.
-    """
-    rot = rotation_number(q, lam, iterations=iterations,
-                          max_denominator=max_period)
-    if isinstance(rot, RationalRotation):
-        return rot.cycle
-    return IrrationalFlag(rot)
 
 
 def rotation_staircase(q: int, points: int, iterations: int = 20_000,
@@ -320,15 +305,7 @@ def rotation_staircase(q: int, points: int, iterations: int = 20_000,
     rows = []
     for lam, e in zip(lams.tolist(), est.tolist()):
         cand = Fraction(e).limit_denominator(max_denominator)
-        cert = None
-        if abs(cand - e) <= 2.0 / iterations:
-            a = cand.numerator // cand.denominator
-            frac = cand - a
-            if frac == 0 and a == q - 1:
-                a = 0
-            if 0 <= a <= q - 2:
-                cycle = build_cycle(q, a, frac)
-                if lambda_window(cycle).contains_mod1(lam):
-                    cert = cand
-        rows.append((lam, e, cert))
+        certified = (abs(cand - e) <= 2.0 / iterations
+                     and _confirming_cycle(q, lam, cand) is not None)
+        rows.append((lam, e, cand if certified else None))
     return rows

@@ -340,7 +340,7 @@ def test_criterion_7_exit_mass_and_balance_oracle():
         q = rng.choice([2, 3, 4, 5, 6])
         lam = rng.random()
         sets = exit_sets(q, lam, 60)
-        total = math.fsum(u.total_length for u in sets)
+        total = math.fsum(ln for pairs in sets for _, ln in pairs)
         expected = (1.0 - q ** -60) / (q - 1)
         worst_mass = max(worst_mass, abs(total - expected))
     assert worst_mass <= 1e-12

@@ -14,9 +14,9 @@ import gelfond.certify as certify
 from gelfond import (BalanceValue, DomainError, GelfondCertificate,
                      GelfondError, NonPeriodicReport, PotentialParams,
                      beta_curve, beta_period2_closed_form, build_cycle,
-                     enumerate_cycles, find_balance_point, gelfond_exponent,
-                     lambda_window, orbit_potential_mean, tables,
-                     validity_interval)
+                     enumerate_cycles, exponent_table, find_balance_point,
+                     gelfond_exponent, lambda_window, orbit_potential_mean,
+                     rotation_number, validity_interval, validity_table)
 from gelfond.certify import PERIOD2_VALIDITY_Q2
 from gelfond.potential import _f
 
@@ -97,11 +97,9 @@ class TestLandmarks:
         assert win.length <= F(1, q)
 
     def test_support_matches_certificate(self):
-        from gelfond import measure_support
-
         res = cert(2, 0.25)
-        cyc = measure_support(2, res.lambda_star % 1.0, 13)
-        assert cyc.points == res.cycle.points
+        rot = rotation_number(2, res.lambda_star % 1.0, max_denominator=13)
+        assert rot.cycle.points == res.cycle.points
 
 
 class TestCertificateContract:
@@ -205,7 +203,7 @@ class TestValidityIntervals:
             assert vi.c_hi == pytest.approx(c_hi, abs=2e-11)
 
     def test_pairwise_disjoint(self):
-        rows1, _ = tables(2, 6, c_list=[])
+        rows1 = validity_table(2, 6)
         ivs = sorted((r.c_lo, r.c_hi) for r in rows1 if r.status == "OK")
         for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
             assert hi1 < lo2 + 1e-9
@@ -236,7 +234,7 @@ class TestClosedForm:
 
 class TestTables:
     def test_table2_skipped_row(self):
-        _, rows2 = tables(2, 13, c_list=[F(8, 21), F(1, 2)])
+        rows2 = exponent_table(2, 13, c_list=[F(8, 21), F(1, 2)])
         by_label = {r.c_label: r for r in rows2}
         assert by_label["8/21"].status == "SKIPPED"
         assert by_label["1/2"].status == "OK"
@@ -244,7 +242,7 @@ class TestTables:
     def test_table2_baseline_sample(self):
         wanted = {"1/2", "2/5", "5/13", "9/19", "12/25"}
         c_list = [F(lbl) for lbl, *_ in TABLE2_BASELINE if lbl in wanted]
-        _, rows2 = tables(2, 13, c_list=c_list)
+        rows2 = exponent_table(2, 13, c_list=c_list)
         baseline = {lbl: (p, rot, b) for lbl, p, rot, b in TABLE2_BASELINE}
         for r in rows2:
             p, rot, b = baseline[r.c_label]
@@ -260,7 +258,7 @@ class TestTables:
             assert res.cycle.rotation == F(rot), lbl
 
     def test_table1_row_count(self):
-        rows1, _ = tables(2, 6, c_list=[])
+        rows1 = validity_table(2, 6)
         assert len(rows1) == 11  # periods 2..6
         assert all(r.status == "OK" for r in rows1)
 

@@ -3,57 +3,52 @@ import math
 import numpy as np
 import pytest
 
-from gelfond import (CircleInterval, DepthError, GuardError, IntervalUnion,
-                     PotentialParams, exit_sets, exit_time_profile,
-                     inverse_branch_image, sturmian_balance)
+from gelfond import (DepthError, GuardError, PotentialParams, exit_sets,
+                     exit_time_profile, sturmian_balance)
+from gelfond.circle import DROP_TOL, _tau_pairs
 
 from conftest import balance_quadrature_oracle, forward_exit_times
 
 
-def union(*pairs):
-    return IntervalUnion.from_pairs(pairs)
+def covers(pairs, x):
+    """Whether x lies in one of the half-open (lo, len) arcs."""
+    return any((x - lo) % 1.0 < ln for lo, ln in pairs)
 
 
-class TestIntervalTypes:
-    def test_circle_interval_validation(self):
-        CircleInterval(0.9, 1.4)  # wrapping arc is fine
-        with pytest.raises(ValueError):
-            CircleInterval(1.1, 1.2)
-        with pytest.raises(ValueError):
-            CircleInterval(0.5, 0.4)
-        with pytest.raises(ValueError):
-            CircleInterval(0.5, 1.6)
+def total(pairs):
+    return math.fsum(ln for _, ln in pairs)
 
-    def test_union_sorts_and_rejects_overlap(self):
-        u = union((0.5, 0.2), (0.1, 0.2))
-        assert [p.lo for p in u.parts] == [0.1, 0.5]
-        with pytest.raises(ValueError):
-            union((0.1, 0.3), (0.2, 0.3))
-        with pytest.raises(ValueError):
-            union((0.9, 0.3), (0.1, 0.3))  # wrap collision
 
-    def test_total_length_and_contains(self):
-        u = union((0.9, 0.2), (0.3, 0.1))
-        assert u.total_length == pytest.approx(0.3)
-        assert u.contains(0.95) and u.contains(0.05) and u.contains(0.35)
-        assert not u.contains(0.5)
+def assert_disjoint_arcs(pairs):
+    """Arcs have lo in [0,1), length in [0,1], and do not overlap on the
+    circle, the wrap-around from the last arc into the first included."""
+    for lo, ln in pairs:
+        assert 0.0 <= lo < 1.0
+        assert 0.0 <= ln <= 1.0
+    arcs = sorted(pairs)
+    for (lo1, ln1), (lo2, _) in zip(arcs, arcs[1:]):
+        assert lo1 + ln1 <= lo2 + 1e-15
+    if len(arcs) >= 2:
+        lo1, ln1 = arcs[-1]
+        assert lo1 + ln1 - 1.0 <= arcs[0][0] + 1e-15
 
 
 class TestInverseBranch:
+    """_tau_pairs, the inverse branch into [lam, lam+1/q) on (lo, len) arcs."""
+
     def test_full_circle_contracts_to_base_arc(self):
-        out = inverse_branch_image(2, 0.0, union((0.0, 1.0)))
-        assert len(out.parts) == 1
-        assert out.parts[0].lo == 0.0
-        assert out.parts[0].length == pytest.approx(0.5, abs=1e-15)
+        out, dropped = _tau_pairs([(0.0, 1.0)], 2, 0.0, DROP_TOL)
+        assert out == [(0.0, 0.5)]
+        assert dropped == 0.0
 
     def test_split_at_discontinuity_hand_computed(self):
         # base arc [1/4, 3/4), input [1/4, 3/4): pieces split at T(1/4)=1/2,
         # images [1/4, 3/8) and [5/8, 3/4), each of length 1/8
-        out = inverse_branch_image(2, 0.25, union((0.25, 0.5)))
-        assert len(out.parts) == 2
-        (a, b) = out.parts
-        assert (a.lo, a.hi_raw) == pytest.approx((0.25, 0.375), abs=1e-15)
-        assert (b.lo, b.hi_raw) == pytest.approx((0.625, 0.75), abs=1e-15)
+        out, dropped = _tau_pairs([(0.25, 0.5)], 2, 0.25, DROP_TOL)
+        assert len(out) == 2
+        assert sorted(out) == [pytest.approx((0.25, 0.125), abs=1e-15),
+                               pytest.approx((0.625, 0.125), abs=1e-15)]
+        assert dropped == 0.0
 
     @pytest.mark.parametrize("q,lam", [(2, 0.17), (3, 0.71), (5, 0.03)])
     def test_measure_contraction_exact(self, q, lam, rng):
@@ -63,37 +58,79 @@ class TestInverseBranch:
             gap = rng.random() * 0.2 + 0.02
             pairs.append(((lo + gap) % 1.0, gap * 0.4))
             lo += gap + gap * 0.4
-        u = IntervalUnion.from_pairs(sorted(pairs))
-        out = inverse_branch_image(q, lam, u)
-        assert out.total_length == pytest.approx(u.total_length / q, abs=1e-14)
+        out, dropped = _tau_pairs(pairs, q, lam, DROP_TOL)
+        assert dropped == 0.0
+        assert total(out) == pytest.approx(total(pairs) / q, abs=1e-14)
 
-    def test_at_most_two_pieces_per_input(self):
-        for lam in (0.0, 0.123, 0.77):
-            out = inverse_branch_image(2, lam, union((0.4, 0.99)))
-            assert len(out.parts) <= 2
+    def test_at_most_two_pieces_per_input(self, rng):
+        for q in (2, 3, 5):
+            for lam in (0.0, 0.123, 0.77):
+                for arc in [(0.4, 0.59)] + [(rng.random(), rng.random())
+                                            for _ in range(50)]:
+                    out, _ = _tau_pairs([arc], q, lam, DROP_TOL)
+                    assert 1 <= len(out) <= 2
+
+    @pytest.mark.parametrize("q,lam", [(2, 0.17), (3, 0.71), (5, 0.03)])
+    def test_dropped_mass_accounted(self, q, lam, rng):
+        # a large drop_tol forces drops; kept plus dropped is still the
+        # whole image, len/q, and every kept piece is at least drop_tol
+        drop_tol = 0.02
+        pairs = [(rng.random(), rng.random() * 0.1) for _ in range(40)]
+        pairs.append(((q * lam) % 1.0 - 0.001, 0.5))  # splits off a sliver
+        out, dropped = _tau_pairs(pairs, q, lam, drop_tol)
+        assert dropped > 0.0
+        assert all(ln >= drop_tol for _, ln in out)
+        assert total(out) + dropped == pytest.approx(total(pairs) / q,
+                                                     abs=1e-15)
+
+    def test_dropped_mass_enters_err_bound(self):
+        # with coarse drops the fixed-depth value still lies within its
+        # bound of the exact balance, and the bound grows by the drops
+        params = PotentialParams(2, 0.4)
+        exact = sturmian_balance(params, 0.28, depth=60)
+        fine = sturmian_balance(params, 0.28, depth=30)
+        coarse = sturmian_balance(params, 0.28, depth=30, drop_tol=1e-4)
+        assert coarse.err_bound > 100 * fine.err_bound
+        assert abs(coarse.value - exact.value) <= \
+            coarse.err_bound + exact.err_bound
+        assert abs(coarse.value - exact.value) > fine.err_bound
 
 
 class TestExitSets:
     def test_first_set_is_base_arc(self):
         sets = exit_sets(2, 0.25, 3)
-        assert sets[0].parts[0].lo == 0.25
-        assert sets[0].total_length == pytest.approx(0.5)
+        assert sets[0] == [(0.25, 0.5)]
 
     def test_nesting(self):
         sets = exit_sets(2, 0.3, 6)
         xs = np.linspace(0, 1, 701, endpoint=False)
         for a, b in zip(sets, sets[1:]):
             for x in xs:
-                if b.contains(float(x)):
-                    assert a.contains(float(x))
+                if covers(b, float(x)):
+                    assert covers(a, float(x))
 
     @pytest.mark.parametrize("q,lam", [(2, 0.26), (3, 0.55), (6, 0.9)])
     def test_geometric_masses(self, q, lam):
         depth = 60
         sets = exit_sets(q, lam, depth)
-        total = math.fsum(u.total_length for u in sets)
+        mass = math.fsum(total(pairs) for pairs in sets)
         expected = (1.0 - q ** -depth) / (q - 1)
-        assert total == pytest.approx(expected, abs=1e-12)
+        assert mass == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("q,lam,depth", [
+        (2, 0.3, 30), (2, 0.25, 22), (2, 0.999, 40), (3, 0.71, 25),
+        (3, 0.0, 20), (5, 0.03, 15), (6, 0.9, 15), (8, 0.5, 10)])
+    def test_levels_pairwise_disjoint(self, q, lam, depth):
+        sets = exit_sets(q, lam, depth)
+        assert len(sets) == depth
+        for pairs in sets:
+            assert_disjoint_arcs(pairs)
+
+    def test_levels_disjoint_random(self, rng):
+        for _ in range(40):
+            q = rng.choice([2, 3, 4, 5, 8])
+            for pairs in exit_sets(q, rng.random(), 30):
+                assert_disjoint_arcs(pairs)
 
     def test_matches_forward_orbit_exit_times(self, rng):
         # membership counts across levels equal the first-exit time
@@ -102,7 +139,7 @@ class TestExitSets:
         xs = np.array([rng.random() for _ in range(400)])
         e_fwd = forward_exit_times(q, lam, xs, cap=25)
         for x, ef in zip(xs, e_fwd):
-            count = sum(1 for u in sets if u.contains(float(x)))
+            count = sum(1 for pairs in sets if covers(pairs, float(x)))
             assert count == ef
 
     def test_depth_cap(self):
@@ -120,15 +157,15 @@ class TestExitTimeProfile:
     def test_breakpoint_integral_is_geometric_sum(self):
         # the exact integral of the truncated profile equals the mass sum
         q, lam, depth = 2, 0.25, 30
-        total = math.fsum(u.total_length for u in exit_sets(q, lam, depth))
-        assert total == pytest.approx((1 - 2.0 ** -depth) / 1.0, abs=1e-12)
+        mass = math.fsum(total(pairs) for pairs in exit_sets(q, lam, depth))
+        assert mass == pytest.approx((1 - 2.0 ** -depth) / 1.0, abs=1e-12)
 
     def test_symmetric_profile_at_quarter(self, rng):
         # e_{1/4} is symmetric under x -> 1-x for q=2
         sets = exit_sets(2, 0.25, 22)
 
         def e_of(x):
-            return sum(1 for u in sets if u.contains(x))
+            return sum(1 for pairs in sets if covers(pairs, x))
 
         for _ in range(200):
             x = rng.random()

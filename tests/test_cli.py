@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import gelfond.cli as cli
+from gelfond import GuardError
 from gelfond.cli import fmt, load_config, main, parse_c
 
 
@@ -87,6 +89,36 @@ class TestBadInput:
     def test_resolution_one(self, capsys):
         self.assert_error(capsys, ["beta-curve", "--resolution", "1"],
                           "resolution must be >= 2")
+
+    def test_c_list_zero_denominator(self, capsys, tmp_path):
+        clist = tmp_path / "cs.txt"
+        clist.write_text("1/2\n1/0\n")
+        self.assert_error(capsys, ["table2", "--c-list", str(clist)],
+                          "phase '1/0' has a zero denominator")
+
+
+class TestGuardError:
+    """A guard violation exits 3: JSON on stdout with --json, one line on
+    stderr without it."""
+
+    @pytest.fixture(autouse=True)
+    def raise_guard(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise GuardError("lambda=0.5 outside the admissible window")
+        monkeypatch.setattr(cli, "gelfond_exponent", fail)
+
+    def test_plain(self, capsys):
+        code, out, err = run_cli(capsys, "gelfond", "--c", "0.3")
+        assert (code, out) == (3, "")
+        assert err == ("guard error: lambda=0.5 outside the admissible "
+                       "window\n")
+
+    def test_json(self, capsys):
+        code, out, err = run_cli(capsys, "gelfond", "--c", "0.3", "--json")
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "schema_version": 1, "status": "guard_error",
+            "reason": "lambda=0.5 outside the admissible window"}
 
 
 class TestCyclesCommand:
@@ -239,6 +271,14 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg), "cycles")
         assert code == 1
         assert "unknown config key" in err
+
+    def test_format_key_rejected(self, tmp_path, capsys):
+        # output is always CSV; there is no format setting
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "cycles")
+        assert code == 1
+        assert err == "config error: unknown config key: format\n"
 
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,0 +1,40 @@
+"""Byte-for-byte CLI output against pinned fixtures.
+
+Each file in tests/data/cli_golden/ holds the exact stdout of the argv next
+to its name below, written by the CLI before the arc, extended-real and
+row-type refactor; the exit code is pinned here.  A change that alters any
+certificate, CSV cell or JSON key fails this test, so refactors that claim
+byte-identical output can show it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gelfond.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+CASES = {
+    "table2_q2": (["table2", "--q", "2", "--threads", "1"], 0),
+    "beta_curve_q2_r64": (["beta-curve", "--q", "2", "--resolution", "64",
+                           "--threads", "1"], 0),
+    "staircase_q2_p256": (["staircase", "--q", "2", "--points", "256"], 0),
+    "cycles_q3_min1": (["cycles", "--q", "3", "--min-period", "1"], 0),
+    "profile_q2_l03": (["profile", "--q", "2", "--lambda", "0.3"], 0),
+    "gelfond_q2_1_3": (["gelfond", "--json", "--q", "2", "--c", "1/3"], 0),
+    "gelfond_q2_8_21": (["gelfond", "--json", "--q", "2", "--c", "8/21"], 2),
+    "gelfond_q5_0_35": (["gelfond", "--json", "--q", "5", "--c", "0.35"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_and_exit_code_pinned(name, capsys):
+    argv, code = CASES[name]
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_every_fixture_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)

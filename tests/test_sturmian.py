@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import gelfond.sturmian as sturmian
-from gelfond import (IrrationalFlag, RationalRotation, build_cycle,
-                     enumerate_cycles, lambda_window, measure_support,
-                     rotation_number, rotation_staircase, truncated_map_lift)
+from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
+                     enumerate_cycles, lambda_window, rotation_number,
+                     rotation_staircase, truncated_map_lift)
 from gelfond.sturmian import select_cycle
 
 from conftest import linear_scan_select
@@ -201,24 +201,30 @@ class TestRotationNumber:
 
 
 class TestMeasureSupport:
+    """The cycle carrying the invariant measure of the arc based at lam, as
+    the witness of a certified rational rotation number."""
+
+    def support(self, lam, max_period):
+        return rotation_number(2, lam, max_denominator=max_period)
+
     def test_two_cycle_at_02(self):
-        cyc = measure_support(2, 0.2, 13)
+        cyc = self.support(0.2, 13).cycle
         assert cyc.points == (F(1, 3), F(2, 3))
 
     def test_fixed_point(self):
-        cyc = measure_support(2, 0.0, 13)
+        cyc = self.support(0.0, 13).cycle
         assert cyc.points == (F(0),)
 
     def test_period_6_just_inside_window(self):
-        cyc = measure_support(2, 61.0 / 126.0 + 1e-4, 13)
+        cyc = self.support(61.0 / 126.0 + 1e-4, 13).cycle
         assert cyc.period == 6
         assert cyc.s_min == F(31, 63)
 
     def test_irrational_flag_out_of_reach(self):
         # inside a high-period window, period cap 5 cannot certify
-        res = measure_support(2, 61.0 / 126.0 + 1e-4, 5)
-        assert isinstance(res, IrrationalFlag)
-        assert res.estimate.uncertainty > 0
+        res = self.support(61.0 / 126.0 + 1e-4, 5)
+        assert isinstance(res, IrrationalRotation)
+        assert res.uncertainty > 0
 
 
 class TestStaircase:
