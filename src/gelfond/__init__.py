@@ -20,7 +20,7 @@ from .checks import (GridReport, centering_bound_check,
 from .errors import (DepthError, DomainError, GelfondError, GuardError,
                      MultipleSignChangeError, SingularityError)
 from .potential import (PotentialParams, amplitude, potential,
-                        potential_derivative, potential_second_derivative)
+                        potential_derivative)
 from .series import (ExponentFitRow, SupNormSample, TMCoefficient, digit_sum,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit, sup_norm_sample, tm_coefficient)
@@ -42,7 +42,7 @@ __all__ = [
     "DepthError", "DomainError", "GelfondError", "GuardError",
     "MultipleSignChangeError", "SingularityError",
     "PotentialParams", "amplitude",
-    "potential", "potential_derivative", "potential_second_derivative",
+    "potential", "potential_derivative",
     "ExponentFitRow", "SupNormSample", "TMCoefficient", "digit_sum",
     "modulus_product", "multiplicativity_check", "polynomial_sum",
     "sup_exponent_fit", "sup_norm_sample", "tm_coefficient",

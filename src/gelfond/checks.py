@@ -161,25 +161,9 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(24)
 
 
-def _tau_point(q: int, lam_mod: float, x: float) -> float:
-    return lam_mod + ((x - q * lam_mod) % 1.0) / q
-
-
-def _transfer_derivative(q: int, c: float, lam_mod: float, x: float,
-                         depth: int) -> float:
-    """Truncated series sum_{n>=1} f_c'(tau^n x) / q^n."""
-    acc = 0.0
-    w = 1.0
-    y = x
-    for _ in range(depth):
-        y = _tau_point(q, lam_mod, y)
-        w /= q
-        acc += w * _fp(q, y + c)
-    return acc
-
-
 def _transfer_derivative_array(q: int, c: float, lam_mod: float,
                                x: np.ndarray, depth: int) -> np.ndarray:
+    """Truncated series sum_{n>=1} f_c'(tau^n x) / q^n, pointwise."""
     acc = np.zeros_like(x)
     w = 1.0
     y = np.asarray(x, dtype=float)

@@ -15,6 +15,7 @@ derivative on C'.  Its zero in lam certifies the maximizing arc.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,16 @@ def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
             else:
                 out.append((plo % 1.0, pln))
     return out, dropped
+
+
+@functools.lru_cache(maxsize=1)
+def _exit_levels(q: int, lam_mod: float, drop_tol: float):
+    """Exit levels at one lambda, shared by the balance calls there (the
+    c-root bisection holds lambda fixed): entry n-1 is A_n's (pairs,
+    dropped) as _tau_pairs returns them, with A_1 = the base arc.  The list
+    grows lazily and depends on nothing but the key, so a cache hit gives
+    the same arcs and dropped masses as computing them afresh."""
+    return [([(lam_mod, 1.0 / q)], 0.0)]
 
 
 def exit_sets(q: int, lam: float, depth: int,
@@ -126,7 +137,8 @@ def sturmian_balance(params: PotentialParams, lam: float,
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + one_q)))
 
     lam_mod = lam % 1.0
-    pairs = [(lam_mod, one_q)]
+    levels = _exit_levels(q, lam_mod, drop_tol)
+    f = _f  # bound per call, so a patched circle._f still applies
     terms: list[float] = []
     running = 0.0
     comp = 0.0  # Kahan carry for the running sign check
@@ -135,8 +147,8 @@ def sturmian_balance(params: PotentialParams, lam: float,
     n = 0
     while n < (depth_cap if depth is None else depth):
         n += 1
-        for lo, ln in pairs:
-            t = _f(q, lo + ln + c) - _f(q, lo + c)
+        for lo, ln in levels[n - 1][0]:
+            t = f(q, lo + ln + c) - f(q, lo + c)
             terms.append(t)
             y = t - comp
             s = running + y
@@ -149,8 +161,12 @@ def sturmian_balance(params: PotentialParams, lam: float,
                 break
             if stop_on_sign and n >= 3 and abs(running) > 2.0 * err:
                 break
-        pairs, d = _tau_pairs(pairs, q, lam_mod, drop_tol)
-        dropped += d
+        if n == len(levels):
+            # a slice store, not append: if another thread added level n
+            # first, this rewrites it with the same value
+            levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod,
+                                          drop_tol)]
+        dropped += levels[n][1]
     else:
         if depth is None:
             raise DepthError(

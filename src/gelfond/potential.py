@@ -47,22 +47,29 @@ _PI = math.pi
 
 def _amp(q: int, u: float) -> float:
     """Amplitude |sin(pi*q*u)/sin(pi*u)| with removable points patched."""
-    ur = u - round(u)
+    ur = math.remainder(u, 1.0)
     if abs(ur) <= REMOVABLE_TOL:
         return float(q)
-    v = q * ur
-    vr = v - round(v)
+    vr = math.remainder(q * ur, 1.0)
     if abs(vr) <= q * ZERO_TOL:
         return 0.0
     return abs(math.sin(_PI * vr) / math.sin(_PI * ur))
 
 
 def _f(q: int, u: float) -> float:
-    """log amplitude as a plain float, -inf at the zeros."""
-    a = _amp(q, u)
-    if a == 0.0:
-        return float("-inf")
-    return math.log(a)
+    """log amplitude as a plain float, -inf at the zeros.
+
+    The same reduction as _amp, inlined: this is the balance kernel's inner
+    call.  math.remainder(u, 1.0) equals u - round(u) up to the sign of a
+    zero, which only reaches the result through abs().
+    """
+    ur = math.remainder(u, 1.0)
+    if abs(ur) <= REMOVABLE_TOL:
+        return math.log(q)
+    vr = math.remainder(q * ur, 1.0)
+    if abs(vr) <= q * ZERO_TOL:
+        return -math.inf
+    return math.log(abs(math.sin(_PI * vr) / math.sin(_PI * ur)))
 
 
 def _fp(q: int, u: float, guard: float = SINGULARITY_GUARD) -> float:
@@ -78,23 +85,6 @@ def _fp(q: int, u: float, guard: float = SINGULARITY_GUARD) -> float:
             f"derivative requested within {guard} of a singularity (u={u!r})"
         )
     return _PI * (q / math.tan(_PI * vr) - 1.0 / math.tan(_PI * ur))
-
-
-def _fpp(q: int, u: float, guard: float = SINGULARITY_GUARD) -> float:
-    """Second derivative of the log amplitude, strictly negative."""
-    ur = u - round(u)
-    if abs(ur) < _SERIES_CUTOFF:
-        z = _PI * ur
-        return _PI * _PI * ((1 - q * q) / 3.0 + z * z * (1 - q ** 4) / 15.0)
-    v = q * ur
-    vr = v - round(v)
-    if abs(vr) < q * guard:
-        raise SingularityError(
-            f"second derivative requested within {guard} of a singularity (u={u!r})"
-        )
-    su = math.sin(_PI * ur)
-    sv = math.sin(_PI * vr)
-    return _PI * _PI * (1.0 / (su * su) - q * q / (sv * sv))
 
 
 def amplitude(params: PotentialParams, x: float) -> float:
@@ -119,12 +109,6 @@ def potential_derivative(params: PotentialParams, x: float,
     logarithmic singularity.  The value is 0 at the maximum x = -c.
     """
     return _fp(params.q, x + params.c, guard)
-
-
-def potential_second_derivative(params: PotentialParams, x: float,
-                                guard: float = SINGULARITY_GUARD) -> float:
-    """Second derivative of the potential, < 0 away from singularities."""
-    return _fpp(params.q, x + params.c, guard)
 
 
 def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:

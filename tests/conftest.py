@@ -6,8 +6,8 @@ balance integral by midpoint quadrature of f' weighted with a first-exit
 time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
-and the Stern-Brocot cycle selection by a linear scan over every enumerated
-cycle.
+the Stern-Brocot cycle selection by a linear scan over every enumerated
+cycle, and the scalar potential by its earlier u - round(u) form.
 """
 
 import math
@@ -140,6 +140,27 @@ def linear_scan_select(cycles, bra: float, brb: float):
         if lo_f + k <= bra and brb <= hi_f + k:
             return cyc, k
     return None
+
+
+def amp_round_form(q: int, u: float) -> float:
+    """|sin(pi*q*u)/sin(pi*u)| reduced by u - round(u), the form the scalar
+    potential had before it moved to math.remainder (tolerances 1e-12)."""
+    ur = u - round(u)
+    if abs(ur) <= 1e-12:
+        return float(q)
+    v = q * ur
+    vr = v - round(v)
+    if abs(vr) <= q * 1e-12:
+        return 0.0
+    return abs(math.sin(math.pi * vr) / math.sin(math.pi * ur))
+
+
+def f_round_form(q: int, u: float) -> float:
+    """log of amp_round_form, -inf at the zeros."""
+    a = amp_round_form(q, u)
+    if a == 0.0:
+        return float("-inf")
+    return math.log(a)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from gelfond import (GelfondCertificate, PotentialParams,
                      centering_bound_check, gelfond_exponent,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
                      sturmian_condition_probe)
-from gelfond.checks import _transfer_derivative
+from gelfond.checks import _transfer_derivative_array
 from gelfond.potential import _f, _fp
 
 
@@ -128,10 +128,10 @@ class TestConditionProbe:
         cert = _certificate(q, c)
         lam = cert.lambda_star % 1.0
         m_edge = max(abs(_fp(q, lam + c)), abs(_fp(q, lam + 0.5 + c)))
-        for x in np.linspace(0.02, 0.98, 23):
-            d1 = _transfer_derivative(q, c, lam, float(x), 20)
-            d2 = _transfer_derivative(q, c, lam, float(x), 30)
-            assert abs(d1 - d2) <= m_edge * 2.0 ** -20 / (q - 1) + 1e-15
+        xs = np.linspace(0.02, 0.98, 23)
+        d1 = _transfer_derivative_array(q, c, lam, xs, 20)
+        d2 = _transfer_derivative_array(q, c, lam, xs, 30)
+        assert np.all(np.abs(d1 - d2) <= m_edge * 2.0 ** -20 / (q - 1) + 1e-15)
 
     def test_residual_decreases_with_depth(self):
         params = PotentialParams(2, 0.5)

@@ -1,13 +1,17 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gelfond import (DepthError, GuardError, PotentialParams, exit_sets,
-                     exit_time_profile, sturmian_balance)
-from gelfond.circle import DROP_TOL, _tau_pairs
+from gelfond import (DepthError, GelfondError, GuardError, PotentialParams,
+                     circle, exit_sets, exit_time_profile, sturmian_balance)
+from gelfond.circle import DROP_TOL, _exit_levels, _tau_pairs
+from gelfond.potential import _fp
 
-from conftest import balance_quadrature_oracle, forward_exit_times
+from conftest import (balance_quadrature_oracle, f_round_form,
+                      forward_exit_times)
 
 
 def covers(pairs, x):
@@ -250,3 +254,152 @@ class TestBalance:
         a = sturmian_balance(params, 0.25)
         b = sturmian_balance(params, 0.25 - 1.0)
         assert a.value == pytest.approx(b.value, abs=1e-15)
+
+
+# a bisection midpoint of gelfond_exponent(q=2, c=0.18208128), where the
+# adaptive balance meets the depth cap (the known DepthError)
+DEPTH_ERROR_CALL = (2, 0.18208128, -0.5019579854163931)
+
+
+def balance_outcome(q, c, lam, kwargs):
+    """Bits of the BalanceValue, or the error's type and text."""
+    try:
+        v = sturmian_balance(PotentialParams(q, c), lam, **kwargs)
+    except GelfondError as e:
+        return type(e).__name__, str(e)
+    return v.value.hex(), v.err_bound.hex(), v.depth
+
+
+def in_window_c(q, lam, t):
+    """The c that puts lam at relative position t in its window."""
+    return (1.0 - t / q - lam) % 1.0
+
+
+def interleaved_calls(rng):
+    """Balance calls that switch q, lambda, c and drop_tol, with runs at one
+    lambda as the c-root bisection makes them."""
+    q, c, lam = DEPTH_ERROR_CALL
+    calls = [(q, c, lam, {"target_err": 1e-6}),   # shallow first,
+             (q, c, lam, {"depth": 50}),          # then a deeper fixed depth,
+             (q, c, lam, {"stop_on_sign": True})]  # then the DepthError
+    lam = 0.3
+    for _ in range(120):
+        if rng.random() < 0.3:
+            q = rng.choice([2, 3, 5])
+            lam = rng.uniform(-2.0, 2.0)
+        kwargs = {"target_err": rng.choice([1e-13, 1e-9, 1e-5])}
+        pick = rng.random()
+        if pick < 0.15:
+            kwargs["drop_tol"] = 1e-9
+        elif pick < 0.3:
+            kwargs["depth"] = rng.randint(1, 45)
+        elif pick < 0.6:
+            kwargs["stop_on_sign"] = True
+        calls.append((q, in_window_c(q, lam, rng.uniform(0.01, 0.99)), lam,
+                      kwargs))
+    return calls
+
+
+def balance_per_level(q, c, lam, kwargs):
+    """balance_outcome of the loop that recomputes every level with
+    _tau_pairs and sums f_round_form: the balance before the exit-level
+    cache and the math.remainder potential, as the reference for its bits."""
+    target_err = kwargs.get("target_err", 1e-13)
+    depth = kwargs.get("depth")
+    stop_on_sign = kwargs.get("stop_on_sign", False)
+    r = (lam + c) % 1.0
+    m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + 1.0 / q)))
+    lam_mod = lam % 1.0
+    pairs = [(lam_mod, 1.0 / q)]
+    terms = []
+    running = comp = dropped = 0.0
+    tail_mass = 1.0 / (q - 1)
+    for n in range(1, (400 if depth is None else depth) + 1):
+        for lo, ln in pairs:
+            t = f_round_form(q, lo + ln + c) - f_round_form(q, lo + c)
+            terms.append(t)
+            y = t - comp
+            s = running + y
+            comp = (s - running) - y
+            running = s
+        tail_mass /= q
+        err = m_edge * (tail_mass + dropped * q / (q - 1))
+        if depth is None and (err <= target_err or (
+                stop_on_sign and n >= 3 and abs(running) > 2.0 * err)):
+            return math.fsum(terms).hex(), err.hex(), n
+        pairs, d = _tau_pairs(pairs, q, lam_mod,
+                              kwargs.get("drop_tol", DROP_TOL))
+        dropped += d
+    if depth is None:
+        return "DepthError"
+    err = m_edge * (tail_mass + dropped * q / (q - 1))
+    return math.fsum(terms).hex(), err.hex(), depth
+
+
+class TestExitLevelCache:
+    """sturmian_balance keeps the last lambda's exit levels; a value read
+    through the cache is the value computed without it, bit for bit."""
+
+    def test_warm_equals_cold(self, rng, monkeypatch):
+        tau_calls = []
+
+        def counting_tau_pairs(*args):
+            tau_calls.append(1)
+            return _tau_pairs(*args)
+
+        monkeypatch.setattr(circle, "_tau_pairs", counting_tau_pairs)
+        calls = interleaved_calls(rng)
+        _exit_levels.cache_clear()
+        warm = [balance_outcome(*call) for call in calls]
+        n_warm = len(tau_calls)
+        assert _exit_levels.cache_info().hits > 0
+        cold = []
+        for call in calls:
+            _exit_levels.cache_clear()
+            cold.append(balance_outcome(*call))
+        assert warm == cold
+        assert n_warm < len(tau_calls) - n_warm
+        assert warm[2][0] == "DepthError"
+        assert warm[1][2] == 50
+
+    def test_matches_per_level_loop(self, rng):
+        _exit_levels.cache_clear()
+        for call in interleaved_calls(rng):
+            out = balance_outcome(*call)
+            ref = balance_per_level(*call)
+            assert (out[0] if ref == "DepthError" else out) == ref, call
+
+    def test_threads_share_one_entry(self):
+        lam = 0.3
+        calls = [(2, in_window_c(2, lam, t), lam, kwargs)
+                 for t in (0.1, 0.35, 0.6, 0.85)
+                 for kwargs in ({"target_err": 1e-5}, {"depth": 40}, {})]
+        expected = []
+        for call in calls:
+            _exit_levels.cache_clear()
+            expected.append(balance_outcome(*call))
+        _exit_levels.cache_clear()
+        results = {}
+
+        def work(k):
+            # each thread starts at its own call, so the lazy level
+            # extension is raced from different depths
+            for j in range(len(calls)):
+                i = (j + 2 * k) % len(calls)
+                results[k, i] = balance_outcome(*calls[i])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 6 * len(calls)
+        for (k, i), out in results.items():
+            assert out == expected[i], (k, i)

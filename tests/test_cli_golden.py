@@ -2,9 +2,11 @@
 
 Each file in tests/data/cli_golden/ holds the exact stdout of the argv next
 to its name below, written by the CLI before the arc, extended-real and
-row-type refactor; the exit code is pinned here.  A change that alters any
-certificate, CSV cell or JSON key fails this test, so refactors that claim
-byte-identical output can show it.
+row-type refactor (validity_q2: before the exit-level cache and the
+math.remainder potential); the exit code is pinned here.  A change that
+alters any certificate, CSV cell or JSON key fails this test, so refactors
+that claim byte-identical output can show it.  validity_q2 also pins every
+bisection sign of the c-roots, since each one moves a printed digit.
 """
 
 from pathlib import Path
@@ -25,6 +27,7 @@ CASES = {
     "gelfond_q2_1_3": (["gelfond", "--json", "--q", "2", "--c", "1/3"], 0),
     "gelfond_q2_8_21": (["gelfond", "--json", "--q", "2", "--c", "8/21"], 2),
     "gelfond_q5_0_35": (["gelfond", "--json", "--q", "5", "--c", "0.35"], 0),
+    "validity_q2": (["validity", "--q", "2", "--threads", "1"], 0),
 }
 
 

@@ -4,10 +4,47 @@ import numpy as np
 import pytest
 
 from gelfond import (PotentialParams, SingularityError, amplitude, potential,
-                     potential_derivative, potential_second_derivative)
-from gelfond.potential import amplitude_array, potential_array
+                     potential_derivative)
+from gelfond.potential import _amp, _f, amplitude_array, potential_array
 
-from conftest import central_diff
+from conftest import amp_round_form, central_diff, f_round_form
+
+
+def kernel_arguments(q, rng):
+    """u at the integers, the ties k + 1/2 and k/q + 1/(2q), the zeros k/q
+    and 1e-13 or 1e-12 either side of them, and seeded u in [-10, 10]."""
+    us = []
+    for k in range(-10 * q, 10 * q + 1):
+        z = k / q
+        us += [z, z + 1.0 / (2 * q), z + 1e-13, z - 1e-13, z + 1e-12,
+               z - 1e-12]
+    for k in range(-10, 11):
+        us += [float(k), k + 0.5]
+    us.append(-0.0)
+    us += [rng.uniform(-10.0, 10.0) for _ in range(2000)]
+    us += [rng.uniform(-1e-3, 1e-3) for _ in range(200)]
+    return us
+
+
+class TestScalarKernel:
+    """_f and _amp reduce with math.remainder; every value, -inf included,
+    matches the u - round(u) form bit for bit."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_amp_matches_round_form(self, q, rng):
+        for u in kernel_arguments(q, rng):
+            assert _amp(q, u).hex() == amp_round_form(q, u).hex(), u
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_f_matches_round_form(self, q, rng):
+        for u in kernel_arguments(q, rng):
+            assert _f(q, u).hex() == f_round_form(q, u).hex(), u
+
+    def test_arguments_reach_every_branch(self, rng):
+        vals = [_f(2, u) for u in kernel_arguments(2, rng)]
+        assert math.log(2.0) in vals
+        assert float("-inf") in vals
+        assert any(-math.inf < v < math.log(2.0) for v in vals)
 
 
 class TestParams:
@@ -125,7 +162,9 @@ class TestDerivatives:
         params = PotentialParams(5, 0.0)
         below = potential_derivative(params, 9.9e-5)
         above = potential_derivative(params, 1.01e-4)
-        slope = potential_second_derivative(params, 1e-4)
+        z = math.pi * 1e-4
+        slope = math.pi ** 2 * (1.0 / math.sin(z) ** 2
+                                - 25.0 / math.sin(5.0 * z) ** 2)
         assert below - above == pytest.approx(-slope * 0.02e-4, rel=1e-3)
 
     def test_strictly_decreasing_between_singularities(self):
@@ -139,16 +178,3 @@ class TestDerivatives:
         params = PotentialParams(2, 0.0)
         with pytest.raises(SingularityError):
             potential_derivative(params, 0.5 + 1e-12)
-        with pytest.raises(SingularityError):
-            potential_second_derivative(params, 0.5 + 1e-12)
-
-    def test_second_derivative_negative(self):
-        assert potential_second_derivative(PotentialParams(2, 0.0), 0.1) < 0
-        assert potential_second_derivative(PotentialParams(2, 0.0), 1e-6) < 0
-
-    def test_second_matches_finite_difference(self):
-        params = PotentialParams(3, 0.0)
-        fd = central_diff(lambda t: potential_derivative(params, t),
-                          1.0 / 6.0, 1e-6)
-        val = potential_second_derivative(params, 1.0 / 6.0)
-        assert val == pytest.approx(fd, rel=1e-5)
