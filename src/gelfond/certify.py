@@ -22,6 +22,7 @@ interval; reduction mod 1 happens only at I/O boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .sturmian import (SturmianCycle, enumerate_cycles, lambda_window,
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
 DEFAULT_VALIDITY_TOL = 1e-11
-COARSE_POINTS = 64  # balance evaluations in the bracket's coarse scan
+COARSE_POINTS = 64  # points of the bracket's coarse grid
 
 # Validity interval of the q=2 period-2 cycle {1/3, 2/3}: the c-range where
 # the balance integral vanishes inside that cycle's window.  Endpoints are
@@ -138,29 +139,39 @@ def _balance_bracket(params: PotentialParams, tol: float, *,
                      guard: float = WINDOW_GUARD,
                      target_err: float = DEFAULT_TARGET_ERR,
                      depth_cap: int = DEPTH_CAP) -> tuple[float, float]:
-    """Bracket the balance zero: coarse scan (exactly one certified sign
-    change expected), then bisection to width <= tol."""
+    """Bracket the balance zero: bisect a coarse grid for its +,- cell of
+    adjacent certified signs (uncertified points are stepped over), then
+    bisect to width <= tol.  With exactly one certified sign change on the
+    grid this is the cell a scan of every grid point finds."""
     wlo, whi = _window_bounds(params)
     a = wlo + 2.0 * guard
     b = whi - 2.0 * guard
     xs = [a + (b - a) * i / (COARSE_POINTS - 1) for i in range(COARSE_POINTS)]
-    signed = []
-    for x in xs:
-        v = sturmian_balance(params, x, target_err, guard=guard,
-                             depth_cap=depth_cap, stop_on_sign=True)
-        s = _certified_sign(v)
-        if s != 0:
-            signed.append((x, s))
-    flips = [i for i in range(len(signed) - 1)
-             if signed[i][1] != signed[i + 1][1]]
-    if len(flips) != 1:
+    sign = functools.cache(lambda k: _certified_sign(sturmian_balance(
+        params, xs[k], target_err, guard=guard, depth_cap=depth_cap,
+        stop_on_sign=True)))
+    i, j = 0, COARSE_POINTS - 1
+    while i < j and sign(i) == 0:
+        i += 1
+    while j > i and sign(j) == 0:
+        j -= 1
+    if not sign(i) > 0 > sign(j):
         raise MultipleSignChangeError(
-            f"coarse scan saw {len(flips)} certified sign changes, expected 1"
-        )
-    i = flips[0]
-    if not (signed[i][1] > 0 > signed[i + 1][1]):
-        raise MultipleSignChangeError("sign change oriented -,+; expected +,-")
-    lo, hi = signed[i][0], signed[i + 1][0]
+            f"coarse grid ends read {sign(i)},{sign(j)}; expected 1,-1")
+    while j - i > 1:
+        lo = hi = (i + j) // 2
+        while lo > i and sign(lo) == 0:
+            lo -= 1
+        while hi < j and sign(hi) == 0:
+            hi += 1
+        if sign(lo) < 0:
+            j = lo
+        elif sign(hi) > 0:
+            i = hi
+        else:
+            i, j = lo, hi
+            break
+    lo, hi = xs[i], xs[j]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         v = sturmian_balance(params, mid, target_err, guard=guard,

@@ -120,7 +120,8 @@ def sturmian_balance(params: PotentialParams, lam: float,
     bounded by M * q^-N / (q-1) with M the larger endpoint |f_c'| on the base
     arc (f_c' is monotone there).  Depth grows until the bound meets
     target_err, or with stop_on_sign until the sign is certified.  A fixed
-    `depth` overrides the adaptive choice.
+    `depth` overrides the adaptive choice; its bound is the one an adaptive
+    call stopping at that depth reports.
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
@@ -139,6 +140,7 @@ def sturmian_balance(params: PotentialParams, lam: float,
     lam_mod = lam % 1.0
     levels = _exit_levels(q, lam_mod, drop_tol)
     f = _f  # bound per call, so a patched circle._f still applies
+    fs: dict[float, float] = {}  # f is pure; nested levels share endpoints
     terms: list[float] = []
     running = 0.0
     comp = 0.0  # Kahan carry for the running sign check
@@ -146,9 +148,21 @@ def sturmian_balance(params: PotentialParams, lam: float,
     tail_mass = 1.0 / (q - 1)
     n = 0
     while n < (depth_cap if depth is None else depth):
+        if n == len(levels):
+            # a slice store, not append: if another thread added level n
+            # first, this rewrites it with the same value
+            levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod,
+                                          drop_tol)]
+        dropped += levels[n][1]
         n += 1
         for lo, ln in levels[n - 1][0]:
-            t = f(q, lo + ln + c) - f(q, lo + c)
+            fu = fs.get(u := lo + ln + c)
+            if fu is None:
+                fu = fs[u] = f(q, u)
+            fl = fs.get(u := lo + c)
+            if fl is None:
+                fl = fs[u] = f(q, u)
+            t = fu - fl
             terms.append(t)
             y = t - comp
             s = running + y
@@ -161,19 +175,12 @@ def sturmian_balance(params: PotentialParams, lam: float,
                 break
             if stop_on_sign and n >= 3 and abs(running) > 2.0 * err:
                 break
-        if n == len(levels):
-            # a slice store, not append: if another thread added level n
-            # first, this rewrites it with the same value
-            levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod,
-                                          drop_tol)]
-        dropped += levels[n][1]
     else:
         if depth is None:
             raise DepthError(
                 f"target_err={target_err} unreachable at depth cap {depth_cap} "
                 f"(achieved {err:.3e})"
             )
-        err = m_edge * (tail_mass + dropped * q / (q - 1))
     return BalanceValue(math.fsum(terms), err, n)
 
 

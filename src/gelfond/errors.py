@@ -18,7 +18,7 @@ class DepthError(GelfondError):
 
 
 class MultipleSignChangeError(GelfondError):
-    """The coarse scan did not see exactly one sign change."""
+    """The coarse grid's certified signs do not run from + to -."""
 
 
 class DomainError(GelfondError):

@@ -12,15 +12,18 @@ import pytest
 
 import gelfond.certify as certify
 from gelfond import (BalanceValue, DomainError, GelfondCertificate,
-                     GelfondError, NonPeriodicReport, PotentialParams,
+                     GelfondError, MultipleSignChangeError,
+                     NonPeriodicReport, PotentialParams,
                      beta_curve, beta_period2_closed_form, build_cycle,
                      enumerate_cycles, exponent_table, find_balance_point,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
                      rotation_number, validity_interval, validity_table)
-from gelfond.certify import PERIOD2_VALIDITY_Q2
+from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
+                             PERIOD2_VALIDITY_Q2)
+from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
 from gelfond.potential import _f
 
-from conftest import linear_scan_select
+from conftest import linear_scan_bracket, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -359,6 +362,114 @@ class TestSelectionMatchesLinearScan:
         # tests before any period cap
         new, old = outcomes(2, 0.05, 0)
         assert new == old == "ValueError: max_period must be >= 1"
+
+
+def bracket_outcome(fn):
+    """Bits of a bracket (lo, hi), or the error's type and text."""
+    try:
+        lo, hi = fn()
+    except GelfondError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return lo.hex(), hi.hex()
+
+
+class TestBracketMatchesLinearScan:
+    """_balance_bracket bisects the coarse grid; the scan of every grid point
+    it replaced (with its one-sign-change check) is the oracle."""
+
+    @staticmethod
+    def outcomes(q, c):
+        params = PotentialParams(q, c)
+
+        def balance(lam):
+            return sturmian_balance(params, lam, DEFAULT_TARGET_ERR,
+                                    stop_on_sign=True)
+
+        new = bracket_outcome(
+            lambda: certify._balance_bracket(params, DEFAULT_LAMBDA_TOL))
+        old = bracket_outcome(
+            lambda: linear_scan_bracket(q, c, balance, DEFAULT_LAMBDA_TOL))
+        return new, old
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_seeded_mirror_pairs(self, q):
+        rng = random.Random(700 + q)
+        cs = [0.0, 8.0 / 21.0, 0.5]
+        for _ in range(4):
+            c = rng.random()
+            cs += [c, (1.0 - c) % 1.0]
+        for c in cs:
+            new, old = self.outcomes(q, c)
+            assert new == old, (q, c)
+
+    def test_validity_endpoints(self):
+        for row in VALIDITY_BASELINE[::len(VALIDITY_BASELINE) // 10][:10]:
+            c_lo, c_hi = row[4], row[5]
+            for c in (c_lo + 1e-9, c_hi - 1e-9):
+                new, old = self.outcomes(2, c % 1.0)
+                assert new == old, (row, c)
+
+    def test_depth_error_unchanged(self):
+        new, old = self.outcomes(2, 0.18208128)
+        assert new == old
+        assert new.startswith("DepthError: ")
+
+    def test_coarse_calls_logarithmic(self, monkeypatch):
+        # tol = inf skips the fine bisection, so every call is a grid probe
+        calls = []
+
+        def counting_balance(*args, **kwargs):
+            calls.append(1)
+            return sturmian_balance(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "sturmian_balance", counting_balance)
+        limit = 2 * math.ceil(math.log2(COARSE_POINTS)) + 2
+        rng = random.Random(17)
+        for q in (2, 3, 5, 8):
+            for c in [0.0, 8.0 / 21.0, 0.5] + [rng.random() for _ in range(5)]:
+                calls.clear()
+                certify._balance_bracket(PotentialParams(q, c), math.inf)
+                assert 2 <= len(calls) <= limit, (q, c, len(calls))
+
+    def test_uncertified_points_stepped_over(self, monkeypatch):
+        # a decreasing stand-in balance whose sign cannot be certified in a
+        # band around its zero and at scattered points, ends included
+        rng = random.Random(23)
+        params = PotentialParams(2, 0.4)  # window (-0.9, -0.4)
+        for _ in range(300):
+            z = rng.uniform(-0.9, -0.4)
+            band = rng.choice([0.0, 0.004, 0.02, 0.1])
+            share = rng.choice([0, 50, 300, 900])
+
+            def balance(lam, z=z, band=band, share=share):
+                fuzzy = (abs(lam - z) < band
+                         or int(abs(lam) * 2.0 ** 40) * 2654435761 % 1000
+                         < share)
+                return BalanceValue(z - lam, 1.0 if fuzzy else 0.0, 1)
+
+            monkeypatch.setattr(certify, "sturmian_balance",
+                                lambda params, lam, *a, **k: balance(lam))
+            try:
+                new = certify._balance_bracket(params, 1e-9)
+            except MultipleSignChangeError:
+                new = None
+            try:
+                old = linear_scan_bracket(2, 0.4, balance, 1e-9)
+            except AssertionError:
+                old = None
+            assert new == old, (z, band, share)
+
+    @pytest.mark.parametrize("value", [
+        lambda lam: 1.0,                 # no sign change
+        lambda lam: lam + 0.6,           # oriented -,+ on c = 0.4's window
+        lambda lam: 0.0,                 # nothing certified
+    ])
+    def test_ends_must_bracket(self, monkeypatch, value):
+        monkeypatch.setattr(
+            certify, "sturmian_balance",
+            lambda params, lam, *a, **k: BalanceValue(value(lam), 0.0, 1))
+        with pytest.raises(MultipleSignChangeError):
+            certify._balance_bracket(PotentialParams(2, 0.4), 1e-12)
 
 
 class TestCompactRecords:

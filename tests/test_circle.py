@@ -8,7 +8,7 @@ import pytest
 from gelfond import (DepthError, GelfondError, GuardError, PotentialParams,
                      circle, exit_sets, exit_time_profile, sturmian_balance)
 from gelfond.circle import DROP_TOL, _exit_levels, _tau_pairs
-from gelfond.potential import _fp
+from gelfond.potential import _f, _fp
 
 from conftest import (balance_quadrature_oracle, f_round_form,
                       forward_exit_times)
@@ -303,7 +303,9 @@ def interleaved_calls(rng):
 def balance_per_level(q, c, lam, kwargs):
     """balance_outcome of the loop that recomputes every level with
     _tau_pairs and sums f_round_form: the balance before the exit-level
-    cache and the math.remainder potential, as the reference for its bits."""
+    cache, the math.remainder potential and the per-call memo of f, as the
+    reference for its bits.  A fixed depth stops at its last level with
+    the bound computed there."""
     target_err = kwargs.get("target_err", 1e-13)
     depth = kwargs.get("depth")
     stop_on_sign = kwargs.get("stop_on_sign", False)
@@ -324,16 +326,13 @@ def balance_per_level(q, c, lam, kwargs):
             running = s
         tail_mass /= q
         err = m_edge * (tail_mass + dropped * q / (q - 1))
-        if depth is None and (err <= target_err or (
+        if n == depth or depth is None and (err <= target_err or (
                 stop_on_sign and n >= 3 and abs(running) > 2.0 * err)):
             return math.fsum(terms).hex(), err.hex(), n
         pairs, d = _tau_pairs(pairs, q, lam_mod,
                               kwargs.get("drop_tol", DROP_TOL))
         dropped += d
-    if depth is None:
-        return "DepthError"
-    err = m_edge * (tail_mass + dropped * q / (q - 1))
-    return math.fsum(terms).hex(), err.hex(), depth
+    return "DepthError"
 
 
 class TestExitLevelCache:
@@ -368,6 +367,48 @@ class TestExitLevelCache:
             out = balance_outcome(*call)
             ref = balance_per_level(*call)
             assert (out[0] if ref == "DepthError" else out) == ref, call
+
+    def test_fixed_depth_equals_adaptive_stop(self, rng):
+        # a fixed depth=n call integrates levels 1..n and reports the bound
+        # an adaptive call that stops at n reports, dropped mass included
+        calls = [call for call in interleaved_calls(rng)
+                 if "depth" not in call[3]]
+        calls += [(2, in_window_c(2, lam, t), lam, {"drop_tol": 1e-6, **kw})
+                  for lam in (0.3, 0.77) for t in (0.2, 0.5)
+                  for kw in ({"target_err": 1e-5}, {"stop_on_sign": True})]
+        checked = 0
+        for q, c, lam, kwargs in calls:
+            out = balance_outcome(q, c, lam, kwargs)
+            if out[0] == "DepthError":
+                continue
+            fixed = {"depth": out[2], "drop_tol": kwargs.get("drop_tol",
+                                                             DROP_TOL)}
+            assert balance_outcome(q, c, lam, fixed) == out, (q, c, lam)
+            checked += 1
+        assert checked > len(calls) // 2
+
+    def test_f_once_per_distinct_argument(self, rng, monkeypatch):
+        args = []
+
+        def recording_f(q, u):
+            args.append(u)
+            return _f(q, u)
+
+        monkeypatch.setattr(circle, "_f", recording_f)
+        _exit_levels.cache_clear()
+        repeats = 0
+        for q, c, lam, kwargs in interleaved_calls(rng):
+            args.clear()
+            out = balance_outcome(q, c, lam, kwargs)
+            n = 400 if out[0] == "DepthError" else out[2]
+            levels = _exit_levels(q, lam % 1.0,
+                                  kwargs.get("drop_tol", DROP_TOL))[:n]
+            endpoints = [u for pairs, _ in levels for lo, ln in pairs
+                         for u in (lo + ln + c, lo + c)]
+            assert len(args) == len(set(args)) == len(set(endpoints))
+            assert set(args) == set(endpoints)
+            repeats += len(endpoints) - len(args)
+        assert repeats > 0
 
     def test_threads_share_one_entry(self):
         lam = 0.3

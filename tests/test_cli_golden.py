@@ -3,10 +3,12 @@
 Each file in tests/data/cli_golden/ holds the exact stdout of the argv next
 to its name below, written by the CLI before the arc, extended-real and
 row-type refactor (validity_q2: before the exit-level cache and the
-math.remainder potential); the exit code is pinned here.  A change that
-alters any certificate, CSV cell or JSON key fails this test, so refactors
-that claim byte-identical output can show it.  validity_q2 also pins every
-bisection sign of the c-roots, since each one moves a printed digit.
+math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
+the per-call potential memo and the bisected coarse bracket); the exit code
+is pinned here.  A change that alters any certificate, CSV cell or JSON key
+fails this test, so refactors that claim byte-identical output can show it.
+validity_q2 also pins every bisection sign of the c-roots, since each one
+moves a printed digit.
 """
 
 from pathlib import Path
@@ -20,6 +22,10 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 CASES = {
     "table2_q2": (["table2", "--q", "2", "--threads", "1"], 0),
     "beta_curve_q2_r64": (["beta-curve", "--q", "2", "--resolution", "64",
+                           "--threads", "1"], 0),
+    "beta_curve_q3_r64": (["beta-curve", "--q", "3", "--resolution", "64",
+                           "--threads", "1"], 0),
+    "beta_curve_q8_r64": (["beta-curve", "--q", "8", "--resolution", "64",
                            "--threads", "1"], 0),
     "staircase_q2_p256": (["staircase", "--q", "2", "--points", "256"], 0),
     "cycles_q3_min1": (["cycles", "--q", "3", "--min-period", "1"], 0),
