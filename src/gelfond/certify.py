@@ -32,19 +32,13 @@ from .circle import (BalanceValue, DEFAULT_TARGET_ERR, DEPTH_CAP, WINDOW_GUARD,
                      sturmian_balance)
 from .errors import DomainError, GuardError, MultipleSignChangeError
 from .potential import PotentialParams, _f
-from .sturmian import (SturmianCycle, enumerate_cycles, lambda_window,
-                       rotation_number, select_cycle)
+from .sturmian import (SturmianCycle, build_cycle, enumerate_cycles,
+                       lambda_window, rotation_number, select_cycle)
 
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
 DEFAULT_VALIDITY_TOL = 1e-11
 COARSE_POINTS = 64  # points of the bracket's coarse grid
-
-# Validity interval of the q=2 period-2 cycle {1/3, 2/3}: the c-range where
-# the balance integral vanishes inside that cycle's window.  Endpoints are
-# the roots at the window endpoints, computed by validity_interval at
-# tol 1e-11 and regression-pinned by the test suite.
-PERIOD2_VALIDITY_Q2 = (0.427484440438785, 0.572515559561215)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,9 +116,10 @@ class ValidityInterval:
     tol: float
 
 
-def _window_bounds(params: PotentialParams) -> tuple[float, float]:
-    q, c = params.q, params.c
-    return -1.0 / q - c, -c
+def _guarded_window(lo: float, hi: float) -> tuple[float, float]:
+    """An admissible window (lo, hi) pulled in at both ends by twice the
+    balance guard, so every point of it passes sturmian_balance's check."""
+    return lo + 2.0 * WINDOW_GUARD, hi - 2.0 * WINDOW_GUARD
 
 
 def _certified_sign(v: BalanceValue) -> int:
@@ -135,21 +130,35 @@ def _certified_sign(v: BalanceValue) -> int:
     return 0
 
 
+def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Halve [a, b], balance positive at a and negative at b, on the sign of
+    balance_at(mid).value until b - a <= tol or no float lies strictly
+    between a and b."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        if balance_at(mid).value > 0.0:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
 def _balance_bracket(params: PotentialParams, tol: float, *,
-                     guard: float = WINDOW_GUARD,
                      target_err: float = DEFAULT_TARGET_ERR,
                      depth_cap: int = DEPTH_CAP) -> tuple[float, float]:
     """Bracket the balance zero: bisect a coarse grid for its +,- cell of
     adjacent certified signs (uncertified points are stepped over), then
     bisect to width <= tol.  With exactly one certified sign change on the
     grid this is the cell a scan of every grid point finds."""
-    wlo, whi = _window_bounds(params)
-    a = wlo + 2.0 * guard
-    b = whi - 2.0 * guard
+    def balance_at(lam):
+        return sturmian_balance(params, lam, target_err, depth_cap=depth_cap,
+                                stop_on_sign=True)
+
+    a, b = _guarded_window(-1.0 / params.q - params.c, -params.c)
     xs = [a + (b - a) * i / (COARSE_POINTS - 1) for i in range(COARSE_POINTS)]
-    sign = functools.cache(lambda k: _certified_sign(sturmian_balance(
-        params, xs[k], target_err, guard=guard, depth_cap=depth_cap,
-        stop_on_sign=True)))
+    sign = functools.cache(lambda k: _certified_sign(balance_at(xs[k])))
     i, j = 0, COARSE_POINTS - 1
     while i < j and sign(i) == 0:
         i += 1
@@ -171,22 +180,13 @@ def _balance_bracket(params: PotentialParams, tol: float, *,
         else:
             i, j = lo, hi
             break
-    lo, hi = xs[i], xs[j]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v = sturmian_balance(params, mid, target_err, guard=guard,
-                             depth_cap=depth_cap, stop_on_sign=True)
-        if v.value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _bisect(balance_at, xs[i], xs[j], tol)
 
 
-def find_balance_point(params: PotentialParams, tol: float = DEFAULT_LAMBDA_TOL,
-                       **kwargs) -> float:
+def find_balance_point(params: PotentialParams,
+                       tol: float = DEFAULT_LAMBDA_TOL) -> float:
     """The lambda in W_c where the balance integral vanishes (lifted)."""
-    lo, hi = _balance_bracket(params, tol, **kwargs)
+    lo, hi = _balance_bracket(params, tol)
     return 0.5 * (lo + hi)
 
 
@@ -199,7 +199,6 @@ def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float
 def gelfond_exponent(params: PotentialParams,
                      max_period: int = DEFAULT_MAX_PERIOD, *,
                      tol: float = DEFAULT_LAMBDA_TOL,
-                     guard: float = WINDOW_GUARD,
                      target_err: float = DEFAULT_TARGET_ERR,
                      depth_cap: int = DEPTH_CAP):
     """Certified beta(c) and gamma(c), or a NonPeriodicReport.
@@ -208,11 +207,11 @@ def gelfond_exponent(params: PotentialParams,
     resolves to beta = log q, gamma = 1 through the same code path.
     """
     q, c = params.q, params.c
-    wlo, whi = _window_bounds(params)
-    bra, brb = _balance_bracket(params, tol, guard=guard,
-                                target_err=target_err, depth_cap=depth_cap)
+    glo, ghi = _guarded_window(-1.0 / q - c, -c)
+    bra, brb = _balance_bracket(params, tol, target_err=target_err,
+                                depth_cap=depth_cap)
     lam_star = 0.5 * (bra + brb)
-    assert wlo < lam_star < whi  # lifted-coordinate sanity: c+lam in (-1/q, 0)
+    assert -1.0 / q - c < lam_star < -c  # lifted: c+lam in (-1/q, 0)
 
     selected = select_cycle(q, bra, brb, max_period)
     if selected is None:
@@ -226,15 +225,15 @@ def gelfond_exponent(params: PotentialParams,
 
     found, shift = selected
     win = lambda_window(found)
-    l1 = max(float(win.lo) + shift, wlo + 2.0 * guard)
-    l2 = min(float(win.hi) + shift, whi - 2.0 * guard)
+    l1 = max(float(win.lo) + shift, glo)
+    l2 = min(float(win.hi) + shift, ghi)
     if not l1 < l2:
         return NonPeriodicReport(params, lam_star, None,
                                  "window intersection collapsed by the guard")
-    v1 = sturmian_balance(params, l1, target_err, guard=guard,
-                          depth_cap=depth_cap, stop_on_sign=True)
-    v2 = sturmian_balance(params, l2, target_err, guard=guard,
-                          depth_cap=depth_cap, stop_on_sign=True)
+    v1 = sturmian_balance(params, l1, target_err, depth_cap=depth_cap,
+                          stop_on_sign=True)
+    v2 = sturmian_balance(params, l2, target_err, depth_cap=depth_cap,
+                          stop_on_sign=True)
     if not (_certified_sign(v1) > 0 > _certified_sign(v2)):
         return NonPeriodicReport(
             params, lam_star, None,
@@ -247,36 +246,24 @@ def gelfond_exponent(params: PotentialParams,
                               beta, gamma)
 
 
-def _c_root(q: int, lam_e: float, tol: float, guard: float,
-            target_err: float) -> float:
+def _c_root(q: int, lam_e: float, tol: float) -> float:
     """Solve balance = 0 in c at a fixed lambda (strictly decreasing in c)."""
-    clo = -lam_e - 1.0 / q
-    chi = -lam_e
-    a = clo + 2.0 * guard
-    b = chi - 2.0 * guard
-    va = sturmian_balance(PotentialParams(q, a % 1.0), lam_e, target_err,
-                          guard=guard, stop_on_sign=True)
-    vb = sturmian_balance(PotentialParams(q, b % 1.0), lam_e, target_err,
-                          guard=guard, stop_on_sign=True)
+    def balance_at(c):
+        return sturmian_balance(PotentialParams(q, c % 1.0), lam_e,
+                                stop_on_sign=True)
+
+    a, b = _guarded_window(-lam_e - 1.0 / q, -lam_e)
+    va, vb = balance_at(a), balance_at(b)
     if not (_certified_sign(va) > 0 > _certified_sign(vb)):
         raise GuardError(
             f"no certified sign bracket in c for lambda={lam_e!r}"
         )
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        v = sturmian_balance(PotentialParams(q, mid % 1.0), lam_e, target_err,
-                             guard=guard, stop_on_sign=True)
-        if v.value > 0.0:
-            a = mid
-        else:
-            b = mid
+    a, b = _bisect(balance_at, a, b, tol)
     return 0.5 * (a + b)
 
 
 def validity_interval(q: int, cycle: SturmianCycle,
-                      tol: float = DEFAULT_VALIDITY_TOL, *,
-                      guard: float = WINDOW_GUARD,
-                      target_err: float = DEFAULT_TARGET_ERR) -> ValidityInterval:
+                      tol: float = DEFAULT_VALIDITY_TOL) -> ValidityInterval:
     """The c-interval on which this cycle is the certified maximizer.
 
     The window's upper endpoint yields the smaller c; the map from window
@@ -284,8 +271,8 @@ def validity_interval(q: int, cycle: SturmianCycle,
     rather than assumed.
     """
     win = lambda_window(cycle)
-    r_from_hi = _c_root(q, float(win.hi), tol, guard, target_err)
-    r_from_lo = _c_root(q, float(win.lo), tol, guard, target_err)
+    r_from_hi = _c_root(q, float(win.hi), tol)
+    r_from_lo = _c_root(q, float(win.lo), tol)
     if not r_from_hi < r_from_lo:
         raise RuntimeError(
             f"endpoint-to-c assignment unexpectedly ordered: "
@@ -295,9 +282,18 @@ def validity_interval(q: int, cycle: SturmianCycle,
     return ValidityInterval(cycle, r_from_hi + shift, r_from_lo + shift, tol)
 
 
+@functools.cache
+def period2_validity_q2() -> tuple[float, float]:
+    """Validity interval (c_lo, c_hi) of the q=2 period-2 cycle {1/3, 2/3}:
+    the c-range where the balance integral vanishes inside that cycle's
+    window, computed by validity_interval on first use."""
+    vi = validity_interval(2, build_cycle(2, 0, Fraction(1, 2)))
+    return vi.c_lo, vi.c_hi
+
+
 def beta_period2_closed_form(c: float) -> float:
     """Closed form of beta on the q=2 period-2 validity interval."""
-    lo, hi = PERIOD2_VALIDITY_Q2
+    lo, hi = period2_validity_q2()
     if not (lo - 1e-12 <= c <= hi + 1e-12):
         raise DomainError(
             f"c={c!r} outside the period-2 validity interval [{lo}, {hi}]"
@@ -381,10 +377,11 @@ def _pmap(fn, items, threads):
 def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
                    validity_tol: float = DEFAULT_VALIDITY_TOL,
                    threads: int | None = None,
-                   min_period: int = 2) -> list[Table1Row]:
-    """One validity-interval row per cycle (periods min_period..max_period)."""
+                   period: int | None = None) -> list[Table1Row]:
+    """One validity-interval row per cycle of period 2..max_period, or only
+    of the given period."""
     cycles = [cy for cy in enumerate_cycles(q, max_period)
-              if cy.period >= min_period]
+              if cy.period >= 2 and (period is None or cy.period == period)]
     return _pmap(_validity_row, [(q, cy, validity_tol) for cy in cycles],
                  threads)
 

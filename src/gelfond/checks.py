@@ -45,7 +45,7 @@ class GridReport:
         }
 
 
-def centering_bound_check(q: int, c_grid, **pipeline_kwargs) -> GridReport:
+def centering_bound_check(q: int, c_grid) -> GridReport:
     """Check 3/(8q) < theta < 5/(8q) for theta = lam* + 1/q + c, q >= 3.
 
     theta measures where the balanced arc's right endpoint sits relative to
@@ -59,8 +59,7 @@ def centering_bound_check(q: int, c_grid, **pipeline_kwargs) -> GridReport:
     worst_point = None
     thetas = []
     for c in c_grid:
-        lam = find_balance_point(PotentialParams(q, float(c) % 1.0),
-                                 **pipeline_kwargs)
+        lam = find_balance_point(PotentialParams(q, float(c) % 1.0))
         theta = lam + 1.0 / q + (float(c) % 1.0)
         theta -= math.floor(theta)  # lifted lam has lam+c in (-1/q, 0)
         margin = min(theta - lo, hi - theta)

@@ -23,7 +23,7 @@ from .errors import DepthError, GuardError
 from .potential import PotentialParams, _f, _fp
 
 DROP_TOL = 1e-15          # parts shorter than this are dropped (deficit tracked)
-WINDOW_GUARD = 1e-6       # default pull-in from the admissible lambda window
+WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
 DEPTH_CAP = 400           # default truncation-depth cap
 DEFAULT_TARGET_ERR = 1e-13
 
@@ -96,19 +96,8 @@ class BalanceValue:
     depth: int
 
 
-def _window_position(q: int, c: float, lam: float) -> float:
-    """Position r = (lam+c) mod 1, which must land in (1-1/q, 1)."""
-    r = (lam + c) % 1.0
-    if not ((1.0 - 1.0 / q) < r < 1.0):
-        raise GuardError(
-            f"lambda={lam!r} outside the admissible window for c={c!r}"
-        )
-    return r
-
-
 def sturmian_balance(params: PotentialParams, lam: float,
                      target_err: float = DEFAULT_TARGET_ERR, *,
-                     guard: float = WINDOW_GUARD,
                      depth_cap: int = DEPTH_CAP,
                      drop_tol: float = DROP_TOL,
                      stop_on_sign: bool = False,
@@ -125,15 +114,19 @@ def sturmian_balance(params: PotentialParams, lam: float,
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
     q, c = params.q, params.c
     one_q = 1.0 / q
-    r = _window_position(q, c, lam)
+    # r = lam + c must lie in the window (1-1/q, 1) mod 1 with WINDOW_GUARD
+    # to spare at both ends; a lambda outside it has a negative gap
+    r = (lam + c) % 1.0
     lo_gap = r - (1.0 - one_q)
     hi_gap = 1.0 - r
-    if lo_gap < guard or hi_gap < guard:
+    if not (lo_gap >= WINDOW_GUARD and hi_gap >= WINDOW_GUARD):
         raise GuardError(
-            f"lambda={lam!r} within guard {guard} of the window boundary "
-            f"(gaps {lo_gap:.3e}, {hi_gap:.3e})"
+            f"lambda={lam!r} not {WINDOW_GUARD} inside the admissible window "
+            f"for c={c!r} (gaps {lo_gap:.3e}, {hi_gap:.3e})"
         )
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + one_q)))
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 partial/other failure or bad input (printed as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -109,21 +110,38 @@ def parse_c(text: str) -> float:
     return value % 1.0
 
 
+@contextlib.contextmanager
 def _writer(path: str):
-    if path:
-        return open(path, "w", newline="", encoding="utf-8")
-    return sys.stdout
+    """The output file, or stdout for an empty path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
 
 
 def _emit_rows(path: str, header: list[str], rows) -> None:
-    fh = _writer(path)
-    try:
+    with _writer(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+
+
+def _emit_status_rows(path: str, header: list[str], rows, key, cells) -> int:
+    """A table whose last column is each row's status: key(row) leads every
+    line, an OK row prints cells(row) and any other row leaves those cells
+    blank.  Returns the exit code, 1 if any row is an ERROR."""
+    out = []
+    for r in rows:
+        lead = key(r)
+        out.append([*lead, *(cells(r) if r.status == "OK" else
+                             [""] * (len(header) - len(lead) - 1)), r.status])
+    _emit_rows(path, header, out)
+    return 1 if any(r.status.startswith("ERROR") for r in rows) else 0
+
+
+def _exponent_cells(r) -> list:
+    return [fmt(r.beta), fmt(r.gamma), r.period]
 
 
 def _threads(args) -> int:
@@ -142,11 +160,18 @@ def cmd_gelfond(args) -> int:
     except GuardError as exc:
         if not args.json:
             raise  # main prints it and exits 3
+        res = exc
+    with _writer(args.output) as fh, contextlib.redirect_stdout(fh):
+        return _print_gelfond(res, args.json)
+
+
+def _print_gelfond(res, as_json: bool) -> int:
+    if isinstance(res, GuardError):
         print(json.dumps({"schema_version": 1, "status": "guard_error",
-                          "reason": str(exc)}, sort_keys=True))
+                          "reason": str(res)}, sort_keys=True))
         return 3
     if isinstance(res, NonPeriodicReport):
-        if args.json:
+        if as_json:
             print(json.dumps(res.to_json_dict(), sort_keys=True))
         else:
             print(f"nonperiodic: {res.reason}")
@@ -159,7 +184,7 @@ def cmd_gelfond(args) -> int:
                 print(f"rotation = {rot.value}")
         return 2
     assert isinstance(res, GelfondCertificate)
-    if args.json:
+    if as_json:
         print(json.dumps(res.to_json_dict(), sort_keys=True))
         return 0
     cyc = res.cycle
@@ -194,22 +219,13 @@ def cmd_cycles(args) -> int:
 def cmd_validity(args) -> int:
     rows1 = validity_table(args.q, args.max_period,
                            validity_tol=args.validity_tol,
-                           threads=_threads(args))
-    if args.period is not None:
-        rows1 = [r for r in rows1 if r.period == args.period]
-    out = []
-    failed = 0
-    for r in rows1:
-        if r.status != "OK":
-            failed += 1
-            out.append([r.period, frac(r.rotation), frac(r.window_lo),
-                        frac(r.window_hi), "", "", r.status])
-        else:
-            out.append([r.period, frac(r.rotation), frac(r.window_lo),
-                        frac(r.window_hi), fmt(r.c_lo), fmt(r.c_hi), "OK"])
-    _emit_rows(args.output, ["period", "rotation", "window_lo", "window_hi",
-                             "c_lo", "c_hi", "status"], out)
-    return 1 if failed else 0
+                           threads=_threads(args), period=args.period)
+    return _emit_status_rows(
+        args.output, ["period", "rotation", "window_lo", "window_hi", "c_lo",
+                      "c_hi", "status"], rows1,
+        lambda r: [r.period, frac(r.rotation), frac(r.window_lo),
+                   frac(r.window_hi)],
+        lambda r: [fmt(r.c_lo), fmt(r.c_hi)])
 
 
 def cmd_table2(args) -> int:
@@ -220,17 +236,9 @@ def cmd_table2(args) -> int:
                       if line.strip()]
     rows2 = exponent_table(args.q, args.max_period, c_list=c_list,
                            threads=_threads(args))
-    out = []
-    failed = 0
-    for r in rows2:
-        if r.status == "OK":
-            out.append([r.c_label, fmt(r.beta), fmt(r.gamma), r.period, "OK"])
-        else:
-            if r.status.startswith("ERROR"):
-                failed += 1
-            out.append([r.c_label, "", "", "", r.status])
-    _emit_rows(args.output, ["c", "beta", "gamma", "period", "status"], out)
-    return 1 if failed else 0
+    return _emit_status_rows(args.output,
+                             ["c", "beta", "gamma", "period", "status"], rows2,
+                             lambda r: [r.c_label], _exponent_cells)
 
 
 def _svg_curve(points, path: str) -> None:
@@ -282,17 +290,12 @@ def _svg_curve(points, path: str) -> None:
 def cmd_beta_curve(args) -> int:
     points = beta_curve(args.q, args.max_period, args.resolution,
                         threads=_threads(args))
-    out = []
-    for pt in points:
-        if pt.status == "OK":
-            out.append([fmt(pt.c), fmt(pt.beta), fmt(pt.gamma), pt.period,
-                        "OK"])
-        else:
-            out.append([fmt(pt.c), "", "", "", pt.status])
-    _emit_rows(args.output, ["c", "beta", "gamma", "period", "status"], out)
+    code = _emit_status_rows(args.output,
+                             ["c", "beta", "gamma", "period", "status"],
+                             points, lambda r: [fmt(r.c)], _exponent_cells)
     if args.svg:
         _svg_curve(points, args.svg)
-    return 0
+    return code
 
 
 def cmd_staircase(args) -> int:
@@ -439,10 +442,8 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
                            help="worker processes, 0 = all cores")
 
     p = sub.add_parser("gelfond", help="certify beta(c) and gamma(c)")
-    p.add_argument("--q", type=int, default=defaults.q)
+    common(p)
     p.add_argument("--c", required=True, help="phase in [0,1) or num/den")
-    p.add_argument("--max-period", type=int, dest="max_period",
-                   default=defaults.max_period)
     p.add_argument("--bisect-tol", type=float, dest="bisect_tol",
                    default=defaults.bisect_tol)
     p.add_argument("--target-err", type=float, dest="v_target_err",
@@ -524,12 +525,15 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    config_path = None
-    if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
+    # --config must be read before the parser is built, since it sets the
+    # parser's defaults; without allow_abbrev, --c would match --config
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
     try:
+        config_path = pre.parse_known_args(argv)[0].config
         defaults = RunConfig(**load_config(config_path))
-    except (OSError, ValueError, KeyError) as exc:
+    except (argparse.ArgumentError, OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     parser = build_parser(defaults)

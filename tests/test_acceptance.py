@@ -47,7 +47,7 @@ from gelfond import (GelfondCertificate, PotentialParams,
                      polynomial_sum, rotation_staircase, sturmian_balance,
                      sturmian_condition_probe, sup_exponent_fit,
                      validity_table)
-from gelfond.certify import PERIOD2_VALIDITY_Q2
+from gelfond.certify import period2_validity_q2
 from gelfond.potential import _f
 
 from conftest import (SturmianTournament, balance_quadrature_oracle,
@@ -260,7 +260,7 @@ def test_criterion_3b_printed_table2_values():
 
 
 def test_criterion_4_closed_form_consistency():
-    lo, hi = PERIOD2_VALIDITY_Q2
+    lo, hi = period2_validity_q2()
     worst = 0.0
     for i in range(50):
         c = lo + (hi - lo) * (i + 0.5) / 50

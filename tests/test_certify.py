@@ -19,7 +19,7 @@ from gelfond import (BalanceValue, DomainError, GelfondCertificate,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
                      rotation_number, validity_interval, validity_table)
 from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
-                             PERIOD2_VALIDITY_Q2)
+                             period2_validity_q2)
 from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
 from gelfond.potential import _f
 
@@ -165,8 +165,10 @@ class TestValidityIntervals:
     def test_period2_regression(self):
         cyc = next(c for c in enumerate_cycles(2, 2) if c.period == 2)
         vi = validity_interval(2, cyc)
-        assert vi.c_lo == pytest.approx(PERIOD2_VALIDITY_Q2[0], abs=1e-9)
-        assert vi.c_hi == pytest.approx(PERIOD2_VALIDITY_Q2[1], abs=1e-9)
+        row = next(r for r in VALIDITY_BASELINE if r[0] == 2)
+        assert vi.c_lo == pytest.approx(row[4], abs=1e-9)
+        assert vi.c_hi == pytest.approx(row[5], abs=1e-9)
+        assert period2_validity_q2() == (vi.c_lo, vi.c_hi)
 
     def test_mirror_symmetry_of_endpoints(self):
         cycles = {(c.period, str(c.rotation)): c
@@ -214,7 +216,7 @@ class TestValidityIntervals:
 
 class TestClosedForm:
     def test_matches_pipeline_at_50_points(self):
-        lo, hi = PERIOD2_VALIDITY_Q2
+        lo, hi = period2_validity_q2()
         for i in range(50):
             c = lo + (hi - lo) * (i + 0.5) / 50
             res = cert(2, c)
@@ -226,7 +228,7 @@ class TestClosedForm:
             pytest.approx(math.log(math.sqrt(3.0)), abs=1e-15)
 
     def test_near_endpoint_matches_pipeline(self):
-        c = PERIOD2_VALIDITY_Q2[0] + 1e-7
+        c = period2_validity_q2()[0] + 1e-7
         assert beta_period2_closed_form(c) == \
             pytest.approx(cert(2, c).beta, abs=1e-9)
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gelfond.certify as certify
 import gelfond.cli as cli
-from gelfond import GuardError
+from gelfond import DepthError, GuardError
 from gelfond.cli import fmt, load_config, main, parse_c
 
 
@@ -96,6 +100,10 @@ class TestBadInput:
         self.assert_error(capsys, ["table2", "--c-list", str(clist)],
                           "phase '1/0' has a zero denominator")
 
+    def test_depth_cap_zero(self, capsys):
+        self.assert_error(capsys, ["gelfond", "--c", "0.3", "--depth-cap", "0"],
+                          "depth_cap must be >= 1")
+
 
 class TestGuardError:
     """A guard violation exits 3: JSON on stdout with --json, one line on
@@ -141,10 +149,15 @@ class TestCyclesCommand:
 
 
 class TestValidityCommand:
-    def test_period_2_row(self, capsys):
+    def test_period_2_row(self, capsys, monkeypatch):
+        roots = []
+        c_root = certify._c_root
+        monkeypatch.setattr(certify, "_c_root",
+                            lambda *a: roots.append(a) or c_root(*a))
         code, out, _ = run_cli(capsys, "validity", "--q", "2", "--period", "2",
                                "--threads", "1")
         assert code == 0
+        assert len(roots) == 2  # only the period-2 row is computed
         lines = out.strip().splitlines()
         assert lines[0] == "period,rotation,window_lo,window_hi,c_lo,c_hi,status"
         fields = lines[1].split(",")
@@ -176,6 +189,21 @@ class TestTable2Command:
         _, parallel, _ = run_cli(capsys, "table2", "--q", "2", "--c-list",
                                  str(clist), "--threads", "3")
         assert serial == parallel
+
+
+@pytest.mark.parametrize("argv", [
+    ["gelfond", "--q", "2", "--c", "1/3", "--bisect-tol", "0"],
+    ["validity", "--q", "2", "--period", "2", "--tol", "0", "--threads", "1"],
+])
+def test_zero_tolerance_terminates(argv):
+    # a bisection with no float left between its ends stops; run in a child
+    # process so that a regression fails on the timeout instead of hanging
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gelfond.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestStaircaseCommand:
@@ -240,14 +268,38 @@ class TestBetaCurveCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_error_row_exits_1(self, capsys, monkeypatch):
+        gelfond_exponent = certify.gelfond_exponent
+
+        def fail_at_quarter(params, *args, **kwargs):
+            if params.c == 0.25:
+                raise DepthError("depth cap reached")
+            return gelfond_exponent(params, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "gelfond_exponent", fail_at_quarter)
+        code, out, _ = run_cli(capsys, "beta-curve", "--q", "2",
+                               "--resolution", "4", "--threads", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2] == "0.25,,,,ERROR: depth cap reached"
+        assert [line.split(",")[-1] for line in lines[1:]] == [
+            "OK", "ERROR: depth cap reached", "OK", "OK"]
+
 
 class TestConfig:
-    def test_config_file_defaults(self, tmp_path, capsys, monkeypatch):
+    def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 2\nmax_period = 3\n# comment\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "cycles")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 4  # header + periods 2,3
+        for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+            code, out, _ = run_cli(capsys, *flag, "cycles")
+            assert code == 0
+            assert len(out.strip().splitlines()) == 4  # header + periods 2,3
+
+    def test_config_without_value(self, capsys):
+        code, out, err = run_cli(capsys, "cycles", "--config")
+        assert code == 1
+        assert out == ""
+        assert err == "config error: argument --config: expected one argument\n"
 
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -295,3 +347,12 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("q,period,")
+
+    def test_gelfond_output_file(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        argv = ("gelfond", "--q", "2", "--c", "1/3", "--json")
+        _, stdout, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "-o", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == stdout

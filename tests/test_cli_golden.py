@@ -4,8 +4,9 @@ Each file in tests/data/cli_golden/ holds the exact stdout of the argv next
 to its name below, written by the CLI before the arc, extended-real and
 row-type refactor (validity_q2: before the exit-level cache and the
 math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
-the per-call potential memo and the bisected coarse bracket); the exit code
-is pinned here.  A change that alters any certificate, CSV cell or JSON key
+the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
+before the shared bisection and the period filter ahead of the c-roots);
+the exit code is pinned here.  A change that alters any certificate, CSV cell or JSON key
 fails this test, so refactors that claim byte-identical output can show it.
 validity_q2 also pins every bisection sign of the c-roots, since each one
 moves a printed digit.
@@ -34,6 +35,8 @@ CASES = {
     "gelfond_q2_8_21": (["gelfond", "--json", "--q", "2", "--c", "8/21"], 2),
     "gelfond_q5_0_35": (["gelfond", "--json", "--q", "5", "--c", "0.35"], 0),
     "validity_q2": (["validity", "--q", "2", "--threads", "1"], 0),
+    "validity_q2_p5": (["validity", "--q", "2", "--period", "5",
+                        "--threads", "1"], 0),
 }
 
 
