@@ -77,6 +77,35 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     )
 
 
+def _f_map(q: int, x: np.ndarray) -> np.ndarray:
+    """The scalar potential kernel on every element of x."""
+    return np.fromiter((_f(q, v) for v in x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
+                quantity) -> GridReport:
+    """Grid maximum over t in (3/8q, 5/8q) and s in linspace(*s_span(t)).
+
+    quantity(t, s, f_t, fp_t) is evaluated once on the whole (t_steps,
+    s_steps) grid, t and its f, f' as columns; each row's maximum then
+    updates the running worst in t order.
+    """
+    off = BOUNDARY_OFFSET
+    ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
+    s = np.array([np.linspace(*s_span(t), s_steps) for t in ts])
+    t = ts[:, None]
+    g = quantity(t, s, _f_map(q, t),
+                 np.array([[_fp(q, v)] for v in ts.tolist()]))
+    at = (np.arange(t_steps), np.argmax(g, axis=1))
+    worst, worst_point = -math.inf, None
+    for t_i, s_j, g_j in zip(ts.tolist(), s[at].tolist(), g[at].tolist()):
+        if g_j > worst:
+            worst, worst_point = g_j, (t_i, s_j)
+    return GridReport({"q": q, "t_steps": t_steps, "s_steps": s_steps,
+                       "offset": off}, worst, worst_point, worst < 0.0)
+
+
 def inner_shift_negativity_grid(q: int, t_steps: int = 200,
                                 s_steps: int = 200) -> GridReport:
     """Grid maximum of A(s) + B(t,s) on t in (3/8q, 5/8q), 0 < s <= 1/q - t.
@@ -87,30 +116,12 @@ def inner_shift_negativity_grid(q: int, t_steps: int = 200,
     """
     if q < 3:
         raise ValueError("the inner-shift grid applies to q >= 3")
-    off = BOUNDARY_OFFSET
-    one_q = 1.0 / q
-    log_q = math.log(q)
-    worst = -math.inf
-    worst_point = None
-    ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
-    for t in ts:
-        f_t = _f(q, t)
-        fp_t = _fp(q, t)
-        s = np.linspace(off, one_q - t, s_steps)
-        a_vals = np.log(np.sin(np.pi * s) / np.sin(np.pi * (one_q + s)))
-        b_vals = log_q - f_t - fp_t * (one_q - t - s) / (q - 1)
-        h = a_vals + b_vals
-        j = int(np.argmax(h))
-        if h[j] > worst:
-            worst = float(h[j])
-            worst_point = (float(t), float(s[j]))
-    return GridReport(
-        grid_spec={"q": q, "t_steps": t_steps, "s_steps": s_steps,
-                   "offset": off},
-        worst_value=worst,
-        worst_point=worst_point,
-        passed=worst < 0.0,
-    )
+    one_q, log_q = 1.0 / q, math.log(q)
+    return _shift_scan(
+        q, t_steps, s_steps, lambda t: (BOUNDARY_OFFSET, one_q - t),
+        lambda t, s, f_t, fp_t: (
+            np.log(np.sin(np.pi * s) / np.sin(np.pi * (one_q + s)))
+            + (log_q - f_t - fp_t * (one_q - t - s) / (q - 1))))
 
 
 def outer_shift_negativity_grid(q: int, t_steps: int = 200,
@@ -124,33 +135,13 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
     """
     if q < 4:
         raise ValueError("the outer-shift grid applies to q >= 4")
-    off = BOUNDARY_OFFSET
-    one_q = 1.0 / q
-    log_q = math.log(q)
-    worst = -math.inf
-    worst_point = None
-    ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
-    for t in ts:
-        f_t = _f(q, t)
-        fp_t = _fp(q, t)
-        f_qt = _f(q, one_q - t)
-        s = np.linspace(t, one_q - off, s_steps)
-        u_vals = np.log(np.sin(np.pi * (one_q - s)) / np.sin(np.pi * (one_q + s)))
-        inner = one_q - t - (s - t) / (q - 1)
-        f_inner = np.array([_f(q, float(w)) for w in inner])
-        v_vals = log_q - f_t + f_inner - f_qt - fp_t * (s - t) / (q - 1)
-        g = u_vals + v_vals
-        j = int(np.argmax(g))
-        if g[j] > worst:
-            worst = float(g[j])
-            worst_point = (float(t), float(s[j]))
-    return GridReport(
-        grid_spec={"q": q, "t_steps": t_steps, "s_steps": s_steps,
-                   "offset": off},
-        worst_value=worst,
-        worst_point=worst_point,
-        passed=worst < 0.0,
-    )
+    one_q, log_q = 1.0 / q, math.log(q)
+    return _shift_scan(
+        q, t_steps, s_steps, lambda t: (t, one_q - BOUNDARY_OFFSET),
+        lambda t, s, f_t, fp_t: (
+            np.log(np.sin(np.pi * (one_q - s)) / np.sin(np.pi * (one_q + s)))
+            + (log_q - f_t + _f_map(q, one_q - t - (s - t) / (q - 1))
+               - _f_map(q, one_q - t) - fp_t * (s - t) / (q - 1))))
 
 
 @functools.cache
@@ -192,18 +183,21 @@ def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
             cuts.add(t)
     grid = sorted(cuts)
     nodes, weights = _gauss_rule()
-    cum = {0.0: 0.0}
-    total = 0.0
+    halves, pts = [], []
     for lo, hi in zip(grid, grid[1:]):
         n_sub = max(1, int(math.ceil((hi - lo) / max_panel)))
         edges = np.linspace(lo, hi, n_sub + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mids[:, None] + halves[:, None] * nodes[None, :])
-        vals = _transfer_derivative_array(q, c, lam_mod,
-                                          lam_mod + pts.ravel(), depth)
-        vals = vals.reshape(pts.shape)
-        total += float(np.sum(halves * (vals @ weights)))
+        halves.append(0.5 * (edges[1:] - edges[:-1]))
+        pts.append(0.5 * (edges[:-1] + edges[1:])[:, None]
+                   + halves[-1][:, None] * nodes)
+    # the series is pointwise: one call on every node, then each interval is
+    # reduced on its own rows, in the same shapes and order as one at a time
+    vals = _transfer_derivative_array(q, c, lam_mod,
+                                      lam_mod + np.concatenate(pts), depth)
+    cum, total = {0.0: 0.0}, 0.0
+    for hi, h, block in zip(grid[1:], halves, np.split(
+            vals, np.cumsum([len(h) for h in halves])[:-1])):
+        total += float(np.sum(h * (block @ weights)))
         cum[hi] = total
     return cum
 

@@ -201,6 +201,7 @@ def _print_gelfond(res, as_json: bool) -> int:
 
 
 def cmd_cycles(args) -> int:
+    PotentialParams(args.q, 0.0)  # rejects q < 2 as every command does
     rows = []
     for cy in enumerate_cycles(args.q, args.max_period):
         if cy.period < args.min_period:
@@ -390,6 +391,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_checks(args) -> int:
+    if args.c_points < 2:
+        raise ValueError("c_points must be >= 2")
     reports = {}
     if args.q >= 3:
         grid = [0.05 + 0.9 * i / (args.c_points - 1)
@@ -543,8 +546,9 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard error: {exc}", file=sys.stderr)
         return 3
-    except (GelfondError, ValueError) as exc:
-        # ValueError is how the package rejects out-of-range arguments
+    except (GelfondError, ValueError, OSError) as exc:
+        # ValueError is how the package rejects out-of-range arguments;
+        # OSError is an unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -156,7 +156,8 @@ class ExponentFitRow:
 
 
 def _orbit_sums(q: int, c: float, xs: np.ndarray, n: int) -> np.ndarray:
-    """Sum of the potential along the first n orbit points of each x."""
+    """Sum of the potential along the first n orbit points of each x
+    (elementwise, any shape)."""
     out = np.zeros_like(xs)
     cur = xs.copy()
     for _ in range(n):
@@ -208,16 +209,16 @@ def sup_exponent_fit(params: PotentialParams, n_max: int, grid_size: int,
             # window spans two previous grid steps so a peak adjacent to the
             # chosen sample cannot fall outside the next pass
             half = 2.0 * spacing
-            refined = []
-            for _, ctr in entries:
-                grid = ctr + np.linspace(-half, half, zoom)
-                vals = _orbit_sums(q, c, grid % 1.0, n)
-                j = int(np.argmax(vals))
-                refined.append((float(vals[j]), float(grid[j] % 1.0)))
-                if vals[j] > best_val:
-                    best_val = float(vals[j])
-                    best_x = float(grid[j] % 1.0)
-            entries = refined
+            if entries:
+                # one row per candidate, one orbit-sum pass for all rows
+                grid = (np.array([x for _, x in entries])[:, None]
+                        + np.linspace(-half, half, zoom)) % 1.0
+                vals = _orbit_sums(q, c, grid, n)
+                at = (np.arange(len(entries)), np.argmax(vals, axis=1))
+                entries = list(zip(vals[at].tolist(), grid[at].tolist()))
+                for v, x in entries:
+                    if v > best_val:
+                        best_val, best_x = v, x
             spacing = 2.0 * half / (zoom - 1)
         # the next level's peaks sit near inverse-branch images of this
         # level's peaks, since S_{n+1}(x) = f(x) + S_n(q x mod 1); keep the

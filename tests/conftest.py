@@ -8,7 +8,11 @@ the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
 cycle, the bisected coarse bracket by a scan of every grid point, and the
-scalar potential by its earlier u - round(u) form.
+scalar potential by its earlier u - round(u) form.  The batched verification
+layers (zoom passes of the exponent fit, the probe's transfer integral, the
+two shift grids) are checked against their earlier one-candidate,
+one-interval and one-t-at-a-time loops; those take the potential kernels as
+arguments, so nothing here imports gelfond.
 """
 
 import math
@@ -192,6 +196,153 @@ def f_round_form(q: int, u: float) -> float:
     if a == 0.0:
         return float("-inf")
     return math.log(a)
+
+
+def zoom_fit_loop(potential_array, q: int, c: float, n_max: int,
+                  grid_size: int, beta: float, top_k: int = 8, zoom: int = 33,
+                  zoom_passes: int = 3) -> list[tuple]:
+    """(n, gamma_n, excess_n, argmax_x) per level, one orbit-sum pass per
+    zoom candidate: the exponent fit before its passes were batched."""
+
+    def orbit_sums(xs, n):
+        out = np.zeros_like(xs)
+        cur = xs.copy()
+        for _ in range(n):
+            out += potential_array(q, c, cur)
+            cur = (q * cur) % 1.0
+        return out
+
+    log_q = math.log(q)
+    xs = np.arange(grid_size) / grid_size
+    sums = np.zeros_like(xs)
+    cur = xs.copy()
+    rows = []
+    carried = []
+    for n in range(1, n_max + 1):
+        sums += potential_array(q, c, cur)
+        cur = (q * cur) % 1.0
+        order = np.argsort(sums)[::-1][:top_k]
+        finite = [i for i in order if math.isfinite(sums[i])]
+        cands, seen = [], set()
+        for x in [float(xs[i]) for i in finite] + carried:
+            key = round(x, 13)
+            if key not in seen:
+                seen.add(key)
+                cands.append(x)
+        if finite:
+            best_val = float(sums[finite[0]])
+            best_x = float(xs[finite[0]])
+        else:
+            best_val = -math.inf
+            best_x = float(xs[0])
+        entries = [(best_val, x) for x in cands]
+        spacing = 1.0 / grid_size
+        for _ in range(zoom_passes):
+            half = 2.0 * spacing
+            refined = []
+            for _, ctr in entries:
+                grid = ctr + np.linspace(-half, half, zoom)
+                vals = orbit_sums(grid % 1.0, n)
+                j = int(np.argmax(vals))
+                refined.append((float(vals[j]), float(grid[j] % 1.0)))
+                if vals[j] > best_val:
+                    best_val = float(vals[j])
+                    best_x = float(grid[j] % 1.0)
+            entries = refined
+            spacing = 2.0 * half / (zoom - 1)
+        entries.sort(key=lambda t: -t[0])
+        seeds = [x for _, x in entries[:top_k]] + [best_x]
+        carried = [((s + j) / q) % 1.0 for s in seeds for j in range(q)]
+        rows.append((n, best_val / (n * log_q), best_val - n * beta, best_x))
+    return rows
+
+
+def transfer_integral_loop(derivative_array, nodes, weights, q: int, c: float,
+                           lam_mod: float, positions, depth: int, breaks,
+                           max_panel: float = 0.005) -> dict:
+    """Cumulative transfer-derivative integrals, one series evaluation per
+    interval between cuts: the probe sweep before it was batched."""
+
+    def transfer(x):
+        acc = np.zeros_like(x)
+        w = 1.0
+        y = np.asarray(x, dtype=float)
+        for _ in range(depth):
+            y = lam_mod + ((y - q * lam_mod) % 1.0) / q
+            w /= q
+            acc += w * derivative_array(q, c, y)
+        return acc
+
+    cuts = {0.0}
+    for p in positions:
+        cuts.add(float(p))
+    for br in breaks:
+        t = (br - lam_mod) % 1.0
+        if 0.0 < t < 1.0:
+            cuts.add(t)
+    grid = sorted(cuts)
+    cum = {0.0: 0.0}
+    total = 0.0
+    for lo, hi in zip(grid, grid[1:]):
+        n_sub = max(1, int(math.ceil((hi - lo) / max_panel)))
+        edges = np.linspace(lo, hi, n_sub + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halves = 0.5 * (edges[1:] - edges[:-1])
+        pts = (mids[:, None] + halves[:, None] * nodes[None, :])
+        vals = transfer(lam_mod + pts.ravel()).reshape(pts.shape)
+        total += float(np.sum(halves * (vals @ weights)))
+        cum[hi] = total
+    return cum
+
+
+def _shift_ts(q: int, t_steps: int, off: float = 1e-6):
+    return np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
+
+
+def inner_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
+                     off: float = 1e-6) -> tuple:
+    """(worst, (t, s)) of the inner-shift grid, one t row at a time."""
+    one_q = 1.0 / q
+    log_q = math.log(q)
+    worst = -math.inf
+    worst_point = None
+    for t in _shift_ts(q, t_steps, off):
+        f_t = f(q, t)
+        fp_t = fp(q, t)
+        s = np.linspace(off, one_q - t, s_steps)
+        a_vals = np.log(np.sin(np.pi * s) / np.sin(np.pi * (one_q + s)))
+        b_vals = log_q - f_t - fp_t * (one_q - t - s) / (q - 1)
+        h = a_vals + b_vals
+        j = int(np.argmax(h))
+        if h[j] > worst:
+            worst = float(h[j])
+            worst_point = (float(t), float(s[j]))
+    return worst, worst_point
+
+
+def outer_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
+                     off: float = 1e-6) -> tuple:
+    """(worst, (t, s)) of the outer-shift grid, one t row at a time."""
+    one_q = 1.0 / q
+    log_q = math.log(q)
+    worst = -math.inf
+    worst_point = None
+    for t in _shift_ts(q, t_steps, off):
+        f_t = f(q, t)
+        fp_t = fp(q, t)
+        f_qt = f(q, one_q - t)
+        s = np.linspace(t, one_q - off, s_steps)
+        u_vals = np.log(np.sin(np.pi * (one_q - s))
+                        / np.sin(np.pi * (one_q + s)))
+        inner = one_q - t - (s - t) / (q - 1)
+        f_inner = np.array([f(q, float(w)) for w in inner])
+        v_vals = log_q - f_t + f_inner - f_qt - fp_t * (s - t) / (q - 1)
+        g = u_vals + v_vals
+        j = int(np.argmax(g))
+        if g[j] > worst:
+            worst = float(g[j])
+            worst_point = (float(t), float(s[j]))
+    return worst, worst_point
 
 
 @pytest.fixture

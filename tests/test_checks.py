@@ -1,14 +1,17 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import gelfond.checks as checks
+from conftest import inner_shift_loop, outer_shift_loop, transfer_integral_loop
 from gelfond import (GelfondCertificate, PotentialParams,
                      centering_bound_check, gelfond_exponent,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
                      sturmian_condition_probe)
 from gelfond.checks import _transfer_derivative_array
-from gelfond.potential import _f, _fp
+from gelfond.potential import _f, _fp, potential_derivative_array
 
 
 class TestCenteringBound:
@@ -142,3 +145,67 @@ class TestConditionProbe:
                                            depth=depth)
             resids.append(rep.details["inside_residual"])
         assert resids[0] > resids[1] > resids[2]
+
+
+def _hex(x):
+    return float.hex(float(x))
+
+
+class TestBatchedScans:
+    """The shift grids evaluate every t row in one array and the probe runs
+    every quadrature node through one series call; both must equal the
+    earlier one-row and one-interval loops bit for bit."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 8])
+    def test_shift_grids_match_row_loops(self, q):
+        rng = random.Random(300 + q)
+        for _ in range(3):
+            t_steps, s_steps = rng.randint(10, 150), rng.randint(10, 150)
+            grids = [(inner_shift_negativity_grid, inner_shift_loop)]
+            if q >= 4:
+                grids.append((outer_shift_negativity_grid, outer_shift_loop))
+            for grid, loop in grids:
+                rep = grid(q, t_steps, s_steps)
+                worst, point = loop(_f, _fp, q, t_steps, s_steps)
+                assert _hex(rep.worst_value) == _hex(worst)
+                assert [_hex(v) for v in rep.worst_point] == \
+                    [_hex(v) for v in point]
+                assert rep.passed == (worst < 0.0)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_transfer_integral_matches_interval_loop(self, q):
+        rng = random.Random(500 + q)
+        for _ in range(2):
+            cert = gelfond_exponent(PotentialParams(q, rng.random()))
+            while not isinstance(cert, GelfondCertificate):
+                cert = gelfond_exponent(PotentialParams(q, rng.random()))
+            c, lam = cert.params.c, cert.lambda_star % 1.0
+            depth = rng.choice([12, 30])
+            breaks, y = [], (q * lam) % 1.0  # forward orbit of the cut
+            for _ in range(depth + 1):
+                breaks.append(y)
+                y = (q * y) % 1.0
+            positions = np.array(sorted(rng.random() for _ in range(12)))
+            got = checks._cumulative_transfer_integral(q, c, lam, positions,
+                                                       depth, breaks)
+            nodes, weights = checks._gauss_rule()
+            want = transfer_integral_loop(potential_derivative_array, nodes,
+                                          weights, q, c, lam, positions,
+                                          depth, breaks)
+            assert list(got) == list(want)
+            assert [_hex(v) for v in got.values()] == \
+                [_hex(v) for v in want.values()]
+
+    def test_probe_makes_depth_series_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return potential_derivative_array(*args)
+
+        cert = _certificate(3, 0.35)
+        monkeypatch.setattr(checks, "potential_derivative_array", counting)
+        rep = sturmian_condition_probe(PotentialParams(3, 0.35), cert,
+                                       samples=4, depth=12)
+        assert rep.passed
+        assert len(calls) == 12

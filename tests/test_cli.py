@@ -104,6 +104,42 @@ class TestBadInput:
         self.assert_error(capsys, ["gelfond", "--c", "0.3", "--depth-cap", "0"],
                           "depth_cap must be >= 1")
 
+    def test_checks_c_points_one(self, capsys):
+        self.assert_error(capsys, ["checks", "--q", "3", "--c-points", "1",
+                                   "--grid", "10"], "c_points must be >= 2")
+
+    def test_c_list_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.txt"
+        self.assert_error(capsys, ["table2", "--c-list", str(missing)],
+                          f"[Errno 2] No such file or directory: "
+                          f"'{missing}'")
+
+    def test_cycles_q_one(self, capsys):
+        self.assert_error(capsys, ["cycles", "--q", "1"],
+                          "q must be an integer >= 2, got 1")
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "rows.csv"
+        self.assert_error(capsys, ["cycles", "-o", str(out)],
+                          f"[Errno 20] Not a directory: '{out}'")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--q", "2", "--c", "0.5", "--samples", "3", "--n-max",
+          "3", "--grid", "16"], "--fit-csv"),
+        (["checks", "--q", "3", "--grid", "10", "--c-points", "2"],
+         "--json-dir"),
+    ])
+    def test_unwritable_report_path(self, capsys, tmp_path, argv, flag):
+        # the report lines already printed stay; the path error is one line
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "sub"
+        code, _, err = run_cli(capsys, *argv, flag, str(target))
+        assert code == 1
+        assert err == f"error: [Errno 20] Not a directory: '{target}'\n"
+
 
 class TestGuardError:
     """A guard violation exits 3: JSON on stdout with --json, one line on

@@ -5,8 +5,11 @@ to its name below, written by the CLI before the arc, extended-real and
 row-type refactor (validity_q2: before the exit-level cache and the
 math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
 the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
-before the shared bisection and the period filter ahead of the c-roots);
-the exit code is pinned here.  A change that alters any certificate, CSV cell or JSON key
+before the shared bisection and the period filter ahead of the c-roots;
+checks_q4_g64: before the batched zoom passes, probe sweep and shift-grid
+scan); the exit code is pinned here.  The files a run writes beside its
+stdout (verify --fit-csv, checks --json-dir) are pinned the same way, from
+tests/data/cli_files/, written at the same commit as checks_q4_g64.  A change that alters any certificate, CSV cell or JSON key
 fails this test, so refactors that claim byte-identical output can show it.
 validity_q2 also pins every bisection sign of the c-roots, since each one
 moves a printed digit.
@@ -37,7 +40,11 @@ CASES = {
     "validity_q2": (["validity", "--q", "2", "--threads", "1"], 0),
     "validity_q2_p5": (["validity", "--q", "2", "--period", "5",
                         "--threads", "1"], 0),
+    "checks_q4_g64": (["checks", "--q", "4", "--grid", "64", "--c-points", "3",
+                       "--probe-c", "0.3", "--samples", "8", "--depth", "12"],
+                      0),
 }
+FILES = Path(__file__).parent / "data" / "cli_files"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -50,3 +57,22 @@ def test_stdout_and_exit_code_pinned(name, capsys):
 
 def test_every_fixture_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+def test_verify_fit_csv_pinned(tmp_path, capsys):
+    fit = tmp_path / "fit.csv"
+    assert main(["verify", "--q", "2", "--c", "1/3", "--samples", "20",
+                 "--n-max", "6", "--fit-csv", str(fit)]) == 0
+    capsys.readouterr()
+    assert fit.read_bytes() == (FILES / "verify_q2_1_3_fit.csv").read_bytes()
+
+
+def test_checks_json_files_pinned(tmp_path, capsys):
+    jdir = tmp_path / "reports"
+    assert main([*CASES["checks_q4_g64"][0], "--json-dir", str(jdir)]) == 0
+    capsys.readouterr()
+    pinned = FILES / "checks_q4_g64"
+    names = sorted(p.name for p in pinned.glob("*.json"))
+    assert sorted(p.name for p in jdir.iterdir()) == names
+    for name in names:
+        assert (jdir / name).read_bytes() == (pinned / name).read_bytes()

@@ -1,13 +1,16 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import gelfond.series as series
+from conftest import zoom_fit_loop
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit, sup_norm_sample, tm_coefficient)
-from gelfond.potential import _f
+from gelfond.potential import _f, potential_array
 from gelfond.series import polynomial_profile
 
 TM_SIGNS = [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
@@ -189,6 +192,57 @@ class TestSupExponentFit:
         rb = sup_exponent_fit(pb, 10, 4096, 0.51, zoom_passes=0)
         for a, b in zip(ra, rb):
             assert a.gamma_n == pytest.approx(b.gamma_n, abs=1e-12)
+
+
+def _fit_hex(rows):
+    return [(r[0], *(float.hex(v) for v in r[1:])) for r in rows]
+
+
+class TestBatchedZoomPasses:
+    """The zoom passes run every candidate through one orbit-sum call; the
+    rows must equal the one-candidate-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_matches_per_candidate_loop(self, q):
+        rng = random.Random(1000 + q)
+        for _ in range(3):
+            c = rng.random()
+            n_max = rng.choice([5, 8])
+            grid = rng.choice([64, 200, 256])
+            beta = rng.random()
+            rows = sup_exponent_fit(PotentialParams(q, c), n_max, grid, beta)
+            got = _fit_hex([(r.n, r.gamma_n, r.excess_n, r.argmax_x)
+                            for r in rows])
+            assert got == _fit_hex(zoom_fit_loop(potential_array, q, c,
+                                                 n_max, grid, beta))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_empty_candidate_level(self, q):
+        # one grid point on an amplitude zero: level 1 has no finite sample
+        # and no carried seed, so its zoom passes have no candidate
+        c = 1.0 / q
+        rows = sup_exponent_fit(PotentialParams(q, c), 3, 1, 0.5)
+        assert rows[0].gamma_n == -math.inf
+        got = _fit_hex([(r.n, r.gamma_n, r.excess_n, r.argmax_x)
+                        for r in rows])
+        assert got == _fit_hex(zoom_fit_loop(potential_array, q, c, 3, 1,
+                                             0.5))
+
+    @pytest.mark.parametrize("top_k", [2, 8])
+    def test_potential_calls_do_not_grow_with_candidates(self, monkeypatch,
+                                                         top_k):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return potential_array(*args)
+
+        monkeypatch.setattr(series, "potential_array", counting)
+        n_max = 5
+        sup_exponent_fit(PotentialParams(3, 0.3), n_max, 256, 0.5,
+                         top_k=top_k)
+        # one call per base level, then one per orbit step of each pass
+        assert len(calls) == n_max + 3 * n_max * (n_max + 1) // 2 == 50
 
 
 class TestProfileAndSample:
