@@ -32,8 +32,9 @@ from .circle import (BalanceValue, DEFAULT_TARGET_ERR, DEPTH_CAP, WINDOW_GUARD,
                      sturmian_balance)
 from .errors import DomainError, GuardError, MultipleSignChangeError
 from .potential import PotentialParams, _f
-from .sturmian import (SturmianCycle, build_cycle, enumerate_cycles,
-                       lambda_window, rotation_number, select_cycle)
+from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
+                       build_cycle, enumerate_cycles, lambda_window,
+                       rotation_number, select_cycle)
 
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -86,14 +87,14 @@ class NonPeriodicReport:
 
     params: PotentialParams
     lambda_star: float
-    rotation: object
+    rotation: RationalRotation | IrrationalRotation | None
     reason: str
 
     def to_json_dict(self) -> dict:
         rot = self.rotation
-        rot_json = (str(rot.value) if hasattr(rot, "cycle")
+        rot_json = (str(rot.value) if isinstance(rot, RationalRotation)
                     else {"estimate": rot.value, "uncertainty": rot.uncertainty}
-                    if rot is not None else None)
+                    if isinstance(rot, IrrationalRotation) else None)
         return {
             "schema_version": 1,
             "q": self.params.q,

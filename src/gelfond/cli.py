@@ -31,7 +31,8 @@ from .errors import GelfondError, GuardError
 from .potential import PotentialParams
 from .series import (modulus_product, multiplicativity_check,
                      polynomial_profile, polynomial_sum, sup_exponent_fit)
-from .sturmian import enumerate_cycles, lambda_window, rotation_staircase
+from .sturmian import (IrrationalRotation, RationalRotation, enumerate_cycles,
+                       lambda_window, rotation_staircase)
 
 CONFIG_ENV_VAR = "GELFOND_CONFIG"
 
@@ -177,10 +178,10 @@ def _print_gelfond(res, as_json: bool) -> int:
             print(f"nonperiodic: {res.reason}")
             print(f"lambda_star = {fmt(res.lambda_star % 1.0)}")
             rot = res.rotation
-            if rot is not None and hasattr(rot, "uncertainty"):
+            if isinstance(rot, IrrationalRotation):
                 print(f"rotation estimate = {fmt(rot.value)} "
                       f"+- {fmt(rot.uncertainty)}")
-            elif rot is not None:
+            elif isinstance(rot, RationalRotation):
                 print(f"rotation = {rot.value}")
         return 2
     assert isinstance(res, GelfondCertificate)
@@ -300,6 +301,7 @@ def cmd_beta_curve(args) -> int:
 
 
 def cmd_staircase(args) -> int:
+    PotentialParams(args.q, 0.0)  # rejects q < 2 as every command does
     rows = rotation_staircase(args.q, args.points, iterations=args.iterations,
                               max_denominator=args.max_period)
     out = []

@@ -8,13 +8,14 @@ policy applies).  Every such cycle fits in a closed arc of length 1/q, and
 the arcs [lam, lam+1/q] containing it are exactly those with lam in the
 window [s_max - 1/q, s_min].
 
-The truncated circle map equals x -> q*x on the arc and is constant outside;
-its rotation number, computed from a monotone degree-one lift, identifies
-which cycle (if any) carries the invariant measure of a given arc.  That
-rotation number is a + p/m on the window of the cycle (a, p/m), so the
-windows are pairwise disjoint and ordered by a + p/m (a devil's staircase):
-the window holding a given arc base is found by descending the Stern-Brocot
-tree of p/m, see select_cycle.
+The truncated circle map equals x -> q*x on the arc and is constant outside.
+Its rotation number is a + p/m on the window of the cycle (a, p/m), which
+then carries the invariant measure of the arc, so the windows are pairwise
+disjoint and ordered by a + p/m (a devil's staircase): the window holding a
+given arc base is found by descending the Stern-Brocot tree of p/m, see
+select_cycle.  That window is the only certificate of a rational rotation;
+off the windows of the allowed periods, a monotone degree-one lift gives a
+float estimate.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class LambdaWindow:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains_mod1(self, x: float, tol: float = 1e-12) -> bool:
-        d = (x - float(self.lo)) % 1.0
-        return d <= float(self.length) + tol or d >= 1.0 - tol
-
 
 @functools.lru_cache(maxsize=CYCLE_CACHE_SIZE)
 def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
@@ -118,23 +115,19 @@ def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
 
 
 def enumerate_cycles(q: int, max_period: int) -> list[SturmianCycle]:
-    """All cycles with period 1..max_period, deduplicated and sorted.
+    """All cycles with period 1..max_period, one per (base digit, rotation)
+    pair (their windows are disjoint, so the cycles are distinct), sorted.
 
     Period-1 entries are the fixed points k/(q-1) for k = 0..q-2.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     out = []
-    seen = set()
     for a in range(q - 1):
         for m in range(1, max_period + 1):
             ps = [0] if m == 1 else [p for p in range(1, m) if math.gcd(p, m) == 1]
             for p in ps:
-                cyc = build_cycle(q, a, Fraction(p, m) if m > 1 else Fraction(0))
-                if cyc.points in seen:
-                    continue
-                seen.add(cyc.points)
-                out.append(cyc)
+                out.append(build_cycle(q, a, Fraction(p, m)))
     out.sort(key=lambda cy: (cy.period, cy.rotation, cy.base_digit))
     return out
 
@@ -227,23 +220,27 @@ class RationalRotation:
 
 @dataclass(frozen=True)
 class IrrationalRotation:
-    """Uncertified estimate; the honest outcome when no cycle confirms."""
+    """Uncertified estimate; the honest outcome when no window of the
+    allowed periods holds the arc base."""
 
     value: float
     uncertainty: float
 
 
-def _confirming_cycle(q: int, lam: float,
-                      rotation: Fraction) -> SturmianCycle | None:
-    """The cycle of rotation number a + p/m whose window holds lam, if any."""
-    a = rotation.numerator // rotation.denominator
-    frac = rotation - a
-    if frac == 0 and a == q - 1:
-        a = 0  # lam near 1-1/q sees digit q-1
-    if not 0 <= a <= q - 2:
+def _window_rotation(q: int, lam: float,
+                     max_period: int) -> RationalRotation | None:
+    """Rotation a + p/m + k(q-1) of the arc based at lam in [0, 1), where
+    the window of the cycle (a, p/m) of period <= max_period, shifted by k,
+    holds lam exactly; None if no such window does."""
+    selected = select_cycle(q, lam, lam, max_period)
+    if selected is None:
         return None
-    cycle = build_cycle(q, a, frac)
-    return cycle if lambda_window(cycle).contains_mod1(lam) else None
+    cycle, k = selected
+    win = lambda_window(cycle)
+    if not win.lo <= Fraction(lam) - k <= win.hi:
+        return None  # lam is within rounding of an edge, outside the window
+    return RationalRotation(cycle.base_digit + cycle.rotation + k * (q - 1),
+                            cycle)
 
 
 def _lift_orbit_estimate(q: int, lam: float, iterations: int) -> float:
@@ -255,32 +252,22 @@ def _lift_orbit_estimate(q: int, lam: float, iterations: int) -> float:
 
 
 def rotation_number(q: int, lam: float, iterations: int = 10_000,
-                    max_denominator: int = 64):
+                    max_denominator: int = 64
+                    ) -> RationalRotation | IrrationalRotation:
     """Rotation number of the truncated map for the arc based at lam.
 
-    Returns RationalRotation when the best bounded-denominator approximation
-    of the orbit estimate is unambiguous within the uncertainty 2/iterations
-    and the matching cycle actually sits inside the arc; otherwise an
-    IrrationalRotation estimate.
+    Returns RationalRotation when the window of a cycle of period at most
+    max_denominator holds lam mod 1 (select_cycle, checked exactly);
+    otherwise an IrrationalRotation estimate from iterations lift steps,
+    with uncertainty 2/iterations.
     """
     if iterations < 1_000:
         raise ValueError("iterations must be >= 1000")
-    for attempt in range(2):
-        its = iterations * (10 ** attempt)
-        est = _lift_orbit_estimate(q, lam, its)
-        unc = 2.0 / its
-        cand = Fraction(est).limit_denominator(max_denominator)
-        lo = Fraction(est - unc).limit_denominator(max_denominator)
-        hi = Fraction(est + unc).limit_denominator(max_denominator)
-        if lo == hi == cand:
-            break
-    else:
-        return IrrationalRotation(est, unc)
-    if abs(cand - est) <= unc:
-        cycle = _confirming_cycle(q, lam, cand)
-        if cycle is not None:
-            return RationalRotation(cand, cycle)
-    return IrrationalRotation(est, unc)
+    rot = _window_rotation(q, lam % 1.0, max_denominator)
+    if rot is not None:
+        return rot
+    return IrrationalRotation(_lift_orbit_estimate(q, lam, iterations),
+                              2.0 / iterations)
 
 
 def rotation_staircase(q: int, points: int, iterations: int = 20_000,
@@ -289,10 +276,16 @@ def rotation_staircase(q: int, points: int, iterations: int = 20_000,
 
     The estimate column is the raw lift-orbit quotient with a single fixed
     iteration count, which is nondecreasing in lam; the certified column
-    carries the exact rational where the cycle confirmation succeeds.
+    carries the exact rotation of the window holding lam where the estimate
+    agrees: its best approximation with denominator <= max_denominator is
+    that rotation, within 2/iterations.
     """
     import numpy as np
 
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     lams = np.arange(points) / points
     x = lams.copy()
     x0 = x.copy()
@@ -305,7 +298,8 @@ def rotation_staircase(q: int, points: int, iterations: int = 20_000,
     rows = []
     for lam, e in zip(lams.tolist(), est.tolist()):
         cand = Fraction(e).limit_denominator(max_denominator)
-        certified = (abs(cand - e) <= 2.0 / iterations
-                     and _confirming_cycle(q, lam, cand) is not None)
+        rot = _window_rotation(q, lam, max_denominator)
+        certified = (rot is not None and rot.value == cand
+                     and abs(cand - e) <= 2.0 / iterations)
         rows.append((lam, e, cand if certified else None))
     return rows

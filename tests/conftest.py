@@ -147,6 +147,15 @@ def linear_scan_select(cycles, bra: float, brb: float):
     return None
 
 
+def exact_window_holds(cycle, lam: float) -> bool:
+    """Whether the arc-base window [s_max - 1/q, s_min] of cycle, shifted by
+    an integer, holds Fraction(lam), in exact arithmetic (every window is
+    shorter than 1)."""
+    lo = cycle.points[-1] - Fraction(1, cycle.q)
+    d = Fraction(lam) - lo
+    return d - math.floor(d) <= cycle.points[0] - lo
+
+
 def linear_scan_bracket(q: int, c: float, balance, tol: float,
                         guard: float = 1e-6, points: int = 64):
     """The balance-zero bracket from a scan of all `points` grid points in

@@ -23,7 +23,8 @@ from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
 from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
 from gelfond.potential import _f
 
-from conftest import linear_scan_bracket, linear_scan_select
+from conftest import (exact_window_holds, linear_scan_bracket,
+                      linear_scan_select)
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -95,9 +96,8 @@ class TestLandmarks:
         # cycle's 1/q arc-base window
         res = cert(q, c)
         lam = find_balance_point(PotentialParams(q, c))
-        win = lambda_window(res.cycle)
-        assert win.contains_mod1(lam % 1.0, tol=1e-9)
-        assert win.length <= F(1, q)
+        assert exact_window_holds(res.cycle, lam)
+        assert lambda_window(res.cycle).length <= F(1, q)
 
     def test_support_matches_certificate(self):
         res = cert(2, 0.25)
@@ -159,6 +159,15 @@ class TestCertificateContract:
         res = gelfond_exponent(PotentialParams(2, 8.0 / 21.0))
         assert isinstance(res, NonPeriodicReport)
         assert res.to_json_dict()["status"] == "nonperiodic"
+
+    def test_nonperiodic_rotation_window_holds_lambda_star(self):
+        # the bracket straddles an edge of the 2/5 window; the lift
+        # estimate's best approximation was 21/53, whose window misses lam*
+        res = gelfond_exponent(PotentialParams(2, 0.6128191359788798))
+        assert isinstance(res, NonPeriodicReport)
+        assert res.rotation.value == F(2, 5)
+        assert exact_window_holds(res.rotation.cycle, res.lambda_star)
+        assert res.to_json_dict()["rotation"] == "2/5"
 
 
 class TestValidityIntervals:

@@ -118,6 +118,15 @@ class TestBadInput:
         self.assert_error(capsys, ["cycles", "--q", "1"],
                           "q must be an integer >= 2, got 1")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--q", "1"], "q must be an integer >= 2, got 1"),
+        (["--points", "0"], "points must be >= 1"),
+        (["--iterations", "0"], "iterations must be >= 1"),
+    ])
+    def test_staircase_bad_arguments(self, capsys, argv, message):
+        self.assert_error(capsys, ["staircase", "--points", "4", *argv],
+                          message)
+
     def test_unwritable_output_path(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -7,12 +7,15 @@ math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
 the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
 before the shared bisection and the period filter ahead of the c-roots;
 checks_q4_g64: before the batched zoom passes, probe sweep and shift-grid
-scan); the exit code is pinned here.  The files a run writes beside its
-stdout (verify --fit-csv, checks --json-dir) are pinned the same way, from
-tests/data/cli_files/, written at the same commit as checks_q4_g64.  A change that alters any certificate, CSV cell or JSON key
-fails this test, so refactors that claim byte-identical output can show it.
-validity_q2 also pins every bisection sign of the c-roots, since each one
-moves a printed digit.
+scan; staircase_q3_p512, staircase_q8_p256_m64 and gelfond_q2_8_21_text:
+before rotation_number and the staircase certified rotations through
+select_cycle's exact windows alone); the exit code is pinned here.  The
+files a run writes beside its stdout (verify --fit-csv, checks --json-dir)
+are pinned the same way, from tests/data/cli_files/, written at the same
+commit as checks_q4_g64.  A change that alters any certificate, CSV cell or
+JSON key fails this test, so refactors that claim byte-identical output can
+show it.  validity_q2 also pins every bisection sign of the c-roots, since
+each one moves a printed digit.
 """
 
 from pathlib import Path
@@ -32,10 +35,14 @@ CASES = {
     "beta_curve_q8_r64": (["beta-curve", "--q", "8", "--resolution", "64",
                            "--threads", "1"], 0),
     "staircase_q2_p256": (["staircase", "--q", "2", "--points", "256"], 0),
+    "staircase_q3_p512": (["staircase", "--q", "3", "--points", "512"], 0),
+    "staircase_q8_p256_m64": (["staircase", "--q", "8", "--points", "256",
+                               "--max-period", "64"], 0),
     "cycles_q3_min1": (["cycles", "--q", "3", "--min-period", "1"], 0),
     "profile_q2_l03": (["profile", "--q", "2", "--lambda", "0.3"], 0),
     "gelfond_q2_1_3": (["gelfond", "--json", "--q", "2", "--c", "1/3"], 0),
     "gelfond_q2_8_21": (["gelfond", "--json", "--q", "2", "--c", "8/21"], 2),
+    "gelfond_q2_8_21_text": (["gelfond", "--q", "2", "--c", "8/21"], 2),
     "gelfond_q5_0_35": (["gelfond", "--json", "--q", "5", "--c", "0.35"], 0),
     "validity_q2": (["validity", "--q", "2", "--threads", "1"], 0),
     "validity_q2_p5": (["validity", "--q", "2", "--period", "5",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
                      rotation_staircase, truncated_map_lift)
 from gelfond.sturmian import select_cycle
 
-from conftest import linear_scan_select
+from conftest import exact_window_holds, linear_scan_select
 from reference_tables import PRINTED_TABLE1
 
 
@@ -38,6 +39,15 @@ class TestEnumeration:
             by_period[c.period] = by_period.get(c.period, 0) + 1
         assert by_period == {2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 7: 6, 8: 4,
                              9: 6, 10: 4, 11: 10, 12: 4, 13: 12}
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_one_cycle_per_digit_and_rotation(self, q):
+        # 58 / 116 / 232 / 406 distinct cycles at q = 2 / 3 / 5 / 8
+        phi = sum(1 for m in range(2, 14) for p in range(1, m)
+                  if math.gcd(p, m) == 1)
+        cycles = enumerate_cycles(q, 13)
+        assert len(cycles) == (q - 1) * (1 + phi)
+        assert len({c.points for c in cycles}) == len(cycles)
 
     def test_exact_permutation_and_arc(self):
         for cyc in enumerate_cycles(3, 6):
@@ -198,6 +208,45 @@ class TestRotationNumber:
             x0 = truncated_map_lift(q, lam, x0)
             x1 = truncated_map_lift(q, lam + 1.0, x1)
         assert x1 / n - x0 / n == pytest.approx(q - 1, abs=1e-3)
+
+
+class TestExactWindowCertificate:
+    """A RationalRotation names a cycle whose exact window holds lam."""
+
+    def assert_certified(self, q, lam, rot):
+        assert exact_window_holds(rot.cycle, lam)
+        cyc = rot.cycle
+        assert (rot.value - cyc.base_digit - cyc.rotation) % (q - 1) == 0
+
+    def test_float_candidate_outside_its_window(self):
+        # the lift estimate's best approximation, 26/41, misses lam
+        lam = 0.3568637029796707
+        rot = rotation_number(2, lam, max_denominator=64)
+        assert isinstance(rot, RationalRotation)
+        assert rot.value == F(19, 30)
+        self.assert_certified(2, lam, rot)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    @pytest.mark.parametrize("max_denominator", [13, 64])
+    def test_near_window_edges(self, q, max_denominator):
+        # at float(edge) itself lam may round to either side (float(1/6) is
+        # just below the window [1/6, 1/3] of the q=2 two-cycle)
+        rng = random.Random(1000 * q + max_denominator)
+        rational = 0
+        for _ in range(6):
+            m = rng.randint(1, max_denominator)
+            p = rng.choice([p for p in range(m) if math.gcd(p, m) == 1])
+            win = lambda_window(build_cycle(q, rng.randrange(q - 1), F(p, m)))
+            for edge in (win.lo, win.hi):
+                for off in (0.0, 3e-13, -3e-13, 1e-12, -1e-12, 1e-9, -1e-9):
+                    lam = (float(edge) + off) % 1.0
+                    rot = rotation_number(q, lam, iterations=1_000,
+                                          max_denominator=max_denominator)
+                    if isinstance(rot, RationalRotation):
+                        rational += 1
+                        assert rot.cycle.period <= max_denominator
+                        self.assert_certified(q, lam, rot)
+        assert rational >= 24
 
 
 class TestMeasureSupport:
