@@ -19,15 +19,12 @@ from .checks import (GridReport, centering_bound_check,
                      sturmian_condition_probe)
 from .errors import (DepthError, DomainError, GelfondError, GuardError,
                      MultipleSignChangeError, SingularityError)
-from .potential import (PotentialParams, amplitude, potential,
-                        potential_derivative)
-from .series import (ExponentFitRow, SupNormSample, TMCoefficient, digit_sum,
-                     modulus_product, multiplicativity_check, polynomial_sum,
-                     sup_exponent_fit, sup_norm_sample, tm_coefficient)
+from .potential import PotentialParams, amplitude, potential
+from .series import (ExponentFitRow, digit_sum, modulus_product,
+                     multiplicativity_check, polynomial_sum, sup_exponent_fit)
 from .sturmian import (IrrationalRotation, LambdaWindow, RationalRotation,
                        SturmianCycle, build_cycle, enumerate_cycles,
-                       lambda_window, rotation_number, rotation_staircase,
-                       truncated_map_lift)
+                       lambda_window, rotation_number, rotation_staircase)
 
 __version__ = "0.1.0"
 
@@ -41,12 +38,10 @@ __all__ = [
     "outer_shift_negativity_grid", "sturmian_condition_probe",
     "DepthError", "DomainError", "GelfondError", "GuardError",
     "MultipleSignChangeError", "SingularityError",
-    "PotentialParams", "amplitude",
-    "potential", "potential_derivative",
-    "ExponentFitRow", "SupNormSample", "TMCoefficient", "digit_sum",
-    "modulus_product", "multiplicativity_check", "polynomial_sum",
-    "sup_exponent_fit", "sup_norm_sample", "tm_coefficient",
+    "PotentialParams", "amplitude", "potential",
+    "ExponentFitRow", "digit_sum", "modulus_product",
+    "multiplicativity_check", "polynomial_sum", "sup_exponent_fit",
     "IrrationalRotation", "LambdaWindow", "RationalRotation",
     "SturmianCycle", "build_cycle", "enumerate_cycles", "lambda_window",
-    "rotation_number", "rotation_staircase", "truncated_map_lift",
+    "rotation_number", "rotation_staircase",
 ]

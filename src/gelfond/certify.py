@@ -216,8 +216,7 @@ def gelfond_exponent(params: PotentialParams,
 
     selected = select_cycle(q, bra, brb, max_period)
     if selected is None:
-        rot = rotation_number(q, lam_star, iterations=100_000,
-                              max_denominator=max(64, 4 * max_period))
+        rot = rotation_number(q, lam_star, max(64, 4 * max_period))
         return NonPeriodicReport(
             params, lam_star, rot,
             f"no cycle of period <= {max_period} has a window containing the "
@@ -381,9 +380,21 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
                    period: int | None = None) -> list[Table1Row]:
     """One validity-interval row per cycle of period 2..max_period, or only
     of the given period."""
+    if max_period < 2:
+        raise ValueError("max_period must be >= 2")
+    if period is not None and not 2 <= period <= max_period:
+        raise ValueError(f"period must be in 2..{max_period}, got {period}")
     cycles = [cy for cy in enumerate_cycles(q, max_period)
               if cy.period >= 2 and (period is None or cy.period == period)]
     return _pmap(_validity_row, [(q, cy, validity_tol) for cy in cycles],
+                 threads)
+
+
+def _exponent_rows(q, c_values, max_period, uncertified, threads):
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    return _pmap(_exponent_row,
+                 [(q, cv, max_period, uncertified) for cv in c_values],
                  threads)
 
 
@@ -393,8 +404,7 @@ def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
     """One certified beta/gamma row per requested c; SKIPPED if none."""
     if c_list is None:
         c_list = DEFAULT_TABLE2_FRACTIONS if q == 2 else []
-    return _pmap(_exponent_row,
-                 [(q, cv, max_period, "SKIPPED") for cv in c_list], threads)
+    return _exponent_rows(q, c_list, max_period, "SKIPPED", threads)
 
 
 def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
@@ -404,6 +414,5 @@ def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
     where no cycle certifies."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    cs = [i / resolution for i in range(resolution)]
-    return _pmap(_exponent_row, [(q, c, max_period, "GAP") for c in cs],
-                 threads)
+    return _exponent_rows(q, [i / resolution for i in range(resolution)],
+                          max_period, "GAP", threads)

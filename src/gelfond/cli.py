@@ -145,6 +145,13 @@ def _exponent_cells(r) -> list:
     return [fmt(r.beta), fmt(r.gamma), r.period]
 
 
+def _require(args, **least) -> None:
+    """Reject a size argument below its least value, before any output."""
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
 def _threads(args) -> int:
     n = args.threads
     if n == 0:
@@ -302,8 +309,7 @@ def cmd_beta_curve(args) -> int:
 
 def cmd_staircase(args) -> int:
     PotentialParams(args.q, 0.0)  # rejects q < 2 as every command does
-    rows = rotation_staircase(args.q, args.points, iterations=args.iterations,
-                              max_denominator=args.max_period)
+    rows = rotation_staircase(args.q, args.points, args.max_period)
     out = []
     for lam, est, cert in rows:
         if cert is None:
@@ -325,6 +331,7 @@ def cmd_profile(args) -> int:
 def cmd_verify(args) -> int:
     import random
 
+    _require(args, n_max=2, grid_size=1)
     rng = random.Random(args.seed)
     params = PotentialParams(args.q, parse_c(args.c))
     q, c = params.q, params.c
@@ -393,8 +400,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_checks(args) -> int:
-    if args.c_points < 2:
-        raise ValueError("c_points must be >= 2")
+    _require(args, c_points=2, grid_size=1, samples=1)
     reports = {}
     if args.q >= 3:
         grid = [0.05 + 0.9 * i / (args.c_points - 1)
@@ -489,7 +495,6 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     p = sub.add_parser("staircase", help="rotation-number staircase as CSV")
     common(p)
     p.add_argument("--points", type=int, default=2048)
-    p.add_argument("--iterations", type=int, default=20000)
     p.set_defaults(fn=cmd_staircase)
 
     p = sub.add_parser("profile", help="first-exit time profile as CSV")

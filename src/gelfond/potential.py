@@ -24,7 +24,7 @@ from .errors import SingularityError
 # Circle-distance thresholds, in circle units.
 REMOVABLE_TOL = 1e-12     # x+c this close to an integer counts as the maximum
 ZERO_TOL = 1e-12          # x+c this close to a zero of the amplitude counts as 0
-SINGULARITY_GUARD = 1e-9  # default guard for derivative evaluation
+SINGULARITY_GUARD = 1e-9  # f' is refused this close to a singularity
 _SERIES_CUTOFF = 1e-4     # below this |x+c mod 1| the derivative formulas cancel
 
 
@@ -72,18 +72,19 @@ def _f(q: int, u: float) -> float:
     return math.log(abs(math.sin(_PI * vr) / math.sin(_PI * ur)))
 
 
-def _fp(q: int, u: float, guard: float = SINGULARITY_GUARD) -> float:
-    """Derivative of the log amplitude; series branch near the maximum."""
+def _fp(q: int, u: float) -> float:
+    """Derivative of the log amplitude; series branch near the maximum.
+    Raises SingularityError within SINGULARITY_GUARD of a singularity; the
+    value is 0 at the maximum u = 0."""
     ur = u - round(u)
     if abs(ur) < _SERIES_CUTOFF:
         z = _PI * ur
         return _PI * (z * (1 - q * q) / 3.0 + z ** 3 * (1 - q ** 4) / 45.0)
     v = q * ur
     vr = v - round(v)
-    if abs(vr) < q * guard:
-        raise SingularityError(
-            f"derivative requested within {guard} of a singularity (u={u!r})"
-        )
+    if abs(vr) < q * SINGULARITY_GUARD:
+        raise SingularityError(f"derivative requested within "
+                               f"{SINGULARITY_GUARD} of a singularity (u={u!r})")
     return _PI * (q / math.tan(_PI * vr) - 1.0 / math.tan(_PI * ur))
 
 
@@ -99,16 +100,6 @@ def amplitude(params: PotentialParams, x: float) -> float:
 def potential(params: PotentialParams, x: float) -> float:
     """log(amplitude), -inf exactly where the amplitude vanishes."""
     return _f(params.q, x + params.c)
-
-
-def potential_derivative(params: PotentialParams, x: float,
-                         guard: float = SINGULARITY_GUARD) -> float:
-    """First derivative of the potential at x.
-
-    Raises SingularityError when x+c is within `guard` (circle units) of a
-    logarithmic singularity.  The value is 0 at the maximum x = -c.
-    """
-    return _fp(params.q, x + params.c, guard)
 
 
 def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:

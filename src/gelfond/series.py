@@ -22,24 +22,6 @@ from .potential import PotentialParams, _amp, potential_array
 DIRECT_SUM_CAP = 2 ** 24
 
 
-@dataclass(frozen=True)
-class TMCoefficient:
-    """Unit-modulus coefficient exp(2*pi*i*c*S_q(n))."""
-
-    n: int
-    value: complex
-
-
-@dataclass(frozen=True)
-class SupNormSample:
-    """Grid maximum of |partial sum|; a lower bound for the true sup."""
-
-    N: int
-    grid_size: int
-    sup_abs: float
-    argmax_x: float
-
-
 def digit_sum(q: int, n: int) -> int:
     """Sum of the base-q digits of n >= 0."""
     if n < 0:
@@ -49,10 +31,6 @@ def digit_sum(q: int, n: int) -> int:
         n, r = divmod(n, q)
         s += r
     return s
-
-
-def tm_coefficient(params: PotentialParams, n: int) -> TMCoefficient:
-    return TMCoefficient(n, cmath.exp(2j * math.pi * params.c * digit_sum(params.q, n)))
 
 
 def _digit_sums_upto(q: int, N: int) -> np.ndarray:
@@ -246,11 +224,3 @@ def polynomial_profile(params: PotentialParams, N: int,
         phases = np.exp(2j * np.pi * ((ns[:, None] * xs[None, :]) % 1.0))
         acc += (coeff[start:start + len(ns)][:, None] * phases).sum(axis=0)
     return list(zip(xs.tolist(), np.abs(acc).tolist()))
-
-
-def sup_norm_sample(params: PotentialParams, N: int,
-                    grid_size: int) -> SupNormSample:
-    """Grid maximum of |partial sum of length N|."""
-    prof = polynomial_profile(params, N, grid_size)
-    x, v = max(prof, key=lambda t: t[1])
-    return SupNormSample(N=N, grid_size=grid_size, sup_abs=v, argmax_x=x)

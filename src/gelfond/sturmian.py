@@ -12,10 +12,12 @@ The truncated circle map equals x -> q*x on the arc and is constant outside.
 Its rotation number is a + p/m on the window of the cycle (a, p/m), which
 then carries the invariant measure of the arc, so the windows are pairwise
 disjoint and ordered by a + p/m (a devil's staircase): the window holding a
-given arc base is found by descending the Stern-Brocot tree of p/m, see
-select_cycle.  That window is the only certificate of a rational rotation;
-off the windows of the allowed periods, a monotone degree-one lift gives a
-float estimate.
+given arc base is found by descending the Stern-Brocot tree of p/m (_walk).
+On float window ends the walk selects the cycle of a certificate
+(select_cycle); on exact ones it gives the rotation number of an arc base
+(rotation_number): the rotation of the window that holds it, or the exact
+interval between the two adjacent windows it passes once the denominators
+exceed the cap.
 """
 
 from __future__ import annotations
@@ -137,6 +139,50 @@ def lambda_window(cycle: SturmianCycle) -> LambdaWindow:
     return LambdaWindow(lo=cycle.s_max - Fraction(1, cycle.q), hi=cycle.s_min)
 
 
+def _walk(q: int, max_period: int, left_of, place):
+    """The one Stern-Brocot walk: find the window of period <= max_period
+    that holds a target located by two callbacks.
+
+    left_of(lo) tells whether the target lies left of the point lo;
+    place(cycle) returns (side, k): side 0 when the cycle's window, shifted
+    by k, holds the target, -1 or +1 when the target lies left or right of
+    it, None when that cannot be decided.
+
+    The fixed-point windows [a/(q-1) - 1/q, a/(q-1)] fix the base digit a:
+    the largest one whose lower end is not right of the target.  The
+    windows of rotations a + p/m, 0 < p/m < 1, lie between the fixed
+    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
+    tree between 0/1 and 1/1 meets the one holding the target, if any,
+    before its denominator exceeds max_period.  Denominators grow along the
+    walk, so it builds at most max_period cycles.
+
+    Returns (found, lo, hi): found is (cycle, k) or None; lo and hi are the
+    rotations a + p/m of the last windows passed left and right of the
+    target, adjacent in the Stern-Brocot tree.
+    """
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    a = q - 2
+    while a > 0 and left_of(Fraction(a, q - 1) - Fraction(1, q)):
+        a -= 1
+    left, right = Fraction(0), Fraction(1)
+    cycle = build_cycle(q, a, left)
+    side, k = place(cycle)
+    if side == 1:
+        while left.denominator + right.denominator <= max_period:
+            mid = Fraction(left.numerator + right.numerator,
+                           left.denominator + right.denominator)
+            cycle = build_cycle(q, a, mid)
+            side, k = place(cycle)
+            if not side:  # 0: found; None: undecidable
+                break
+            if side < 0:
+                right = mid
+            else:
+                left = mid
+    return ((cycle, k) if side == 0 else None), a + left, a + right
+
+
 def select_cycle(q: int, bra: float, brb: float,
                  max_period: int) -> tuple[SturmianCycle, int] | None:
     """The cycle of period <= max_period whose window holds [bra, brb].
@@ -144,24 +190,13 @@ def select_cycle(q: int, bra: float, brb: float,
     Returns (cycle, k) when lo + k <= bra and brb <= hi + k for the float
     window ends lo, hi and k = round(lam - (lo + hi)/2), lam the bracket
     midpoint; None when the bracket straddles a window edge or lies in no
-    window of the allowed periods.
-
-    lam is reduced into [-1/q, 1 - 1/q), which holds every window.  The
-    fixed-point windows [a/(q-1) - 1/q, a/(q-1)] fix the base digit a; the
-    windows of rotations p/m in (0, 1) with that digit lie between the fixed
-    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
-    tree between 0/1 and 1/1 meets the one holding the bracket, if any,
-    before its denominator exceeds max_period.  Denominators grow along the
-    walk, so it builds at most max_period cycles.
+    window of the allowed periods.  lam is compared in [-1/q, 1 - 1/q),
+    which holds every window, by adding n to the window ends (_walk).
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
     lam = 0.5 * (bra + brb)
     n = math.floor(lam + 1.0 / q)  # lam - n lies in [-1/q, 1 - 1/q)
 
     def place(cycle):
-        """(0, k) if the window holds the bracket, -1 or +1 if the bracket
-        lies left or right of it, None if it straddles an edge."""
         win = lambda_window(cycle)
         lo_f, hi_f = float(win.lo), float(win.hi)
         k = round(lam - 0.5 * (lo_f + hi_f))
@@ -173,41 +208,7 @@ def select_cycle(q: int, bra: float, brb: float,
             return 1, k
         return None, k
 
-    a = q - 2
-    while a > 0 and float(Fraction(a, q - 1) - Fraction(1, q)) + n > lam:
-        a -= 1
-    cycle = build_cycle(q, a, Fraction(0))
-    side, k = place(cycle)
-    if side == 0:
-        return cycle, k
-    if side != 1:
-        return None
-    left, right = (0, 1), (1, 1)
-    while left[1] + right[1] <= max_period:
-        p, m = left[0] + right[0], left[1] + right[1]
-        cycle = build_cycle(q, a, Fraction(p, m))
-        side, k = place(cycle)
-        if side == 0:
-            return cycle, k
-        if side is None:
-            return None
-        if side < 0:
-            right = (p, m)
-        else:
-            left = (p, m)
-    return None
-
-
-def truncated_map_lift(q: int, lam: float, x: float) -> float:
-    """Monotone degree-one lift of the truncated map.
-
-    On [lam, lam+1/q] the lift is q*x; on the rest of the period it is the
-    plateau q*lam+1; it extends by lift(x+1) = lift(x)+1.  With this
-    normalization the rotation number satisfies rho(lam+1) = rho(lam)+q-1.
-    """
-    m = math.floor(x - lam)
-    u = x - m
-    return m + min(q * u, q * lam + 1.0)
+    return _walk(q, max_period, lambda lo: float(lo) + n > lam, place)[0]
 
 
 @dataclass(frozen=True)
@@ -220,86 +221,59 @@ class RationalRotation:
 
 @dataclass(frozen=True)
 class IrrationalRotation:
-    """Uncertified estimate; the honest outcome when no window of the
-    allowed periods holds the arc base."""
+    """Rotation that no window of the allowed periods certifies: it lies in
+    [value - uncertainty, value + uncertainty], the exact interval between
+    the rotations of the two adjacent windows, rounded outward."""
 
     value: float
     uncertainty: float
 
 
-def _window_rotation(q: int, lam: float,
-                     max_period: int) -> RationalRotation | None:
-    """Rotation a + p/m + k(q-1) of the arc based at lam in [0, 1), where
-    the window of the cycle (a, p/m) of period <= max_period, shifted by k,
-    holds lam exactly; None if no such window does."""
-    selected = select_cycle(q, lam, lam, max_period)
-    if selected is None:
-        return None
-    cycle, k = selected
-    win = lambda_window(cycle)
-    if not win.lo <= Fraction(lam) - k <= win.hi:
-        return None  # lam is within rounding of an edge, outside the window
-    return RationalRotation(cycle.base_digit + cycle.rotation + k * (q - 1),
-                            cycle)
-
-
-def _lift_orbit_estimate(q: int, lam: float, iterations: int) -> float:
-    x0 = lam % 1.0
-    x = x0
-    for _ in range(iterations):
-        x = truncated_map_lift(q, lam % 1.0, x)
-    return (x - x0) / iterations
-
-
-def rotation_number(q: int, lam: float, iterations: int = 10_000,
-                    max_denominator: int = 64
+def rotation_number(q: int, lam: float, max_denominator: int = 64
                     ) -> RationalRotation | IrrationalRotation:
     """Rotation number of the truncated map for the arc based at lam.
 
+    _walk on the exact window ends and x = Fraction(lam mod 1), reduced
+    into [-1/q, 1 - 1/q) by n in {0, 1}, which adds n(q-1) to the rotation.
     Returns RationalRotation when the window of a cycle of period at most
-    max_denominator holds lam mod 1 (select_cycle, checked exactly);
-    otherwise an IrrationalRotation estimate from iterations lift steps,
-    with uncertainty 2/iterations.
+    max_denominator holds x; otherwise an IrrationalRotation between the
+    rotations of the two adjacent windows the walk passed, whose
+    denominators sum past max_denominator, so it is at most
+    1/max_denominator wide.
     """
-    if iterations < 1_000:
-        raise ValueError("iterations must be >= 1000")
-    rot = _window_rotation(q, lam % 1.0, max_denominator)
-    if rot is not None:
-        return rot
-    return IrrationalRotation(_lift_orbit_estimate(q, lam, iterations),
-                              2.0 / iterations)
+    x = Fraction(lam % 1.0)
+    n = int(x >= 1 - Fraction(1, q))
+    x -= n
+
+    def place(cycle):
+        win = lambda_window(cycle)
+        return (-1 if x < win.lo else 1 if x > win.hi else 0), n
+
+    found, lo, hi = _walk(q, max_denominator, lambda lo: x < lo, place)
+    shift = n * (q - 1)
+    if found is not None:
+        cycle = found[0]
+        return RationalRotation(cycle.base_digit + cycle.rotation + shift,
+                                cycle)
+    lo, hi = lo + shift, hi + shift
+    value = float((lo + hi) / 2)
+    half = max(hi - Fraction(value), Fraction(value) - lo)
+    uncertainty = float(half)
+    if uncertainty < half:
+        uncertainty = math.nextafter(uncertainty, math.inf)
+    return IrrationalRotation(value, uncertainty)
 
 
-def rotation_staircase(q: int, points: int, iterations: int = 20_000,
-                       max_denominator: int = 64):
-    """Rows (lam, estimate, certified rotation or None) over a uniform grid.
-
-    The estimate column is the raw lift-orbit quotient with a single fixed
-    iteration count, which is nondecreasing in lam; the certified column
-    carries the exact rotation of the window holding lam where the estimate
-    agrees: its best approximation with denominator <= max_denominator is
-    that rotation, within 2/iterations.
-    """
-    import numpy as np
-
+def rotation_staircase(q: int, points: int, max_denominator: int = 64):
+    """Rows (lam, rotation as a float, exact rotation or None) of
+    rotation_number on the grid lam = i/points; where no window of period
+    <= max_denominator holds lam, the float is the enclosure's midpoint."""
     if points < 1:
         raise ValueError("points must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    lams = np.arange(points) / points
-    x = lams.copy()
-    x0 = x.copy()
-    plateau = q * lams + 1.0
-    for _ in range(iterations):
-        m = np.floor(x - lams)
-        u = x - m
-        x = m + np.minimum(q * u, plateau)
-    est = (x - x0) / iterations
     rows = []
-    for lam, e in zip(lams.tolist(), est.tolist()):
-        cand = Fraction(e).limit_denominator(max_denominator)
-        rot = _window_rotation(q, lam, max_denominator)
-        certified = (rot is not None and rot.value == cand
-                     and abs(cand - e) <= 2.0 / iterations)
-        rows.append((lam, e, cand if certified else None))
+    for i in range(points):
+        lam = i / points
+        rot = rotation_number(q, lam, max_denominator)
+        exact = rot.value if isinstance(rot, RationalRotation) else None
+        rows.append((lam, float(rot.value), exact))
     return rows

@@ -391,7 +391,7 @@ def test_criterion_8_sup_norm_behaviour():
 
 
 def test_criterion_9_rotation_staircase():
-    rows = rotation_staircase(2, 2048, iterations=20_000)
+    rows = rotation_staircase(2, 2048)
     ests = [r[1] for r in rows]
     assert all(b >= a for a, b in zip(ests, ests[1:]))
     window = [r for r in rows

@@ -121,11 +121,39 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, message", [
         (["--q", "1"], "q must be an integer >= 2, got 1"),
         (["--points", "0"], "points must be >= 1"),
-        (["--iterations", "0"], "iterations must be >= 1"),
+        (["--max-period", "0"], "max_period must be >= 1"),
     ])
     def test_staircase_bad_arguments(self, capsys, argv, message):
         self.assert_error(capsys, ["staircase", "--points", "4", *argv],
                           message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0"], "grid_size must be >= 1"),
+        (["--n-max", "0"], "n_max must be >= 2"),
+    ])
+    def test_verify_bad_sizes(self, capsys, argv, message):
+        self.assert_error(capsys, ["verify", "--c", "0.3", "--samples", "2",
+                                   "--n-max", "3", "--grid", "8", *argv],
+                          message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0"], "grid_size must be >= 1"),
+        (["--probe-c", "0.3", "--samples", "0"], "samples must be >= 1"),
+    ])
+    def test_checks_bad_sizes(self, capsys, argv, message):
+        self.assert_error(capsys, ["checks", "--q", "3", "--grid", "4",
+                                   "--c-points", "2", *argv], message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table2", "--max-period", "0"], "max_period must be >= 1"),
+        (["beta-curve", "--resolution", "4", "--max-period", "0"],
+         "max_period must be >= 1"),
+        (["validity", "--period", "1"], "period must be in 2..13, got 1"),
+        (["validity", "--period", "14"], "period must be in 2..13, got 14"),
+        (["validity", "--max-period", "1"], "max_period must be >= 2"),
+    ])
+    def test_bad_cycle_selection(self, capsys, argv, message):
+        self.assert_error(capsys, [*argv, "--threads", "1"], message)
 
     def test_unwritable_output_path(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -254,12 +282,23 @@ def test_zero_tolerance_terminates(argv):
 class TestStaircaseCommand:
     def test_monotone_estimates(self, capsys):
         code, out, _ = run_cli(capsys, "staircase", "--q", "2", "--points",
-                               "256", "--iterations", "4000")
+                               "256")
         assert code == 0
         lines = out.strip().splitlines()[1:]
         assert len(lines) == 256
         ests = [float(line.split(",")[1]) for line in lines]
         assert all(b >= a for a, b in zip(ests, ests[1:]))
+
+    @pytest.mark.parametrize("q, points, max_period", [(2, 128, 13),
+                                                       (5, 64, 8)])
+    def test_estimate_is_the_exact_rotation(self, capsys, q, points,
+                                            max_period):
+        code, out, _ = run_cli(capsys, "staircase", "--q", str(q), "--points",
+                               str(points), "--max-period", str(max_period))
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            _, est, num, den = line.split(",")
+            assert est == fmt(int(num) / int(den))
 
 
 class TestProfileCommand:

@@ -7,9 +7,11 @@ math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
 the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
 before the shared bisection and the period filter ahead of the c-roots;
 checks_q4_g64: before the batched zoom passes, probe sweep and shift-grid
-scan; staircase_q3_p512, staircase_q8_p256_m64 and gelfond_q2_8_21_text:
-before rotation_number and the staircase certified rotations through
-select_cycle's exact windows alone); the exit code is pinned here.  The
+scan; gelfond_q2_8_21_text: before rotation_number and the staircase
+certified rotations through select_cycle's exact windows alone;
+staircase_q2_p256, staircase_q3_p512 and staircase_q8_p256_m64: rewritten by
+the commit that replaced both float lifts with one exact Stern-Brocot walk,
+which made rho_estimate the exact rotation); the exit code is pinned here.  The
 files a run writes beside its stdout (verify --fit-csv, checks --json-dir)
 are pinned the same way, from tests/data/cli_files/, written at the same
 commit as checks_q4_g64.  A change that alters any certificate, CSV cell or

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gelfond import (PotentialParams, SingularityError, amplitude, potential,
-                     potential_derivative)
-from gelfond.potential import _amp, _f, amplitude_array, potential_array
+from gelfond import PotentialParams, SingularityError, amplitude, potential
+from gelfond.potential import _amp, _f, _fp, amplitude_array, potential_array
 
 from conftest import amp_round_form, central_diff, f_round_form
 
@@ -141,27 +140,28 @@ class TestPotential:
 
 
 class TestDerivatives:
+    """_fp(q, x + c) is the derivative of the potential at x."""
+
     def test_zero_at_maximum(self):
-        assert potential_derivative(PotentialParams(2, 0.0), 0.0) == 0.0
+        assert _fp(2, 0.0 + 0.0) == 0.0
 
     def test_signs_around_maximum(self):
-        params = PotentialParams(2, 0.5)  # maximum at x = 1/2
-        assert potential_derivative(params, 0.4) > 0
-        assert potential_derivative(params, 0.6) < 0
+        # maximum at x = 1/2 for c = 1/2
+        assert _fp(2, 0.4 + 0.5) > 0
+        assert _fp(2, 0.6 + 0.5) < 0
 
     @pytest.mark.parametrize("q,c,x", [(6, 0.0, 0.05), (2, 0.3, 0.11),
                                        (3, 0.55, 0.27)])
     def test_matches_finite_difference(self, q, c, x):
         params = PotentialParams(q, c)
         fd = central_diff(lambda t: float(potential(params, t)), x, 1e-7)
-        val = potential_derivative(params, x)
+        val = _fp(q, x + c)
         assert val == pytest.approx(fd, rel=1e-6)
 
     def test_series_branch_matches_direct(self):
         # continuity across the near-maximum series cutoff
-        params = PotentialParams(5, 0.0)
-        below = potential_derivative(params, 9.9e-5)
-        above = potential_derivative(params, 1.01e-4)
+        below = _fp(5, 9.9e-5 + 0.0)
+        above = _fp(5, 1.01e-4 + 0.0)
         z = math.pi * 1e-4
         slope = math.pi ** 2 * (1.0 / math.sin(z) ** 2
                                 - 25.0 / math.sin(5.0 * z) ** 2)
@@ -169,12 +169,10 @@ class TestDerivatives:
 
     def test_strictly_decreasing_between_singularities(self):
         # concavity: f' strictly decreasing on an arc between singularities
-        params = PotentialParams(3, 0.0)
         xs = np.linspace(1.0 / 3.0 + 1e-3, 2.0 / 3.0 - 1e-3, 100)
-        vals = [potential_derivative(params, float(x)) for x in xs]
+        vals = [_fp(3, float(x) + 0.0) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_singularity_guard(self):
-        params = PotentialParams(2, 0.0)
         with pytest.raises(SingularityError):
-            potential_derivative(params, 0.5 + 1e-12)
+            _fp(2, 0.5 + 1e-12 + 0.0)

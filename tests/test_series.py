@@ -9,7 +9,7 @@ import gelfond.series as series
 from conftest import zoom_fit_loop
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
-                     sup_exponent_fit, sup_norm_sample, tm_coefficient)
+                     sup_exponent_fit)
 from gelfond.potential import _f, potential_array
 from gelfond.series import polynomial_profile
 
@@ -24,18 +24,20 @@ class TestDigitSum:
         assert digit_sum(q, n) == s
 
     def test_classical_signs(self):
+        # the coefficient of index n is the step of the partial sums at x = 0
         params = PotentialParams(2, 0.5)
         for n, sign in enumerate(TM_SIGNS):
-            t = tm_coefficient(params, n).value
+            t = polynomial_sum(params, n + 1, 0.0) - (
+                polynomial_sum(params, n, 0.0) if n else 0)
             assert t.imag == pytest.approx(0.0, abs=1e-15)
             assert t.real == pytest.approx(sign, abs=1e-14)
 
     def test_unit_modulus(self, rng):
         params = PotentialParams(3, 0.37)
         for _ in range(50):
-            n = rng.randint(0, 10 ** 9)
-            assert abs(tm_coefficient(params, n).value) == \
-                pytest.approx(1.0, abs=1e-14)
+            n, x = rng.randint(1, 1000), rng.random()
+            t = polynomial_sum(params, n + 1, x) - polynomial_sum(params, n, x)
+            assert abs(t) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPolynomialSum:
@@ -252,10 +254,3 @@ class TestProfileAndSample:
         for x, v in prof[::5]:
             assert v == pytest.approx(abs(polynomial_sum(params, 64, x)),
                                       abs=1e-9)
-
-    def test_sample_is_grid_max(self):
-        params = PotentialParams(2, 0.5)
-        s = sup_norm_sample(params, 64, 128)
-        prof = polynomial_profile(params, 64, 128)
-        assert s.sup_abs == max(v for _, v in prof)
-        assert s.N == 64 and s.grid_size == 128

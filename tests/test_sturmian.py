@@ -7,7 +7,7 @@ import pytest
 import gelfond.sturmian as sturmian
 from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
                      enumerate_cycles, lambda_window, rotation_number,
-                     rotation_staircase, truncated_map_lift)
+                     rotation_staircase)
 from gelfond.sturmian import select_cycle
 
 from conftest import exact_window_holds, linear_scan_select
@@ -155,31 +155,6 @@ class TestSelectCycle:
         assert (cyc.rotation, k) == (F(1, 2), 0)
 
 
-class TestTruncatedLift:
-    def test_linear_branch(self):
-        for x in (0.0, 0.1, 0.25):
-            assert truncated_map_lift(2, 0.0, x) == 2 * x
-
-    def test_plateau(self):
-        lam = 0.2
-        v1 = truncated_map_lift(2, lam, lam + 0.5)
-        v2 = truncated_map_lift(2, lam, lam + 0.51)
-        v3 = truncated_map_lift(2, lam, lam + 0.99)
-        assert v1 == v2 == v3 == 2 * lam + 1.0
-
-    def test_monotone_on_grid(self):
-        lam = 0.37
-        xs = [i / 1000 for i in range(2001)]
-        vals = [truncated_map_lift(3, lam, x) for x in xs]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_degree_one(self):
-        lam = 0.42
-        for x in (0.0, 0.3, 0.9):
-            assert truncated_map_lift(2, lam, x + 1.0) == \
-                pytest.approx(truncated_map_lift(2, lam, x) + 1.0, abs=1e-12)
-
-
 class TestRotationNumber:
     def test_fixed_point_at_zero(self):
         rot = rotation_number(2, 0.0)
@@ -188,7 +163,7 @@ class TestRotationNumber:
         assert rot.cycle.points == (F(0),)
 
     def test_half_at_quarter(self):
-        rot = rotation_number(2, 0.25, iterations=100_000)
+        rot = rotation_number(2, 0.25)
         assert isinstance(rot, RationalRotation)
         assert rot.value == F(1, 2)
         assert rot.cycle.points == (F(1, 3), F(2, 3))
@@ -200,14 +175,53 @@ class TestRotationNumber:
             assert isinstance(rot, RationalRotation)
             assert rot.value == F(1, 2)
 
-    def test_shift_by_one_adds_q_minus_one(self):
-        # rho(lam + 1) = rho(lam) + q - 1 via the lift normalization
-        q, lam, n = 3, 0.21, 20_000
-        x0, x1 = 0.0, 0.0
-        for _ in range(n):
-            x0 = truncated_map_lift(q, lam, x0)
-            x1 = truncated_map_lift(q, lam + 1.0, x1)
-        assert x1 / n - x0 / n == pytest.approx(q - 1, abs=1e-3)
+
+def enclosure(rot):
+    """The exact interval [value - uncertainty, value + uncertainty]."""
+    return F(rot.value) - F(rot.uncertainty), F(rot.value) + F(rot.uncertainty)
+
+
+class TestRotationEnclosure:
+    """Past max_denominator, rotation_number encloses the true rotation
+    between the rotations of the two adjacent windows."""
+
+    def test_lambda_near_a_window_edge(self):
+        # 1e-12 inside the upper end of the 16/23 window of q=3
+        rot = rotation_number(3, 0.15384658808554108, 13)
+        assert isinstance(rot, IrrationalRotation)
+        lo, hi = enclosure(rot)
+        assert lo <= F(9, 13) and F(7, 10) <= hi
+        assert lo <= F(16, 23) <= hi
+        assert rotation_number(3, 0.15384658808554108, 23).value == F(16, 23)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    @pytest.mark.parametrize("max_denominator", [3, 5, 8, 13])
+    def test_enclosure_holds_the_deeper_rotation(self, q, max_denominator):
+        # lam at the middle of a window of period just above the cap, or
+        # uniform; the walk at 256 finds the rotation the enclosure must hold
+        rng = random.Random(100 * q + max_denominator)
+        enclosed = 0
+        for i in range(40):
+            if i % 2:
+                m = rng.randint(max_denominator + 1, max_denominator + 8)
+                p = rng.choice([p for p in range(1, m) if math.gcd(p, m) == 1])
+                win = lambda_window(build_cycle(q, rng.randrange(q - 1),
+                                                F(p, m)))
+                lam = float((win.lo + win.hi) / 2) % 1.0
+            else:
+                lam = rng.random()
+            deep = rotation_number(q, lam, 256)
+            assert isinstance(deep, RationalRotation)
+            rot = rotation_number(q, lam, max_denominator)
+            if isinstance(rot, IrrationalRotation):
+                enclosed += 1
+                lo, hi = enclosure(rot)
+                assert lo <= deep.value <= hi
+                # adjacent windows: width at most 1/max_denominator
+                assert rot.uncertainty <= 0.5 / max_denominator + 1e-15
+            else:
+                assert rot.value == deep.value
+        assert enclosed >= 10
 
 
 class TestExactWindowCertificate:
@@ -240,8 +254,7 @@ class TestExactWindowCertificate:
             for edge in (win.lo, win.hi):
                 for off in (0.0, 3e-13, -3e-13, 1e-12, -1e-12, 1e-9, -1e-9):
                     lam = (float(edge) + off) % 1.0
-                    rot = rotation_number(q, lam, iterations=1_000,
-                                          max_denominator=max_denominator)
+                    rot = rotation_number(q, lam, max_denominator)
                     if isinstance(rot, RationalRotation):
                         rational += 1
                         assert rot.cycle.period <= max_denominator
@@ -274,11 +287,13 @@ class TestMeasureSupport:
         res = self.support(61.0 / 126.0 + 1e-4, 5)
         assert isinstance(res, IrrationalRotation)
         assert res.uncertainty > 0
+        lo, hi = enclosure(res)
+        assert lo <= F(5, 6) <= hi
 
 
 class TestStaircase:
     def test_monotone_and_plateau(self):
-        rows = rotation_staircase(2, 512, iterations=20_000)
+        rows = rotation_staircase(2, 512)
         est = [r[1] for r in rows]
         assert all(b >= a for a, b in zip(est, est[1:]))
         plateau = [r[2] for r in rows
@@ -286,7 +301,7 @@ class TestStaircase:
         assert plateau and all(v == F(1, 2) for v in plateau)
 
     def test_estimates_near_certified(self):
-        rows = rotation_staircase(2, 128, iterations=20_000)
+        rows = rotation_staircase(2, 128)
         for lam, est, cert in rows:
             if cert is not None:
-                assert abs(est - float(cert)) <= 2.0 / 20_000 + 1e-9
+                assert est == float(cert)
