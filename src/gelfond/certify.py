@@ -1,11 +1,12 @@
 """Certified computation of the Gelfond exponent gamma(q;c).
 
 Pipeline: locate the unique zero lam* of the balance integral inside the
-admissible window W_c = (-1/q - c, -c); find the cycle whose arc-base window
-contains the bisection bracket by descending the Stern-Brocot tree of
-rotation numbers (sturmian.select_cycle, at most max_period cycles built);
-certify a strict sign change of the balance integral at the ends of W_c
-intersected with that window; then evaluate
+admissible window W_c = (-1/q - c, -c); take the rotation number at the
+bracket midpoint (sturmian.rotation_number, one exact Stern-Brocot walk) and
+accept its witness cycle when its period is at most max_period and its
+arc-base window holds the whole bisection bracket; certify a strict sign
+change of the balance integral at the ends of W_c intersected with that
+window; then evaluate
 
     beta(c)  = mean of the potential over the exact cycle points,
     gamma(c) = beta(c) / log q.
@@ -34,7 +35,7 @@ from .errors import DomainError, GuardError, MultipleSignChangeError
 from .potential import PotentialParams, _f
 from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
                        build_cycle, enumerate_cycles, lambda_window,
-                       rotation_number, select_cycle)
+                       rotation_number)
 
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -197,6 +198,27 @@ def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float
     return total / cycle.period
 
 
+def _select(q: int, bra: float, brb: float, max_period: int
+            ) -> tuple[RationalRotation | IrrationalRotation,
+                       tuple[float, float] | None]:
+    """The rotation number at the bracket midpoint lam, and the float window
+    (lo + k, hi + k) of its witness cycle, k = round(lam - (lo + hi)/2), when
+    that cycle has period <= max_period and the window holds [bra, brb];
+    None when the bracket straddles a window edge or lies in no window of
+    the allowed periods."""
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    lam = 0.5 * (bra + brb)
+    rot = rotation_number(q, lam, max(64, 4 * max_period))
+    if isinstance(rot, RationalRotation) and rot.cycle.period <= max_period:
+        win = lambda_window(rot.cycle)
+        lo, hi = float(win.lo), float(win.hi)
+        k = round(lam - 0.5 * (lo + hi))
+        if lo + k <= bra and brb <= hi + k:
+            return rot, (lo + k, hi + k)
+    return rot, None
+
+
 def gelfond_exponent(params: PotentialParams,
                      max_period: int = DEFAULT_MAX_PERIOD, *,
                      tol: float = DEFAULT_LAMBDA_TOL,
@@ -214,22 +236,15 @@ def gelfond_exponent(params: PotentialParams,
     lam_star = 0.5 * (bra + brb)
     assert -1.0 / q - c < lam_star < -c  # lifted: c+lam in (-1/q, 0)
 
-    selected = select_cycle(q, bra, brb, max_period)
-    if selected is None:
-        rot = rotation_number(q, lam_star, max(64, 4 * max_period))
+    rot, window = _select(q, bra, brb, max_period)
+    if window is None:
         return NonPeriodicReport(
             params, lam_star, rot,
             f"no cycle of period <= {max_period} has a window containing the "
             f"balance-zero bracket",
         )
-
-    found, shift = selected
-    win = lambda_window(found)
-    l1 = max(float(win.lo) + shift, glo)
-    l2 = min(float(win.hi) + shift, ghi)
-    if not l1 < l2:
-        return NonPeriodicReport(params, lam_star, None,
-                                 "window intersection collapsed by the guard")
+    # l1 <= bra < l2: bra lies in both windows, below both upper ends
+    l1, l2 = max(window[0], glo), min(window[1], ghi)
     v1 = sturmian_balance(params, l1, target_err, depth_cap=depth_cap,
                           stop_on_sign=True)
     v2 = sturmian_balance(params, l2, target_err, depth_cap=depth_cap,
@@ -240,9 +255,9 @@ def gelfond_exponent(params: PotentialParams,
             "balance signs at the window endpoints could not be certified "
             "beyond their error bounds",
         )
-    beta = orbit_potential_mean(params, found)
+    beta = orbit_potential_mean(params, rot.cycle)
     gamma = beta / math.log(q)
-    return GelfondCertificate(params, found, lam_star, l1, l2, v1, v2,
+    return GelfondCertificate(params, rot.cycle, lam_star, l1, l2, v1, v2,
                               beta, gamma)
 
 

@@ -331,7 +331,7 @@ def cmd_profile(args) -> int:
 def cmd_verify(args) -> int:
     import random
 
-    _require(args, n_max=2, grid_size=1)
+    _require(args, n_max=2, grid_size=1, samples=1)
     rng = random.Random(args.seed)
     params = PotentialParams(args.q, parse_c(args.c))
     q, c = params.q, params.c
@@ -400,7 +400,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_checks(args) -> int:
-    _require(args, c_points=2, grid_size=1, samples=1)
+    _require(args, c_points=2, grid_size=1, samples=1, depth=1)
     reports = {}
     if args.q >= 3:
         grid = [0.05 + 0.9 * i / (args.c_points - 1)

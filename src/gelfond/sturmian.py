@@ -12,12 +12,13 @@ The truncated circle map equals x -> q*x on the arc and is constant outside.
 Its rotation number is a + p/m on the window of the cycle (a, p/m), which
 then carries the invariant measure of the arc, so the windows are pairwise
 disjoint and ordered by a + p/m (a devil's staircase): the window holding a
-given arc base is found by descending the Stern-Brocot tree of p/m (_walk).
-On float window ends the walk selects the cycle of a certificate
-(select_cycle); on exact ones it gives the rotation number of an arc base
-(rotation_number): the rotation of the window that holds it, or the exact
+given arc base is found by descending the Stern-Brocot tree of p/m.  One
+exact walk does it (rotation_number): it gives the rotation of the window
+that holds an arc base, with that window's cycle as witness, or the exact
 interval between the two adjacent windows it passes once the denominators
-exceed the cap.
+exceed the cap.  The staircase and the nonperiodic report need that walk, so
+a certificate picks its cycle through it too (certify.gelfond_exponent): the
+witness is accepted when its float window holds the whole bisection bracket.
 """
 
 from __future__ import annotations
@@ -139,78 +140,6 @@ def lambda_window(cycle: SturmianCycle) -> LambdaWindow:
     return LambdaWindow(lo=cycle.s_max - Fraction(1, cycle.q), hi=cycle.s_min)
 
 
-def _walk(q: int, max_period: int, left_of, place):
-    """The one Stern-Brocot walk: find the window of period <= max_period
-    that holds a target located by two callbacks.
-
-    left_of(lo) tells whether the target lies left of the point lo;
-    place(cycle) returns (side, k): side 0 when the cycle's window, shifted
-    by k, holds the target, -1 or +1 when the target lies left or right of
-    it, None when that cannot be decided.
-
-    The fixed-point windows [a/(q-1) - 1/q, a/(q-1)] fix the base digit a:
-    the largest one whose lower end is not right of the target.  The
-    windows of rotations a + p/m, 0 < p/m < 1, lie between the fixed
-    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
-    tree between 0/1 and 1/1 meets the one holding the target, if any,
-    before its denominator exceeds max_period.  Denominators grow along the
-    walk, so it builds at most max_period cycles.
-
-    Returns (found, lo, hi): found is (cycle, k) or None; lo and hi are the
-    rotations a + p/m of the last windows passed left and right of the
-    target, adjacent in the Stern-Brocot tree.
-    """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
-    a = q - 2
-    while a > 0 and left_of(Fraction(a, q - 1) - Fraction(1, q)):
-        a -= 1
-    left, right = Fraction(0), Fraction(1)
-    cycle = build_cycle(q, a, left)
-    side, k = place(cycle)
-    if side == 1:
-        while left.denominator + right.denominator <= max_period:
-            mid = Fraction(left.numerator + right.numerator,
-                           left.denominator + right.denominator)
-            cycle = build_cycle(q, a, mid)
-            side, k = place(cycle)
-            if not side:  # 0: found; None: undecidable
-                break
-            if side < 0:
-                right = mid
-            else:
-                left = mid
-    return ((cycle, k) if side == 0 else None), a + left, a + right
-
-
-def select_cycle(q: int, bra: float, brb: float,
-                 max_period: int) -> tuple[SturmianCycle, int] | None:
-    """The cycle of period <= max_period whose window holds [bra, brb].
-
-    Returns (cycle, k) when lo + k <= bra and brb <= hi + k for the float
-    window ends lo, hi and k = round(lam - (lo + hi)/2), lam the bracket
-    midpoint; None when the bracket straddles a window edge or lies in no
-    window of the allowed periods.  lam is compared in [-1/q, 1 - 1/q),
-    which holds every window, by adding n to the window ends (_walk).
-    """
-    lam = 0.5 * (bra + brb)
-    n = math.floor(lam + 1.0 / q)  # lam - n lies in [-1/q, 1 - 1/q)
-
-    def place(cycle):
-        win = lambda_window(cycle)
-        lo_f, hi_f = float(win.lo), float(win.hi)
-        k = round(lam - 0.5 * (lo_f + hi_f))
-        if lo_f + k <= bra and brb <= hi_f + k:
-            return 0, k
-        if brb <= lo_f + n:
-            return -1, k
-        if bra >= hi_f + n:
-            return 1, k
-        return None, k
-
-    return _walk(q, max_period, lambda lo: float(lo) + n > lam, place)[0]
-
-
 @dataclass(frozen=True)
 class RationalRotation:
     """Certified rational rotation, witnessed by a cycle inside the arc."""
@@ -233,29 +162,45 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
                     ) -> RationalRotation | IrrationalRotation:
     """Rotation number of the truncated map for the arc based at lam.
 
-    _walk on the exact window ends and x = Fraction(lam mod 1), reduced
-    into [-1/q, 1 - 1/q) by n in {0, 1}, which adds n(q-1) to the rotation.
-    Returns RationalRotation when the window of a cycle of period at most
-    max_denominator holds x; otherwise an IrrationalRotation between the
-    rotations of the two adjacent windows the walk passed, whose
-    denominators sum past max_denominator, so it is at most
-    1/max_denominator wide.
+    x = Fraction(lam mod 1), reduced into [-1/q, 1 - 1/q) by n in {0, 1},
+    which adds n(q-1) to the rotation.  The base digit a is the largest one
+    whose fixed-point window [a/(q-1) - 1/q, a/(q-1)] does not start right
+    of x.  The windows of a + p/m, 0 < p/m < 1, lie between the fixed
+    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
+    tree between 0/1 and 1/1, on exact window ends, meets the one holding x,
+    if any, before its denominator exceeds max_denominator (denominators
+    grow along the walk, so it builds at most max_denominator cycles).
+
+    Returns RationalRotation when such a window holds x; otherwise an
+    IrrationalRotation between the rotations of the last windows passed left
+    and right of x, adjacent in the tree with denominators summing past
+    max_denominator, so at most 1/max_denominator wide.
     """
+    if max_denominator < 1:
+        raise ValueError("max_period must be >= 1")
     x = Fraction(lam % 1.0)
     n = int(x >= 1 - Fraction(1, q))
     x -= n
-
-    def place(cycle):
-        win = lambda_window(cycle)
-        return (-1 if x < win.lo else 1 if x > win.hi else 0), n
-
-    found, lo, hi = _walk(q, max_denominator, lambda lo: x < lo, place)
     shift = n * (q - 1)
-    if found is not None:
-        cycle = found[0]
-        return RationalRotation(cycle.base_digit + cycle.rotation + shift,
-                                cycle)
-    lo, hi = lo + shift, hi + shift
+    a = q - 2
+    while a > 0 and x < Fraction(a, q - 1) - Fraction(1, q):
+        a -= 1
+    left, right = Fraction(0), Fraction(1)
+    p = left  # x is not left of the fixed window a, so right stays above p
+    while True:
+        cycle = build_cycle(q, a, p)
+        win = lambda_window(cycle)
+        if win.lo <= x <= win.hi:
+            return RationalRotation(a + p + shift, cycle)
+        if x < win.lo:
+            right = p
+        else:
+            left = p
+        if left.denominator + right.denominator > max_denominator:
+            break
+        p = Fraction(left.numerator + right.numerator,
+                     left.denominator + right.denominator)
+    lo, hi = a + left + shift, a + right + shift
     value = float((lo + hi) / 2)
     half = max(hi - Fraction(value), Fraction(value) - lo)
     uncertainty = float(half)

@@ -20,7 +20,7 @@ from gelfond import (BalanceValue, DomainError, GelfondCertificate,
                      rotation_number, validity_interval, validity_table)
 from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
                              period2_validity_q2)
-from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
+from gelfond.circle import DEFAULT_TARGET_ERR, DEPTH_CAP, sturmian_balance
 from gelfond.potential import _f
 
 from conftest import (exact_window_holds, linear_scan_bracket,
@@ -304,37 +304,46 @@ class TestBetaCurve:
 
 
 class TestSelectionMatchesLinearScan:
-    """gelfond_exponent with the Stern-Brocot selection against the same
-    pipeline with the linear scan over enumerate_cycles it replaced."""
+    """gelfond_exponent, which selects through rotation_number, against the
+    linear scan over enumerate_cycles it replaced, on the same bracket: a
+    certificate carries the scanned cycle and its guarded window ends, the
+    endpoint-sign report follows a scanned cycle, and the gap report one
+    the scan does not find, with the rotation of the bracket midpoint."""
 
     @pytest.fixture
     def outcomes(self, monkeypatch):
-        # the bracket and the nonperiodic rotation estimate do not depend on
-        # the selection; both runs share one evaluation of each
+        # the pipeline and the oracle share one bracket evaluation
         monkeypatch.setattr(certify, "_balance_bracket",
                             functools.cache(certify._balance_bracket))
-        monkeypatch.setattr(certify, "rotation_number",
-                            functools.cache(certify.rotation_number))
         scans = {}
 
-        def linear_select(q, bra, brb, max_period):
-            if (q, max_period) not in scans:
-                scans[q, max_period] = enumerate_cycles(q, max_period)
-            return linear_scan_select(scans[q, max_period], bra, brb)
-
-        def outcome(q, c, max_period):
+        def run(q, c, max_period=13):
+            params = PotentialParams(q, c)
             try:
-                res = gelfond_exponent(PotentialParams(q, c), max_period)
+                res = gelfond_exponent(params, max_period)
             except (GelfondError, ValueError) as exc:
                 return f"{type(exc).__name__}: {exc}"
+            if (q, max_period) not in scans:
+                scans[q, max_period] = enumerate_cycles(q, max_period)
+            bra, brb = certify._balance_bracket(
+                params, DEFAULT_LAMBDA_TOL, target_err=DEFAULT_TARGET_ERR,
+                depth_cap=DEPTH_CAP)
+            picked = linear_scan_select(scans[q, max_period], bra, brb)
+            if isinstance(res, GelfondCertificate):
+                assert picked is not None
+                cyc, k = picked
+                win = lambda_window(cyc)
+                glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
+                assert res.cycle == cyc
+                assert res.lambda1 == max(float(win.lo) + k, glo)
+                assert res.lambda2 == min(float(win.hi) + k, ghi)
+            elif res.rotation is None:
+                assert picked is not None
+            else:
+                assert picked is None
+                assert res.rotation == rotation_number(
+                    q, res.lambda_star, max(64, 4 * max_period))
             return res.to_json_dict()
-
-        def run(q, c, max_period=13):
-            new = outcome(q, c, max_period)
-            with monkeypatch.context() as m:
-                m.setattr(certify, "select_cycle", linear_select)
-                old = outcome(q, c, max_period)
-            return new, old
 
         return run
 
@@ -347,8 +356,7 @@ class TestSelectionMatchesLinearScan:
             c = rng.random()
             cs += [c, (1.0 - c) % 1.0]
         for c in cs:
-            new, old = outcomes(q, c, max_period)
-            assert new == old, (q, c, max_period)
+            outcomes(q, c, max_period)
 
     @pytest.mark.parametrize("row", VALIDITY_BASELINE,
                              ids=lambda r: f"{r[0]}-{r[1]}")
@@ -358,21 +366,37 @@ class TestSelectionMatchesLinearScan:
         period, rot, _, _, c_lo, c_hi = row
         for c, inside in ((c_lo + 1e-9, True), (c_lo - 1e-9, False),
                           (c_hi - 1e-9, True), (c_hi + 1e-9, False)):
-            new, old = outcomes(2, c % 1.0)
-            assert new == old, c
+            res = outcomes(2, c % 1.0)
             if inside:
-                assert (new["period"], new["rotation"]) == (period, rot)
+                assert (res["period"], res["rotation"]) == (period, rot)
 
     def test_depth_error_unchanged(self, outcomes):
-        new, old = outcomes(2, 0.18208128)
-        assert new == old
-        assert new.startswith("DepthError: ")
+        assert outcomes(2, 0.18208128).startswith("DepthError: ")
 
     def test_max_period_zero_rejected(self, outcomes):
-        # c = 0.05 sits in the fixed point's window, which the descent
-        # tests before any period cap
-        new, old = outcomes(2, 0.05, 0)
-        assert new == old == "ValueError: max_period must be >= 1"
+        # c = 0.05 sits in the fixed point's window, which the walk reaches
+        # before any period cap
+        assert outcomes(2, 0.05, 0) == "ValueError: max_period must be >= 1"
+
+    @pytest.mark.parametrize("c, certified, rotation", [
+        (0.5, True, F(1, 2)),
+        (VALIDITY_BASELINE[0][4] - 1e-9, False, F(16, 31)),  # below 1/2
+        (8.0 / 21.0, False, F(9, 14)),  # period 14, past the cap 13
+    ], ids=["certificate", "gap", "8/21"])
+    def test_one_rotation_number_call(self, monkeypatch, c, certified,
+                                      rotation):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rotation_number(*args)
+
+        monkeypatch.setattr(certify, "rotation_number", counting)
+        res = gelfond_exponent(PotentialParams(2, c))
+        assert len(calls) == 1
+        assert isinstance(res, GelfondCertificate) == certified
+        cycle = res.cycle if certified else res.rotation.cycle
+        assert cycle.rotation == rotation
 
 
 def bracket_outcome(fn):

@@ -130,6 +130,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "grid_size must be >= 1"),
         (["--n-max", "0"], "n_max must be >= 2"),
+        (["--samples", "0"], "samples must be >= 1"),
     ])
     def test_verify_bad_sizes(self, capsys, argv, message):
         self.assert_error(capsys, ["verify", "--c", "0.3", "--samples", "2",
@@ -139,21 +140,28 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "grid_size must be >= 1"),
         (["--probe-c", "0.3", "--samples", "0"], "samples must be >= 1"),
+        (["--probe-c", "0.3", "--depth", "0"], "depth must be >= 1"),
     ])
     def test_checks_bad_sizes(self, capsys, argv, message):
         self.assert_error(capsys, ["checks", "--q", "3", "--grid", "4",
                                    "--c-points", "2", *argv], message)
 
     @pytest.mark.parametrize("argv, message", [
-        (["table2", "--max-period", "0"], "max_period must be >= 1"),
-        (["beta-curve", "--resolution", "4", "--max-period", "0"],
+        (["table2", "--max-period", "0", "--threads", "1"],
          "max_period must be >= 1"),
-        (["validity", "--period", "1"], "period must be in 2..13, got 1"),
-        (["validity", "--period", "14"], "period must be in 2..13, got 14"),
-        (["validity", "--max-period", "1"], "max_period must be >= 2"),
+        (["beta-curve", "--resolution", "4", "--max-period", "0",
+          "--threads", "1"], "max_period must be >= 1"),
+        (["validity", "--period", "1", "--threads", "1"],
+         "period must be in 2..13, got 1"),
+        (["validity", "--period", "14", "--threads", "1"],
+         "period must be in 2..13, got 14"),
+        (["validity", "--max-period", "1", "--threads", "1"],
+         "max_period must be >= 2"),
+        (["gelfond", "--c", "0.3", "--max-period", "0"],
+         "max_period must be >= 1"),
     ])
     def test_bad_cycle_selection(self, capsys, argv, message):
-        self.assert_error(capsys, [*argv, "--threads", "1"], message)
+        self.assert_error(capsys, argv, message)
 
     def test_unwritable_output_path(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -8,7 +8,7 @@ the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
 before the shared bisection and the period filter ahead of the c-roots;
 checks_q4_g64: before the batched zoom passes, probe sweep and shift-grid
 scan; gelfond_q2_8_21_text: before rotation_number and the staircase
-certified rotations through select_cycle's exact windows alone;
+certified rotations through the cycle selection's exact windows alone;
 staircase_q2_p256, staircase_q3_p512 and staircase_q8_p256_m64: rewritten by
 the commit that replaced both float lifts with one exact Stern-Brocot walk,
 which made rho_estimate the exact rotation); the exit code is pinned here.  The

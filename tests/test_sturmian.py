@@ -8,7 +8,7 @@ import gelfond.sturmian as sturmian
 from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
                      enumerate_cycles, lambda_window, rotation_number,
                      rotation_staircase)
-from gelfond.sturmian import select_cycle
+from gelfond.certify import _select
 
 from conftest import exact_window_holds, linear_scan_select
 from reference_tables import PRINTED_TABLE1
@@ -90,7 +90,28 @@ class TestBuildCycle:
             build_cycle(2, 1, F(1, 2))
 
 
+def select(q, bra, brb, max_period):
+    """gelfond_exponent's selection for a bracket: (cycle, shifted float
+    window) of the rotation_number witness it accepts, or None."""
+    rot, window = _select(q, bra, brb, max_period)
+    return None if window is None else (rot.cycle, window)
+
+
+def scan_select(cycles, bra, brb):
+    """The oracle's (cycle, k) in the same form as select."""
+    got = linear_scan_select(cycles, bra, brb)
+    if got is None:
+        return None
+    cyc, k = got
+    win = lambda_window(cyc)
+    return cyc, (float(win.lo) + k, float(win.hi) + k)
+
+
 class TestSelectCycle:
+    """A certificate's cycle: the witness of one exact rotation_number walk
+    at the bracket midpoint, accepted when its float window holds the
+    bracket."""
+
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_windows_ordered_by_rotation(self, q):
         # the descent's premise: ordered by base digit, then rotation, the
@@ -134,25 +155,29 @@ class TestSelectCycle:
                     bra = edge - rng.choice((width, 0.0))
                 brb = bra + width
                 built.clear()
-                got = select_cycle(q, bra, brb, max_period)
-                assert got == linear_scan_select(scan, bra, brb)
-                assert len(built) <= max_period
-                found += got is not None
+                got = select(q, bra, brb, max_period)
+                assert got == scan_select(scan, bra, brb)
+                if got is not None:
+                    assert len(built) <= max_period
+                    found += 1
         assert found > 600
 
     def test_denominator_cap(self):
         # the 9/14 window of q=2 holds its own midpoint only from period 14
         win = lambda_window(build_cycle(2, 0, F(9, 14)))
         mid = float((win.lo + win.hi) / 2)
-        assert select_cycle(2, mid - 1e-13, mid + 1e-13, 13) is None
-        cyc, k = select_cycle(2, mid - 1e-13, mid + 1e-13, 14)
-        assert (cyc.rotation, k) == (F(9, 14), 0)
+        assert select(2, mid - 1e-13, mid + 1e-13, 13) is None
+        cyc, window = select(2, mid - 1e-13, mid + 1e-13, 14)
+        assert cyc.rotation == F(9, 14)
+        assert window == (float(win.lo), float(win.hi))
 
     def test_straddled_edge_selects_nothing(self):
-        lo = float(lambda_window(build_cycle(2, 0, F(1, 2))).lo)
-        assert select_cycle(2, lo - 1e-13, lo + 1e-13, 13) is None
-        cyc, k = select_cycle(2, lo + 1e-13, lo + 3e-13, 13)
-        assert (cyc.rotation, k) == (F(1, 2), 0)
+        win = lambda_window(build_cycle(2, 0, F(1, 2)))
+        lo = float(win.lo)
+        assert select(2, lo - 1e-13, lo + 1e-13, 13) is None
+        cyc, window = select(2, lo + 1e-13, lo + 3e-13, 13)
+        assert cyc.rotation == F(1, 2)
+        assert window == (lo, float(win.hi))
 
 
 class TestRotationNumber:

@@ -60,7 +60,11 @@ def test_traced_certificate_records_spans(bench):
                 g.potential.PotentialParams(2, 0.5))
     finally:
         tr.uninstall()
-    names = {rec[spans.NAME] for rec in tr.spans}
-    assert layers.BALANCE in names
+    names = [rec[spans.NAME] for rec in tr.spans]
     assert tr.leaf_calls["circle.tau_pairs"] > 0
     assert cert.cycle.period == 2
+    # one cycle selection, between the bracket and the two endpoint checks
+    assert names.count(layers.ROTATION) == 1
+    i = names.index(layers.ROTATION)
+    assert names[i + 1:] == [layers.BALANCE, layers.BALANCE]
+    assert layers.BALANCE in names[:i]
