@@ -15,7 +15,8 @@ The certificate carries the signed balance values with their rigorous error
 bounds, so the cycle identification is machine-checkable.  Validity
 intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
-gives clean brackets.
+gives clean brackets.  Both bisections run to fixed widths,
+DEFAULT_LAMBDA_TOL in lambda and DEFAULT_VALIDITY_TOL in c.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -29,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import (BalanceValue, DEFAULT_TARGET_ERR, DEPTH_CAP, WINDOW_GUARD,
+from .circle import (BalanceValue, DEFAULT_TARGET_ERR, WINDOW_GUARD,
                      sturmian_balance)
 from .errors import DomainError, GuardError, MultipleSignChangeError
 from .potential import PotentialParams, _f
@@ -38,8 +39,8 @@ from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
                        rotation_number)
 
 DEFAULT_MAX_PERIOD = 13
-DEFAULT_LAMBDA_TOL = 1e-12
-DEFAULT_VALIDITY_TOL = 1e-11
+DEFAULT_LAMBDA_TOL = 1e-12    # width of the certificate's lambda bracket
+DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
 COARSE_POINTS = 64  # points of the bracket's coarse grid
 
 
@@ -115,7 +116,6 @@ class ValidityInterval:
     cycle: SturmianCycle
     c_lo: float
     c_hi: float
-    tol: float
 
 
 def _guarded_window(lo: float, hi: float) -> tuple[float, float]:
@@ -148,15 +148,14 @@ def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
 
 
 def _balance_bracket(params: PotentialParams, tol: float, *,
-                     target_err: float = DEFAULT_TARGET_ERR,
-                     depth_cap: int = DEPTH_CAP) -> tuple[float, float]:
+                     target_err: float = DEFAULT_TARGET_ERR
+                     ) -> tuple[float, float]:
     """Bracket the balance zero: bisect a coarse grid for its +,- cell of
     adjacent certified signs (uncertified points are stepped over), then
     bisect to width <= tol.  With exactly one certified sign change on the
     grid this is the cell a scan of every grid point finds."""
     def balance_at(lam):
-        return sturmian_balance(params, lam, target_err, depth_cap=depth_cap,
-                                stop_on_sign=True)
+        return sturmian_balance(params, lam, target_err, stop_on_sign=True)
 
     a, b = _guarded_window(-1.0 / params.q - params.c, -params.c)
     xs = [a + (b - a) * i / (COARSE_POINTS - 1) for i in range(COARSE_POINTS)]
@@ -185,10 +184,9 @@ def _balance_bracket(params: PotentialParams, tol: float, *,
     return _bisect(balance_at, xs[i], xs[j], tol)
 
 
-def find_balance_point(params: PotentialParams,
-                       tol: float = DEFAULT_LAMBDA_TOL) -> float:
+def find_balance_point(params: PotentialParams) -> float:
     """The lambda in W_c where the balance integral vanishes (lifted)."""
-    lo, hi = _balance_bracket(params, tol)
+    lo, hi = _balance_bracket(params, DEFAULT_LAMBDA_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -206,8 +204,6 @@ def _select(q: int, bra: float, brb: float, max_period: int
     that cycle has period <= max_period and the window holds [bra, brb];
     None when the bracket straddles a window edge or lies in no window of
     the allowed periods."""
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
     lam = 0.5 * (bra + brb)
     rot = rotation_number(q, lam, max(64, 4 * max_period))
     if isinstance(rot, RationalRotation) and rot.cycle.period <= max_period:
@@ -221,18 +217,18 @@ def _select(q: int, bra: float, brb: float, max_period: int
 
 def gelfond_exponent(params: PotentialParams,
                      max_period: int = DEFAULT_MAX_PERIOD, *,
-                     tol: float = DEFAULT_LAMBDA_TOL,
-                     target_err: float = DEFAULT_TARGET_ERR,
-                     depth_cap: int = DEPTH_CAP):
+                     target_err: float = DEFAULT_TARGET_ERR):
     """Certified beta(c) and gamma(c), or a NonPeriodicReport.
 
     The period-1 fixed points participate like any other cycle, so c = 0
     resolves to beta = log q, gamma = 1 through the same code path.
     """
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
     q, c = params.q, params.c
     glo, ghi = _guarded_window(-1.0 / q - c, -c)
-    bra, brb = _balance_bracket(params, tol, target_err=target_err,
-                                depth_cap=depth_cap)
+    bra, brb = _balance_bracket(params, DEFAULT_LAMBDA_TOL,
+                                target_err=target_err)
     lam_star = 0.5 * (bra + brb)
     assert -1.0 / q - c < lam_star < -c  # lifted: c+lam in (-1/q, 0)
 
@@ -245,10 +241,8 @@ def gelfond_exponent(params: PotentialParams,
         )
     # l1 <= bra < l2: bra lies in both windows, below both upper ends
     l1, l2 = max(window[0], glo), min(window[1], ghi)
-    v1 = sturmian_balance(params, l1, target_err, depth_cap=depth_cap,
-                          stop_on_sign=True)
-    v2 = sturmian_balance(params, l2, target_err, depth_cap=depth_cap,
-                          stop_on_sign=True)
+    v1 = sturmian_balance(params, l1, target_err, stop_on_sign=True)
+    v2 = sturmian_balance(params, l2, target_err, stop_on_sign=True)
     if not (_certified_sign(v1) > 0 > _certified_sign(v2)):
         return NonPeriodicReport(
             params, lam_star, None,
@@ -261,7 +255,7 @@ def gelfond_exponent(params: PotentialParams,
                               beta, gamma)
 
 
-def _c_root(q: int, lam_e: float, tol: float) -> float:
+def _c_root(q: int, lam_e: float) -> float:
     """Solve balance = 0 in c at a fixed lambda (strictly decreasing in c)."""
     def balance_at(c):
         return sturmian_balance(PotentialParams(q, c % 1.0), lam_e,
@@ -273,12 +267,11 @@ def _c_root(q: int, lam_e: float, tol: float) -> float:
         raise GuardError(
             f"no certified sign bracket in c for lambda={lam_e!r}"
         )
-    a, b = _bisect(balance_at, a, b, tol)
+    a, b = _bisect(balance_at, a, b, DEFAULT_VALIDITY_TOL)
     return 0.5 * (a + b)
 
 
-def validity_interval(q: int, cycle: SturmianCycle,
-                      tol: float = DEFAULT_VALIDITY_TOL) -> ValidityInterval:
+def validity_interval(q: int, cycle: SturmianCycle) -> ValidityInterval:
     """The c-interval on which this cycle is the certified maximizer.
 
     The window's upper endpoint yields the smaller c; the map from window
@@ -286,15 +279,15 @@ def validity_interval(q: int, cycle: SturmianCycle,
     rather than assumed.
     """
     win = lambda_window(cycle)
-    r_from_hi = _c_root(q, float(win.hi), tol)
-    r_from_lo = _c_root(q, float(win.lo), tol)
+    r_from_hi = _c_root(q, float(win.hi))
+    r_from_lo = _c_root(q, float(win.lo))
     if not r_from_hi < r_from_lo:
         raise RuntimeError(
             f"endpoint-to-c assignment unexpectedly ordered: "
             f"{r_from_hi} >= {r_from_lo}"
         )
     shift = -math.floor(r_from_hi)
-    return ValidityInterval(cycle, r_from_hi + shift, r_from_lo + shift, tol)
+    return ValidityInterval(cycle, r_from_hi + shift, r_from_lo + shift)
 
 
 @functools.cache
@@ -357,10 +350,10 @@ class ExponentRow:
 
 
 def _validity_row(args) -> Table1Row:
-    q, cycle, tol = args
+    q, cycle = args
     win = lambda_window(cycle)
     try:
-        vi = validity_interval(q, cycle, tol)
+        vi = validity_interval(q, cycle)
         return Table1Row(cycle.period, cycle.rotation, win.lo, win.hi,
                          vi.c_lo, vi.c_hi, "OK")
     except Exception as exc:  # per-row errors are collected, not fatal
@@ -390,7 +383,6 @@ def _pmap(fn, items, threads):
 
 
 def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
-                   validity_tol: float = DEFAULT_VALIDITY_TOL,
                    threads: int | None = None,
                    period: int | None = None) -> list[Table1Row]:
     """One validity-interval row per cycle of period 2..max_period, or only
@@ -401,8 +393,7 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
         raise ValueError(f"period must be in 2..{max_period}, got {period}")
     cycles = [cy for cy in enumerate_cycles(q, max_period)
               if cy.period >= 2 and (period is None or cy.period == period)]
-    return _pmap(_validity_row, [(q, cy, validity_tol) for cy in cycles],
-                 threads)
+    return _pmap(_validity_row, [(q, cy) for cy in cycles], threads)
 
 
 def _exponent_rows(q, c_values, max_period, uncertified, threads):

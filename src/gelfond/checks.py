@@ -5,7 +5,8 @@ negativity grids for composite bounds controlling points reached by 1/q
 shifts of the arc, and a direct probe that the transfer-corrected potential
 is constant on the certified arc and strictly smaller outside.  These are
 numerical confirmations with explicit margins, not proofs; the margins double
-as regression baselines.
+as regression baselines.  The probe's sample margin and pass thresholds are
+the PROBE_* constants, written into its report.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .potential import (PotentialParams, _f, _fp,
                         potential_derivative_array)
 
 BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
+MAX_PANEL = 0.005       # widest Gauss-Legendre panel of the probe quadrature
+PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
+PROBE_INSIDE_TOL = 1e-4      # the probe needs |F - beta| <= this on the arc
+PROBE_OUTSIDE_MARGIN = 1e-3  # and F < beta - this off the arc
 
 
 @dataclass(frozen=True)
@@ -166,8 +171,7 @@ def _transfer_derivative_array(q: int, c: float, lam_mod: float,
 
 def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
                                   positions: np.ndarray, depth: int,
-                                  breaks: list[float],
-                                  max_panel: float = 0.005):
+                                  breaks: list[float]):
     """Integrals of the transfer derivative from the arc base to each
     position (arc-length coordinates in [0, 1)), in one Gauss-Legendre sweep.
 
@@ -185,7 +189,7 @@ def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
     nodes, weights = _gauss_rule()
     halves, pts = [], []
     for lo, hi in zip(grid, grid[1:]):
-        n_sub = max(1, int(math.ceil((hi - lo) / max_panel)))
+        n_sub = max(1, int(math.ceil((hi - lo) / MAX_PANEL)))
         edges = np.linspace(lo, hi, n_sub + 1)
         halves.append(0.5 * (edges[1:] - edges[:-1]))
         pts.append(0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -204,16 +208,13 @@ def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
 
 def sturmian_condition_probe(params: PotentialParams,
                              certificate: GelfondCertificate,
-                             samples: int = 50, depth: int = 30, *,
-                             boundary_margin: float = 0.01,
-                             inside_tol: float = 1e-4,
-                             outside_margin: float = 1e-3) -> GridReport:
+                             samples: int = 50, depth: int = 30) -> GridReport:
     """Probe F = f_c + psi - psi o T against beta on and off the arc.
 
     psi differences are quadratures of the truncated transfer-derivative
     series from the arc base (psi itself is only defined up to a constant).
     F should be constant (= beta) on the arc and strictly below beta outside;
-    samples keep boundary_margin away from the arc endpoints and from the
+    samples keep PROBE_MARGIN away from the arc endpoints and from the
     potential singularities.
     """
     q, c = params.q, params.c
@@ -231,13 +232,12 @@ def sturmian_condition_probe(params: PotentialParams,
 
     singulars = [(-c + k / q) % 1.0 for k in range(1, q)]
     inside_x = [(lam_mod + float(t)) % 1.0
-                for t in np.linspace(boundary_margin, one_q - boundary_margin,
+                for t in np.linspace(PROBE_MARGIN, one_q - PROBE_MARGIN,
                                      samples)]
     outside_x = []
-    for t in np.linspace(boundary_margin, 1.0 - one_q - boundary_margin,
-                         samples):
+    for t in np.linspace(PROBE_MARGIN, 1.0 - one_q - PROBE_MARGIN, samples):
         x = (lam_mod + one_q + float(t)) % 1.0
-        if any(abs((x - s + 0.5) % 1.0 - 0.5) < boundary_margin
+        if any(abs((x - s + 0.5) % 1.0 - 0.5) < PROBE_MARGIN
                for s in singulars):
             continue
         outside_x.append(x)
@@ -273,15 +273,16 @@ def sturmian_condition_probe(params: PotentialParams,
         if d > outside_worst:
             outside_worst = d
             outside_point = x
-    passed = inside_resid <= inside_tol and outside_worst < -outside_margin
+    passed = (inside_resid <= PROBE_INSIDE_TOL
+              and outside_worst < -PROBE_OUTSIDE_MARGIN)
     return GridReport(
         grid_spec={"q": q, "c": c, "samples": samples, "depth": depth,
-                   "boundary_margin": boundary_margin},
+                   "boundary_margin": PROBE_MARGIN},
         worst_value=outside_worst,
         worst_point=(outside_point,),
         passed=passed,
         details={"inside_residual": inside_resid,
                  "inside_worst_x": inside_worst,
-                 "inside_tol": inside_tol,
-                 "outside_margin": outside_margin},
+                 "inside_tol": PROBE_INSIDE_TOL,
+                 "outside_margin": PROBE_OUTSIDE_MARGIN},
     )

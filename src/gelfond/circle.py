@@ -10,7 +10,8 @@ integral
 
 is evaluated exactly per truncation level as a telescoping sum of potential
 values at interval endpoints, with a rigorous tail bound from the monotone
-derivative on C'.  Its zero in lam certifies the maximizing arc.
+derivative on C'.  Its zero in lam certifies the maximizing arc.  The
+truncation depth grows to meet a target error, up to the fixed DEPTH_CAP.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .potential import PotentialParams, _f, _fp
 
 DROP_TOL = 1e-15          # parts shorter than this are dropped (deficit tracked)
 WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
-DEPTH_CAP = 400           # default truncation-depth cap
+DEPTH_CAP = 400           # truncation-depth cap
 DEFAULT_TARGET_ERR = 1e-13
 
 
@@ -66,14 +67,14 @@ def _exit_levels(q: int, lam_mod: float, drop_tol: float):
     return [([(lam_mod, 1.0 / q)], 0.0)]
 
 
-def exit_sets(q: int, lam: float, depth: int,
-              depth_cap: int = DEPTH_CAP) -> list[list[tuple[float, float]]]:
+def exit_sets(q: int, lam: float,
+              depth: int) -> list[list[tuple[float, float]]]:
     """Exit sets A_1..A_depth as (lo, len) arcs; A_1 is the base arc,
     A_{n+1} its tau image.  The arcs of one level are pairwise disjoint."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > depth_cap:
-        raise DepthError(f"depth {depth} exceeds cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     lam_mod = lam % 1.0
     pairs = [(lam_mod, 1.0 / q)]
     out = [pairs]
@@ -98,7 +99,6 @@ class BalanceValue:
 
 def sturmian_balance(params: PotentialParams, lam: float,
                      target_err: float = DEFAULT_TARGET_ERR, *,
-                     depth_cap: int = DEPTH_CAP,
                      drop_tol: float = DROP_TOL,
                      stop_on_sign: bool = False,
                      depth: int | None = None) -> BalanceValue:
@@ -114,8 +114,9 @@ def sturmian_balance(params: PotentialParams, lam: float,
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
+    if not 0.0 < target_err < math.inf:
+        raise ValueError(f"target_err must be positive and finite, "
+                         f"got {target_err!r}")
     q, c = params.q, params.c
     one_q = 1.0 / q
     # r = lam + c must lie in the window (1-1/q, 1) mod 1 with WINDOW_GUARD
@@ -140,7 +141,7 @@ def sturmian_balance(params: PotentialParams, lam: float,
     dropped = 0.0
     tail_mass = 1.0 / (q - 1)
     n = 0
-    while n < (depth_cap if depth is None else depth):
+    while n < (DEPTH_CAP if depth is None else depth):
         if n == len(levels):
             # a slice store, not append: if another thread added level n
             # first, this rewrites it with the same value
@@ -171,8 +172,8 @@ def sturmian_balance(params: PotentialParams, lam: float,
     else:
         if depth is None:
             raise DepthError(
-                f"target_err={target_err} unreachable at depth cap {depth_cap} "
-                f"(achieved {err:.3e})"
+                f"target_err={target_err} unreachable at depth cap "
+                f"{DEPTH_CAP} (achieved {err:.3e})"
             )
     return BalanceValue(math.fsum(terms), err, n)
 

@@ -4,6 +4,9 @@ Output is deterministic: fixed column orders, 15-significant-digit reals,
 rationals as num/den, no timestamps.  Worker processes (``--threads``) feed
 an order-preserving map, so parallel runs emit identical bytes.
 
+The certifier's tolerances are module constants, not flags; the one that
+can be set is the balance error bound, ``gelfond --target-err``.
+
 Exit codes: 0 success, 1 partial/other failure or bad input (printed as
 ``error: ...``), 2 nonperiodic report, 3 guard violation.
 """
@@ -20,13 +23,12 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .certify import (DEFAULT_LAMBDA_TOL, DEFAULT_MAX_PERIOD,
-                      DEFAULT_VALIDITY_TOL, GelfondCertificate,
+from .certify import (DEFAULT_MAX_PERIOD, GelfondCertificate,
                       NonPeriodicReport, beta_curve, exponent_table,
                       gelfond_exponent, validity_table)
 from .checks import (centering_bound_check, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_condition_probe)
-from .circle import DEFAULT_TARGET_ERR, DEPTH_CAP, exit_time_profile
+from .circle import DEFAULT_TARGET_ERR, exit_time_profile
 from .errors import GelfondError, GuardError
 from .potential import PotentialParams
 from .series import (modulus_product, multiplicativity_check,
@@ -44,9 +46,6 @@ class RunConfig:
     q: int = 2
     max_period: int = DEFAULT_MAX_PERIOD
     v_target_err: float = DEFAULT_TARGET_ERR
-    bisect_tol: float = DEFAULT_LAMBDA_TOL
-    validity_tol: float = DEFAULT_VALIDITY_TOL
-    depth_cap: int = DEPTH_CAP
     grid_size: int = 1024
     threads: int = 0  # 0 means all available cores
     output: str = ""  # empty means stdout
@@ -54,9 +53,6 @@ class RunConfig:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("q must be >= 2")
-        for name in ("v_target_err", "bisect_tol", "validity_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def load_config(path: str | None) -> dict:
@@ -162,9 +158,8 @@ def _threads(args) -> int:
 def cmd_gelfond(args) -> int:
     params = PotentialParams(args.q, parse_c(args.c))
     try:
-        res = gelfond_exponent(params, args.max_period, tol=args.bisect_tol,
-                               target_err=args.v_target_err,
-                               depth_cap=args.depth_cap)
+        res = gelfond_exponent(params, args.max_period,
+                               target_err=args.v_target_err)
     except GuardError as exc:
         if not args.json:
             raise  # main prints it and exits 3
@@ -226,9 +221,8 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_validity(args) -> int:
-    rows1 = validity_table(args.q, args.max_period,
-                           validity_tol=args.validity_tol,
-                           threads=_threads(args), period=args.period)
+    rows1 = validity_table(args.q, args.max_period, threads=_threads(args),
+                           period=args.period)
     return _emit_status_rows(
         args.output, ["period", "rotation", "window_lo", "window_hi", "c_lo",
                       "c_hi", "status"], rows1,
@@ -455,12 +449,8 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     p = sub.add_parser("gelfond", help="certify beta(c) and gamma(c)")
     common(p)
     p.add_argument("--c", required=True, help="phase in [0,1) or num/den")
-    p.add_argument("--bisect-tol", type=float, dest="bisect_tol",
-                   default=defaults.bisect_tol)
     p.add_argument("--target-err", type=float, dest="v_target_err",
                    default=defaults.v_target_err)
-    p.add_argument("--depth-cap", type=int, dest="depth_cap",
-                   default=defaults.depth_cap)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gelfond)
 
@@ -475,8 +465,6 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     common(p, threads=True)
     p.add_argument("--period", type=int, default=None,
                    help="restrict to one period")
-    p.add_argument("--tol", type=float, dest="validity_tol",
-                   default=defaults.validity_tol)
     p.set_defaults(fn=cmd_validity)
 
     p = sub.add_parser("table2", help="beta/gamma per c as CSV")

@@ -20,6 +20,7 @@ import numpy as np
 from .potential import PotentialParams, _amp, potential_array
 
 DIRECT_SUM_CAP = 2 ** 24
+MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
 
 
 def digit_sum(q: int, n: int) -> int:
@@ -101,7 +102,7 @@ def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
 
 
 def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
-                           x: float | None = None, tol: float = 1e-12) -> bool:
+                           x: float) -> bool:
     """Check w(a*q^t + b) = w(a*q^t) * w(b) for b < q^t, w(n) = t_n e^(2 pi i n x).
 
     Phases are reduced mod 1 in exact rational arithmetic so the check stays
@@ -110,9 +111,6 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
     q, c = params.q, params.c
     if b >= q ** t:
         raise ValueError("requires b < q^t")
-    if x is None:
-        import random
-        x = random.random()
     xf = Fraction(x)
     cf = Fraction(c)
 
@@ -122,7 +120,7 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
 
     lhs = w(a * q ** t + b)
     rhs = w(a * q ** t) * w(b)
-    return abs(lhs - rhs) <= tol
+    return abs(lhs - rhs) <= MULTIPLICATIVITY_TOL
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from gelfond import (BalanceValue, DomainError, GelfondCertificate,
                      rotation_number, validity_interval, validity_table)
 from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
                              period2_validity_q2)
-from gelfond.circle import DEFAULT_TARGET_ERR, DEPTH_CAP, sturmian_balance
+from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
 from gelfond.potential import _f
 
 from conftest import (exact_window_holds, linear_scan_bracket,
@@ -326,8 +326,7 @@ class TestSelectionMatchesLinearScan:
             if (q, max_period) not in scans:
                 scans[q, max_period] = enumerate_cycles(q, max_period)
             bra, brb = certify._balance_bracket(
-                params, DEFAULT_LAMBDA_TOL, target_err=DEFAULT_TARGET_ERR,
-                depth_cap=DEPTH_CAP)
+                params, DEFAULT_LAMBDA_TOL, target_err=DEFAULT_TARGET_ERR)
             picked = linear_scan_select(scans[q, max_period], bra, brb)
             if isinstance(res, GelfondCertificate):
                 assert picked is not None
@@ -397,6 +396,62 @@ class TestSelectionMatchesLinearScan:
         assert isinstance(res, GelfondCertificate) == certified
         cycle = res.cycle if certified else res.rotation.cycle
         assert cycle.rotation == rotation
+
+
+def test_max_period_rejected_before_any_balance_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sturmian_balance(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "sturmian_balance", counting)
+    with pytest.raises(ValueError, match=r"^max_period must be >= 1$"):
+        gelfond_exponent(PotentialParams(2, 0.3), 0)
+    assert calls == []
+    gelfond_exponent(PotentialParams(2, 0.3), 1)
+    assert calls  # the stand-in does see the balance calls
+
+
+# Bisects to tolerance 0 from a certified sign bracket: the lambda bracket at
+# q = 2, c = 1/3, or the c-root at the upper window end of the q = 2
+# period-2 cycle.  The bisection must stop at two adjacent floats.
+ZERO_TOL_BISECTION = """
+import math, sys
+from fractions import Fraction
+from gelfond import certify
+from gelfond.circle import sturmian_balance
+from gelfond.potential import PotentialParams
+from gelfond.sturmian import build_cycle, lambda_window
+
+if sys.argv[1] == "lambda_bracket":
+    params = PotentialParams(2, 1 / 3)
+    a, b = certify._balance_bracket(params, math.inf)
+
+    def balance_at(lam):
+        return sturmian_balance(params, lam, stop_on_sign=True)
+else:
+    lam_e = float(lambda_window(build_cycle(2, 0, Fraction(1, 2))).hi)
+    a, b = certify._guarded_window(-lam_e - 0.5, -lam_e)
+
+    def balance_at(c):
+        return sturmian_balance(PotentialParams(2, c % 1.0), lam_e,
+                                stop_on_sign=True)
+lo, hi = certify._bisect(balance_at, a, b, 0.0)
+assert a <= lo < hi <= b and math.nextafter(lo, math.inf) == hi, (lo, hi)
+"""
+
+
+@pytest.mark.parametrize("bracket", ["lambda_bracket", "c_root"])
+def test_zero_tolerance_terminates(bracket):
+    # run in a child process so that a regression fails on the timeout
+    # instead of hanging
+    src = os.path.dirname(os.path.dirname(certify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ZERO_TOL_BISECTION, bracket],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def bracket_outcome(fn):
