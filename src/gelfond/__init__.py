@@ -18,7 +18,7 @@ from .checks import (GridReport, centering_bound_check,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
                      sturmian_condition_probe)
 from .errors import (DepthError, DomainError, GelfondError, GuardError,
-                     MultipleSignChangeError, SingularityError)
+                     SingularityError)
 from .potential import PotentialParams, amplitude, potential
 from .series import (ExponentFitRow, digit_sum, modulus_product,
                      multiplicativity_check, polynomial_sum, sup_exponent_fit)
@@ -37,7 +37,7 @@ __all__ = [
     "GridReport", "centering_bound_check", "inner_shift_negativity_grid",
     "outer_shift_negativity_grid", "sturmian_condition_probe",
     "DepthError", "DomainError", "GelfondError", "GuardError",
-    "MultipleSignChangeError", "SingularityError",
+    "SingularityError",
     "PotentialParams", "amplitude", "potential",
     "ExponentFitRow", "digit_sum", "modulus_product",
     "multiplicativity_check", "polynomial_sum", "sup_exponent_fit",

@@ -15,7 +15,9 @@ The certificate carries the signed balance values with their rigorous error
 bounds, so the cycle identification is machine-checkable.  Validity
 intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
-gives clean brackets.  Both bisections run to fixed widths,
+gives clean brackets.  The lambda zero and the c-roots share one routine:
+certify the sign + at the start of the guarded window and - at its end
+(GuardError if either is uncertified), then bisect to a fixed width,
 DEFAULT_LAMBDA_TOL in lambda and DEFAULT_VALIDITY_TOL in c.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 from .circle import (BalanceValue, DEFAULT_TARGET_ERR, WINDOW_GUARD,
                      sturmian_balance)
-from .errors import DomainError, GuardError, MultipleSignChangeError
+from .errors import DomainError, GuardError
 from .potential import PotentialParams, _f
 from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
                        build_cycle, enumerate_cycles, lambda_window,
@@ -41,7 +43,6 @@ from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12    # width of the certificate's lambda bracket
 DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
-COARSE_POINTS = 64  # points of the bracket's coarse grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,41 +148,26 @@ def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
     return a, b
 
 
+def _sign_bracket(balance_at, a: float, b: float, tol: float,
+                  what: str) -> tuple[float, float]:
+    """Certify balance_at positive at a and negative at b, then bisect to
+    width <= tol; GuardError, naming what, when either sign is uncertified."""
+    if not _certified_sign(balance_at(a)) > 0 > _certified_sign(balance_at(b)):
+        raise GuardError(f"no certified sign bracket in {what}")
+    return _bisect(balance_at, a, b, tol)
+
+
 def _balance_bracket(params: PotentialParams, tol: float, *,
                      target_err: float = DEFAULT_TARGET_ERR
                      ) -> tuple[float, float]:
-    """Bracket the balance zero: bisect a coarse grid for its +,- cell of
-    adjacent certified signs (uncertified points are stepped over), then
-    bisect to width <= tol.  With exactly one certified sign change on the
-    grid this is the cell a scan of every grid point finds."""
+    """Bracket the balance zero in lambda, from the guarded window W_c down
+    to width <= tol."""
     def balance_at(lam):
         return sturmian_balance(params, lam, target_err, stop_on_sign=True)
 
     a, b = _guarded_window(-1.0 / params.q - params.c, -params.c)
-    xs = [a + (b - a) * i / (COARSE_POINTS - 1) for i in range(COARSE_POINTS)]
-    sign = functools.cache(lambda k: _certified_sign(balance_at(xs[k])))
-    i, j = 0, COARSE_POINTS - 1
-    while i < j and sign(i) == 0:
-        i += 1
-    while j > i and sign(j) == 0:
-        j -= 1
-    if not sign(i) > 0 > sign(j):
-        raise MultipleSignChangeError(
-            f"coarse grid ends read {sign(i)},{sign(j)}; expected 1,-1")
-    while j - i > 1:
-        lo = hi = (i + j) // 2
-        while lo > i and sign(lo) == 0:
-            lo -= 1
-        while hi < j and sign(hi) == 0:
-            hi += 1
-        if sign(lo) < 0:
-            j = lo
-        elif sign(hi) > 0:
-            i = hi
-        else:
-            i, j = lo, hi
-            break
-    return _bisect(balance_at, xs[i], xs[j], tol)
+    return _sign_bracket(balance_at, a, b, tol,
+                         f"lambda for q={params.q}, c={params.c!r}")
 
 
 def find_balance_point(params: PotentialParams) -> float:
@@ -262,12 +248,8 @@ def _c_root(q: int, lam_e: float) -> float:
                                 stop_on_sign=True)
 
     a, b = _guarded_window(-lam_e - 1.0 / q, -lam_e)
-    va, vb = balance_at(a), balance_at(b)
-    if not (_certified_sign(va) > 0 > _certified_sign(vb)):
-        raise GuardError(
-            f"no certified sign bracket in c for lambda={lam_e!r}"
-        )
-    a, b = _bisect(balance_at, a, b, DEFAULT_VALIDITY_TOL)
+    a, b = _sign_bracket(balance_at, a, b, DEFAULT_VALIDITY_TOL,
+                         f"c for lambda={lam_e!r}")
     return 0.5 * (a + b)
 
 

@@ -89,11 +89,15 @@ def frac(f: Fraction) -> str:
 
 def _parse_fraction(text: str) -> Fraction:
     """A phase written as num/den (or a decimal); ValueError if it names
-    no number."""
+    no number or one too large for a float."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)
     except ZeroDivisionError:
         raise ValueError(f"phase {text!r} has a zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"phase {text!r} overflows a float") from None
+    return value
 
 
 def parse_c(text: str) -> float:
@@ -149,10 +153,8 @@ def _require(args, **least) -> None:
 
 
 def _threads(args) -> int:
-    n = args.threads
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
+    _require(args, threads=0)
+    return args.threads or os.cpu_count() or 1
 
 
 def cmd_gelfond(args) -> int:
@@ -204,7 +206,6 @@ def _print_gelfond(res, as_json: bool) -> int:
 
 
 def cmd_cycles(args) -> int:
-    PotentialParams(args.q, 0.0)  # rejects q < 2 as every command does
     rows = []
     for cy in enumerate_cycles(args.q, args.max_period):
         if cy.period < args.min_period:
@@ -302,7 +303,6 @@ def cmd_beta_curve(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    PotentialParams(args.q, 0.0)  # rejects q < 2 as every command does
     rows = rotation_staircase(args.q, args.points, args.max_period)
     out = []
     for lam, est, cert in rows:
@@ -362,7 +362,7 @@ def cmd_verify(args) -> int:
         n = rng.randint(1, args.n_max)
         p1 = modulus_product(params, n, x)
         p2 = modulus_product(PotentialParams(q, (1.0 - c) % 1.0), n,
-                             (1.0 - x) % 1.0)
+                             1 - Fraction(x))
         worst = max(worst, abs(p1 - p2) / max(1.0, p1, p2))
     line_ok = worst <= 1e-10
     ok &= line_ok
@@ -395,6 +395,8 @@ def cmd_verify(args) -> int:
 
 def cmd_checks(args) -> int:
     _require(args, c_points=2, grid_size=1, samples=1, depth=1)
+    if args.q < 3 and args.probe_c is None:
+        raise ValueError(f"q={args.q} has no inequality grid; give --probe-c")
     reports = {}
     if args.q >= 3:
         grid = [0.05 + 0.9 * i / (args.c_points - 1)
@@ -537,6 +539,7 @@ def main(argv=None) -> int:
     parser = build_parser(defaults)
     args = parser.parse_args(argv)
     try:
+        PotentialParams(args.q, 0.0)  # rejects q < 2 before any command runs
         return args.fn(args)
     except GuardError as exc:
         print(f"guard error: {exc}", file=sys.stderr)

@@ -10,15 +10,12 @@ class SingularityError(GelfondError):
 
 
 class GuardError(GelfondError):
-    """A point sits inside the guard margin of an admissible window."""
+    """A point sits inside the guard margin of an admissible window, or the
+    balance signs at the ends of a guarded window are not certified + and -."""
 
 
 class DepthError(GelfondError):
     """An iteration-depth cap was exceeded before reaching the target."""
-
-
-class MultipleSignChangeError(GelfondError):
-    """The coarse grid's certified signs do not run from + to -."""
 
 
 class DomainError(GelfondError):

@@ -81,23 +81,17 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
 def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
     """|partial sum of length q^n| via the amplitude product along the orbit.
 
-    The orbit point is kept reduced mod 1 at every level; a Fraction input is
-    iterated exactly.
+    The orbit of x (a float or a Fraction) is iterated exactly as a Fraction,
+    reduced mod 1 at every level, so no rounding is amplified by q^n.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     q, c = params.q, params.c
     acc = 1.0
-    if isinstance(x, Fraction):
-        xk = x % 1
-        for _ in range(n_levels):
-            acc *= _amp(q, float(xk) + c)
-            xk = (q * xk) % 1
-    else:
-        xk = float(x) % 1.0
-        for _ in range(n_levels):
-            acc *= _amp(q, xk + c)
-            xk = (q * xk) % 1.0
+    xk = Fraction(x) % 1
+    for _ in range(n_levels):
+        acc *= _amp(q, float(xk) + c)
+        xk = (q * xk) % 1
     return acc
 
 

@@ -7,8 +7,7 @@ time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
-cycle, the bisected coarse bracket by a scan of every grid point, and the
-scalar potential by its earlier u - round(u) form.  The batched verification
+cycle, and the scalar potential by its earlier u - round(u) form.  The batched verification
 layers (zoom passes of the exponent fit, the probe's transfer integral, the
 two shift grids) are checked against their earlier one-candidate,
 one-interval and one-t-at-a-time loops; those take the potential kernels as
@@ -154,36 +153,6 @@ def exact_window_holds(cycle, lam: float) -> bool:
     lo = cycle.points[-1] - Fraction(1, cycle.q)
     d = Fraction(lam) - lo
     return d - math.floor(d) <= cycle.points[0] - lo
-
-
-def linear_scan_bracket(q: int, c: float, balance, tol: float,
-                        guard: float = 1e-6, points: int = 64):
-    """The balance-zero bracket from a scan of all `points` grid points in
-    the guarded window (-1/q - c, -c), then bisection to width <= tol.
-    balance(lam) returns an object with .value and .err_bound.  Raises
-    AssertionError unless the certified signs on the grid change exactly
-    once, from + to -.  This is the scan the grid bisection replaced, kept
-    as its oracle."""
-    a = -1.0 / q - c + 2.0 * guard
-    b = -c - 2.0 * guard
-    signed = []
-    for i in range(points):
-        x = a + (b - a) * i / (points - 1)
-        v = balance(x)
-        if abs(v.value) > v.err_bound:
-            signed.append((x, 1 if v.value > 0 else -1))
-    flips = [i for i in range(len(signed) - 1)
-             if signed[i][1] != signed[i + 1][1]]
-    assert len(flips) == 1, f"{len(flips)} certified sign changes"
-    (lo, s_lo), (hi, s_hi) = signed[flips[0]], signed[flips[0] + 1]
-    assert s_lo > 0 > s_hi, "sign change oriented -,+"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if balance(mid).value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def amp_round_form(q: int, u: float) -> float:

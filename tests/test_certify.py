@@ -11,20 +11,18 @@ from fractions import Fraction as F
 import pytest
 
 import gelfond.certify as certify
-from gelfond import (BalanceValue, DomainError, GelfondCertificate,
-                     GelfondError, MultipleSignChangeError,
+from gelfond import (BalanceValue, DepthError, DomainError,
+                     GelfondCertificate, GelfondError, GuardError,
                      NonPeriodicReport, PotentialParams,
                      beta_curve, beta_period2_closed_form, build_cycle,
                      enumerate_cycles, exponent_table, find_balance_point,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
                      rotation_number, validity_interval, validity_table)
-from gelfond.certify import (COARSE_POINTS, DEFAULT_LAMBDA_TOL,
-                             period2_validity_q2)
+from gelfond.certify import DEFAULT_LAMBDA_TOL, period2_validity_q2
 from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
 from gelfond.potential import _f
 
-from conftest import (exact_window_holds, linear_scan_bracket,
-                      linear_scan_select)
+from conftest import exact_window_holds, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -370,7 +368,12 @@ class TestSelectionMatchesLinearScan:
                 assert (res["period"], res["rotation"]) == (period, rot)
 
     def test_depth_error_unchanged(self, outcomes):
-        assert outcomes(2, 0.18208128).startswith("DepthError: ")
+        assert outcomes(2, 0.18208148).startswith("DepthError: ")
+
+    def test_former_depth_error_c_is_a_gap(self, outcomes):
+        # the grid-started bracket met the depth cap here
+        res = outcomes(2, 0.18208128)
+        assert (res["status"], res["rotation"]) == ("nonperiodic", "15/17")
 
     def test_max_period_zero_rejected(self, outcomes):
         # c = 0.05 sits in the fixed point's window, which the walk reaches
@@ -454,32 +457,37 @@ def test_zero_tolerance_terminates(bracket):
     assert proc.returncode == 0, proc.stderr
 
 
-def bracket_outcome(fn):
-    """Bits of a bracket (lo, hi), or the error's type and text."""
-    try:
-        lo, hi = fn()
-    except GelfondError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return lo.hex(), hi.hex()
+# Balance calls per certificate: the two ends of the guarded window,
+# ceil(log2(width / DEFAULT_LAMBDA_TOL)) bisection steps for the window
+# width 1/q - 4 * WINDOW_GUARD, and the two window-endpoint checks.
+CALLS_PER_CERTIFICATE = {2: 43, 3: 43, 5: 42, 8: 41}
 
 
 class TestBracketMatchesLinearScan:
-    """_balance_bracket bisects the coarse grid; the scan of every grid point
-    it replaced (with its one-sign-change check) is the oracle."""
+    """The lambda bracket: the balance certified + at the start of the
+    guarded window and - at its end, then one bisection to
+    DEFAULT_LAMBDA_TOL.  The class keeps the name it had while the bracket
+    started from a coarse grid checked against a scan of every grid point;
+    the grid and that oracle are gone."""
 
     @staticmethod
-    def outcomes(q, c):
+    def check_invariants(q, c):
         params = PotentialParams(q, c)
-
-        def balance(lam):
-            return sturmian_balance(params, lam, DEFAULT_TARGET_ERR,
-                                    stop_on_sign=True)
-
-        new = bracket_outcome(
-            lambda: certify._balance_bracket(params, DEFAULT_LAMBDA_TOL))
-        old = bracket_outcome(
-            lambda: linear_scan_bracket(q, c, balance, DEFAULT_LAMBDA_TOL))
-        return new, old
+        glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
+        for lam, sign in ((glo, 1), (ghi, -1)):
+            v = sturmian_balance(params, lam, DEFAULT_TARGET_ERR,
+                                 stop_on_sign=True)
+            assert certify._certified_sign(v) == sign, (q, c, lam)
+        bra, brb = certify._balance_bracket(params, DEFAULT_LAMBDA_TOL)
+        assert glo <= bra < brb <= ghi
+        assert brb - bra <= DEFAULT_LAMBDA_TOL
+        res = gelfond_exponent(params)
+        assert res.lambda_star == 0.5 * (bra + brb)
+        if isinstance(res, GelfondCertificate):
+            assert res.lambda1 <= bra and brb <= res.lambda2
+            assert exact_window_holds(res.cycle, bra)
+            assert exact_window_holds(res.cycle, brb)
+        return res
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_seeded_mirror_pairs(self, q):
@@ -489,23 +497,20 @@ class TestBracketMatchesLinearScan:
             c = rng.random()
             cs += [c, (1.0 - c) % 1.0]
         for c in cs:
-            new, old = self.outcomes(q, c)
-            assert new == old, (q, c)
+            self.check_invariants(q, c)
 
     def test_validity_endpoints(self):
+        # 1e-9 inside each endpoint the row's cycle holds the bracket
         for row in VALIDITY_BASELINE[::len(VALIDITY_BASELINE) // 10][:10]:
-            c_lo, c_hi = row[4], row[5]
+            period, rot, _, _, c_lo, c_hi = row
             for c in (c_lo + 1e-9, c_hi - 1e-9):
-                new, old = self.outcomes(2, c % 1.0)
-                assert new == old, (row, c)
+                res = self.check_invariants(2, c % 1.0)
+                assert isinstance(res, GelfondCertificate), (row, c)
+                assert (res.cycle.period, str(res.cycle.rotation)) == (
+                    period, rot)
 
-    def test_depth_error_unchanged(self):
-        new, old = self.outcomes(2, 0.18208128)
-        assert new == old
-        assert new.startswith("DepthError: ")
-
-    def test_coarse_calls_logarithmic(self, monkeypatch):
-        # tol = inf skips the fine bisection, so every call is a grid probe
+    @pytest.mark.parametrize("q", sorted(CALLS_PER_CERTIFICATE))
+    def test_balance_calls_per_certificate(self, monkeypatch, q):
         calls = []
 
         def counting_balance(*args, **kwargs):
@@ -513,41 +518,22 @@ class TestBracketMatchesLinearScan:
             return sturmian_balance(*args, **kwargs)
 
         monkeypatch.setattr(certify, "sturmian_balance", counting_balance)
-        limit = 2 * math.ceil(math.log2(COARSE_POINTS)) + 2
-        rng = random.Random(17)
-        for q in (2, 3, 5, 8):
-            for c in [0.0, 8.0 / 21.0, 0.5] + [rng.random() for _ in range(5)]:
-                calls.clear()
-                certify._balance_bracket(PotentialParams(q, c), math.inf)
-                assert 2 <= len(calls) <= limit, (q, c, len(calls))
+        rng = random.Random(17 + q)
+        certified = 0
+        for c in [0.0, 0.5] + [rng.random() for _ in range(6)]:
+            calls.clear()
+            res = gelfond_exponent(PotentialParams(q, c))
+            if isinstance(res, GelfondCertificate):
+                certified += 1
+                assert len(calls) == CALLS_PER_CERTIFICATE[q], (q, c)
+        assert certified >= 2
 
-    def test_uncertified_points_stepped_over(self, monkeypatch):
-        # a decreasing stand-in balance whose sign cannot be certified in a
-        # band around its zero and at scattered points, ends included
-        rng = random.Random(23)
-        params = PotentialParams(2, 0.4)  # window (-0.9, -0.4)
-        for _ in range(300):
-            z = rng.uniform(-0.9, -0.4)
-            band = rng.choice([0.0, 0.004, 0.02, 0.1])
-            share = rng.choice([0, 50, 300, 900])
-
-            def balance(lam, z=z, band=band, share=share):
-                fuzzy = (abs(lam - z) < band
-                         or int(abs(lam) * 2.0 ** 40) * 2654435761 % 1000
-                         < share)
-                return BalanceValue(z - lam, 1.0 if fuzzy else 0.0, 1)
-
-            monkeypatch.setattr(certify, "sturmian_balance",
-                                lambda params, lam, *a, **k: balance(lam))
-            try:
-                new = certify._balance_bracket(params, 1e-9)
-            except MultipleSignChangeError:
-                new = None
-            try:
-                old = linear_scan_bracket(2, 0.4, balance, 1e-9)
-            except AssertionError:
-                old = None
-            assert new == old, (z, band, share)
+    def test_depth_error_unchanged(self):
+        # a bisection midpoint where |balance| is near 0 holds err_bound
+        # above target_err at every depth
+        with pytest.raises(DepthError, match=r"\(achieved 1\.360e-13\)$"):
+            certify._balance_bracket(PotentialParams(2, 0.18208148),
+                                     DEFAULT_LAMBDA_TOL)
 
     @pytest.mark.parametrize("value", [
         lambda lam: 1.0,                 # no sign change
@@ -558,7 +544,8 @@ class TestBracketMatchesLinearScan:
         monkeypatch.setattr(
             certify, "sturmian_balance",
             lambda params, lam, *a, **k: BalanceValue(value(lam), 0.0, 1))
-        with pytest.raises(MultipleSignChangeError):
+        with pytest.raises(GuardError, match=r"^no certified sign bracket "
+                                             r"in lambda for q=2, c=0\.4$"):
             certify._balance_bracket(PotentialParams(2, 0.4), 1e-12)
 
 

@@ -256,8 +256,9 @@ class TestBalance:
         assert a.value == pytest.approx(b.value, abs=1e-15)
 
 
-# a bisection midpoint of gelfond_exponent(q=2, c=0.18208128), where the
-# adaptive balance meets the depth cap (the known DepthError)
+# a lambda where the adaptive balance at q=2, c=0.18208128 meets the depth
+# cap: a bisection midpoint of that c's certificate while its bracket
+# started from a coarse grid
 DEPTH_ERROR_CALL = (2, 0.18208128, -0.5019579854163931)
 
 

@@ -63,7 +63,7 @@ class TestGelfondCommand:
         # at the default target_err this c raises DepthError; a looser one
         # is the way past it
         code, out, _ = run_cli(capsys, "gelfond", "--q", "2",
-                               "--c", "0.18208128", "--target-err", "2e-13")
+                               "--c", "0.18208148", "--target-err", "2e-13")
         assert code == 2
         assert "rotation = 15/17" in out.splitlines()
 
@@ -127,6 +127,42 @@ class TestBadInput:
     def test_cycles_q_one(self, capsys):
         self.assert_error(capsys, ["cycles", "--q", "1"],
                           "q must be an integer >= 2, got 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["validity", "--threads", "1"],
+        ["table2", "--threads", "1"],
+        ["beta-curve", "--resolution", "4", "--threads", "1"],
+        ["profile", "--lambda", "0.3"],
+        ["checks"],
+        ["verify", "--c", "0.3"],
+    ], ids=lambda argv: argv[0])
+    def test_q_one_rejected_before_output(self, capsys, argv):
+        self.assert_error(capsys, [*argv, "--q", "1"],
+                          "q must be an integer >= 2, got 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["validity", "--period", "2"],
+        ["table2"],
+        ["beta-curve", "--resolution", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_threads(self, capsys, argv):
+        self.assert_error(capsys, [*argv, "--threads", "-1"],
+                          "threads must be >= 0")
+
+    def test_checks_q2_needs_probe(self, capsys):
+        self.assert_error(capsys, ["checks", "--q", "2"],
+                          "q=2 has no inequality grid; give --probe-c")
+
+    def test_c_overflowing_a_float(self, capsys):
+        text = "1" + "0" * 400 + "/3"
+        self.assert_error(capsys, ["gelfond", "--c", text],
+                          f"phase {text!r} overflows a float")
+
+    def test_c_list_overflowing_a_float(self, capsys, tmp_path):
+        clist = tmp_path / "cs.txt"
+        clist.write_text("1/2\n1e400\n")
+        self.assert_error(capsys, ["table2", "--c-list", str(clist)],
+                          "phase '1e400' overflows a float")
 
     @pytest.mark.parametrize("argv, message", [
         (["--q", "1"], "q must be an integer >= 2, got 1"),
@@ -331,6 +367,15 @@ class TestVerifyAndChecks:
         assert "verify: PASS" in out
         assert fit_csv.read_text().startswith("n,gamma_n,excess_n,argmax_x")
         assert sigma_csv.read_text().startswith("x,abs_sigma")
+
+    def test_verify_exact_orbits(self, capsys):
+        # a float orbit iterated mod 1 drifted by q^n times its rounding
+        # here: worst rel err 1.059e-10, over the 1e-10 bound
+        code, out, _ = run_cli(capsys, "verify", "--q", "3", "--c", "1/4",
+                               "--n-max", "10")
+        assert code == 0
+        assert out.splitlines()[0] == ("product identity: worst rel err "
+                                       "4.825e-13 [PASS]")
 
     def test_checks_q3(self, capsys, tmp_path):
         jdir = tmp_path / "reports"

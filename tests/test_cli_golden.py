@@ -6,18 +6,20 @@ row-type refactor (validity_q2: before the exit-level cache and the
 math.remainder potential; beta_curve_q3_r64 and beta_curve_q8_r64: before
 the per-call potential memo and the bisected coarse bracket; validity_q2_p5:
 before the shared bisection and the period filter ahead of the c-roots;
-checks_q4_g64: before the batched zoom passes, probe sweep and shift-grid
-scan; gelfond_q2_8_21_text: before rotation_number and the staircase
-certified rotations through the cycle selection's exact windows alone;
 staircase_q2_p256, staircase_q3_p512 and staircase_q8_p256_m64: rewritten by
 the commit that replaced both float lifts with one exact Stern-Brocot walk,
-which made rho_estimate the exact rotation); the exit code is pinned here.  The
-files a run writes beside its stdout (verify --fit-csv, checks --json-dir)
-are pinned the same way, from tests/data/cli_files/, written at the same
-commit as checks_q4_g64.  A change that alters any certificate, CSV cell or
-JSON key fails this test, so refactors that claim byte-identical output can
-show it.  validity_q2 also pins every bisection sign of the c-roots, since
-each one moves a printed digit.
+which made rho_estimate the exact rotation; gelfond_q2_1_3, gelfond_q2_8_21,
+gelfond_q2_8_21_text, gelfond_q5_0_35 and checks_q4_g64: rewritten by the
+commit that replaced the lambda bracket's coarse grid with one bisection
+from the guarded window's certified ends, which moved lambda_star, and the
+centering theta and probe values derived from it, by less than 1e-12); the
+exit code is pinned here.  The files a run writes beside its stdout (verify
+--fit-csv, checks --json-dir) are pinned the same way, from
+tests/data/cli_files/; the checks files were rewritten with checks_q4_g64.
+A change that alters any certificate, CSV cell or JSON key fails this test,
+so refactors that claim byte-identical output can show it.  validity_q2 also
+pins every bisection sign of the c-roots, since each one moves a printed
+digit.
 """
 
 from pathlib import Path

@@ -86,6 +86,15 @@ class TestPolynomialSum:
         assert v_frac == pytest.approx(v_float, rel=1e-9)
         assert v_frac == pytest.approx(3.0 ** 5, rel=1e-12)
 
+    def test_float_orbit_iterated_exactly(self):
+        # a float x is iterated as its exact Fraction; the float orbit
+        # (3 * x) % 1.0 was off by 1.06e-10 here (30-digit value below)
+        params = PotentialParams(3, 0.25)
+        x = 0.8494859651863671
+        prod = modulus_product(params, 10, x)
+        assert prod == modulus_product(params, 10, F(x))
+        assert prod == pytest.approx(1.7403022109065756, rel=1e-15)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             polynomial_sum(PotentialParams(2, 0.5), 2 ** 24 + 1, 0.1)
