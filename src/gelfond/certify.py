@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,9 +359,13 @@ def _exponent_row(args) -> ExponentRow:
 
 
 def _pmap(fn, items, threads):
-    if not threads or threads <= 1 or len(items) <= 1:
+    """fn over items, in worker processes when more than one is useful: at
+    most one per item and one per core (the pool forks all of them up
+    front)."""
+    workers = min(threads or 1, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 
 

@@ -3,27 +3,28 @@
 Three families: the centering bound on where the balanced arc sits, two
 negativity grids for composite bounds controlling points reached by 1/q
 shifts of the arc, and a direct probe that the transfer-corrected potential
-is constant on the certified arc and strictly smaller outside.  These are
-numerical confirmations with explicit margins, not proofs; the margins double
-as regression baselines.  The probe's sample margin and pass thresholds are
-the PROBE_* constants, written into its report.
+is constant on the certified arc and strictly smaller outside.  The probe's
+transfer function psi is exact up to its truncation depth: each series term
+integrates in closed form over the inverse-branch images of an arc.  These
+are numerical confirmations with explicit margins, not proofs; the margins
+double as regression baselines.  The probe's sample margin and pass
+thresholds are the PROBE_* constants, written into its report.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .certify import GelfondCertificate, find_balance_point
+from .circle import _tau_pairs
 from .errors import GuardError
-from .potential import (PotentialParams, _f, _fp,
-                        potential_derivative_array)
+# potential_derivative_array is unused here: the benchmark tracer wraps it
+from .potential import PotentialParams, _f, _fp, potential_derivative_array
 
 BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
-MAX_PANEL = 0.005       # widest Gauss-Legendre panel of the probe quadrature
 PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
 PROBE_INSIDE_TOL = 1e-4      # the probe needs |F - beta| <= this on the arc
 PROBE_OUTSIDE_MARGIN = 1e-3  # and F < beta - this off the arc
@@ -58,6 +59,8 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     """
     if q < 3:
         raise ValueError("the centering bound applies to q >= 3")
+    if len(c_grid) == 0:
+        raise ValueError("the centering bound needs a nonempty c grid")
     lo = 3.0 / (8.0 * q)
     hi = 5.0 / (8.0 * q)
     worst = math.inf
@@ -149,60 +152,25 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
                - _f_map(q, one_q - t) - fp_t * (s - t) / (q - 1))))
 
 
-@functools.cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """24-point Gauss-Legendre nodes and weights on [-1, 1], built on first
-    use so that importing the package does not load numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(24)
+def _psi_differences(q: int, c: float, lam_mod: float, positions,
+                     depth: int) -> dict:
+    """psi(lam + p) - psi(lam) at each arc-length position p in [0, 1), in
+    one sweep over the sorted positions; psi' is the transfer series
+    sum_{n=1}^{depth} f_c'(tau^n y) / q^n.
 
-
-def _transfer_derivative_array(q: int, c: float, lam_mod: float,
-                               x: np.ndarray, depth: int) -> np.ndarray:
-    """Truncated series sum_{n>=1} f_c'(tau^n x) / q^n, pointwise."""
-    acc = np.zeros_like(x)
-    w = 1.0
-    y = np.asarray(x, dtype=float)
-    for _ in range(depth):
-        y = lam_mod + ((y - q * lam_mod) % 1.0) / q
-        w /= q
-        acc += w * potential_derivative_array(q, c, y)
-    return acc
-
-
-def _cumulative_transfer_integral(q: int, c: float, lam_mod: float,
-                                  positions: np.ndarray, depth: int,
-                                  breaks: list[float]):
-    """Integrals of the transfer derivative from the arc base to each
-    position (arc-length coordinates in [0, 1)), in one Gauss-Legendre sweep.
-
-    Panels split at the requested positions and at the forward orbit of the
-    branch cut (the only interior discontinuities of the truncated series).
+    On each image arc of tau^n the map is affine with slope q^-n, so the
+    n-th term integrates exactly to f_c(hi) - f_c(lo) there; _tau_pairs keeps
+    every image (nothing dropped) and splits at the cut.
     """
-    cuts = {0.0}
-    for p in positions:
-        cuts.add(float(p))
-    for br in breaks:
-        t = (br - lam_mod) % 1.0
-        if 0.0 < t < 1.0:
-            cuts.add(t)
-    grid = sorted(cuts)
-    nodes, weights = _gauss_rule()
-    halves, pts = [], []
-    for lo, hi in zip(grid, grid[1:]):
-        n_sub = max(1, int(math.ceil((hi - lo) / MAX_PANEL)))
-        edges = np.linspace(lo, hi, n_sub + 1)
-        halves.append(0.5 * (edges[1:] - edges[:-1]))
-        pts.append(0.5 * (edges[:-1] + edges[1:])[:, None]
-                   + halves[-1][:, None] * nodes)
-    # the series is pointwise: one call on every node, then each interval is
-    # reduced on its own rows, in the same shapes and order as one at a time
-    vals = _transfer_derivative_array(q, c, lam_mod,
-                                      lam_mod + np.concatenate(pts), depth)
-    cum, total = {0.0: 0.0}, 0.0
-    for hi, h, block in zip(grid[1:], halves, np.split(
-            vals, np.cumsum([len(h) for h in halves])[:-1])):
-        total += float(np.sum(h * (block @ weights)))
-        cum[hi] = total
+    cum, total, prev = {0.0: 0.0}, 0.0, 0.0
+    for p in sorted(positions):
+        pairs, terms = [((lam_mod + prev) % 1.0, p - prev)], []
+        for _ in range(depth):
+            pairs, _ = _tau_pairs(pairs, q, lam_mod, 0.0)
+            terms.extend(_f(q, lo + ln + c) - _f(q, lo + c)
+                         for lo, ln in pairs)
+        total += math.fsum(terms)
+        cum[p], prev = total, p
     return cum
 
 
@@ -211,24 +179,20 @@ def sturmian_condition_probe(params: PotentialParams,
                              samples: int = 50, depth: int = 30) -> GridReport:
     """Probe F = f_c + psi - psi o T against beta on and off the arc.
 
-    psi differences are quadratures of the truncated transfer-derivative
+    psi differences are exact integrals of the depth-truncated transfer
     series from the arc base (psi itself is only defined up to a constant).
     F should be constant (= beta) on the arc and strictly below beta outside;
     samples keep PROBE_MARGIN away from the arc endpoints and from the
     potential singularities.
     """
+    if params != certificate.params:
+        raise ValueError(f"params {params} differ from {certificate.params}")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     q, c = params.q, params.c
-    lam = certificate.lambda_star
-    lam_mod = lam % 1.0
+    lam_mod = certificate.lambda_star % 1.0
     beta = certificate.beta
     one_q = 1.0 / q
-
-    cut = (q * lam_mod) % 1.0
-    breaks = []
-    y = cut
-    for _ in range(depth + 1):
-        breaks.append(y)
-        y = (q * y) % 1.0
 
     singulars = [(-c + k / q) % 1.0 for k in range(1, q)]
     inside_x = [(lam_mod + float(t)) % 1.0
@@ -246,28 +210,23 @@ def sturmian_condition_probe(params: PotentialParams,
 
     # one cumulative sweep covers every psi difference needed: arcs of the
     # samples and of their forward images
-    arcs = set()
-    for x in inside_x + outside_x:
-        arcs.add((x - lam_mod) % 1.0)
-        arcs.add(((q * x) % 1.0 - lam_mod) % 1.0)
-    cum = _cumulative_transfer_integral(q, c, lam_mod,
-                                        np.array(sorted(arcs)), depth, breaks)
+    arcs = {(y - lam_mod) % 1.0 for x in inside_x + outside_x
+            for y in (x, (q * x) % 1.0)}
+    cum = _psi_differences(q, c, lam_mod, arcs, depth)
 
     def big_f(x_mod: float) -> float:
         arc = (x_mod - lam_mod) % 1.0
         arc_t = ((q * x_mod) % 1.0 - lam_mod) % 1.0
         return _f(q, x_mod + c) + cum[arc] - cum[arc_t]
 
-    inside_resid = 0.0
-    inside_worst = None
+    inside_resid, inside_worst = 0.0, None
     for x in inside_x:
         r = abs(big_f(x) - beta)
         if r > inside_resid:
             inside_resid = r
             inside_worst = x
 
-    outside_worst = -math.inf
-    outside_point = None
+    outside_worst, outside_point = -math.inf, None
     for x in outside_x:
         d = big_f(x) - beta
         if d > outside_worst:

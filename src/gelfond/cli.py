@@ -446,7 +446,8 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
                        help="output file (default stdout)")
         if threads:
             p.add_argument("--threads", type=int, default=defaults.threads,
-                           help="worker processes, 0 = all cores")
+                           help="worker processes, 0 = all cores; at most "
+                           "one per row and one per core")
 
     p = sub.add_parser("gelfond", help="certify beta(c) and gamma(c)")
     common(p)

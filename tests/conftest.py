@@ -8,10 +8,11 @@ the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
 cycle, and the scalar potential by its earlier u - round(u) form.  The batched verification
-layers (zoom passes of the exponent fit, the probe's transfer integral, the
-two shift grids) are checked against their earlier one-candidate,
-one-interval and one-t-at-a-time loops; those take the potential kernels as
-arguments, so nothing here imports gelfond.
+layers (zoom passes of the exponent fit, the two shift grids) are checked
+against their earlier one-candidate and one-t-at-a-time loops, and the
+probe's exact transfer function against a Gauss-Legendre quadrature of its
+derivative series; those take the potential kernels as arguments, so nothing
+here imports gelfond.
 """
 
 import math
@@ -238,8 +239,9 @@ def zoom_fit_loop(potential_array, q: int, c: float, n_max: int,
 def transfer_integral_loop(derivative_array, nodes, weights, q: int, c: float,
                            lam_mod: float, positions, depth: int, breaks,
                            max_panel: float = 0.005) -> dict:
-    """Cumulative transfer-derivative integrals, one series evaluation per
-    interval between cuts: the probe sweep before it was batched."""
+    """Cumulative integrals of the truncated transfer-derivative series by
+    24-point Gauss-Legendre panels, split at the positions and at the
+    forward orbit of the branch cut (breaks), one series call per interval."""
 
     def transfer(x):
         acc = np.zeros_like(x)

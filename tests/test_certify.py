@@ -220,6 +220,56 @@ class TestValidityIntervals:
         for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
             assert hi1 < lo2 + 1e-9
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_certified_c_inside_its_cycle_interval(self, q):
+        # the per-c certificate and the validity table are two routes to
+        # one answer; intervals are taken mod 1, since the period-1 ones
+        # wrap through 0
+        intervals = {}
+        for i in range(64):
+            res = gelfond_exponent(PotentialParams(q, i / 64))
+            if not isinstance(res, GelfondCertificate):
+                continue
+            if res.cycle not in intervals:
+                intervals[res.cycle] = validity_interval(q, res.cycle)
+            vi = intervals[res.cycle]
+            assert 0.0 < (i / 64 - vi.c_lo) % 1.0 < vi.c_hi - vi.c_lo
+        assert any(cy.period == 1 for cy in intervals)
+        assert len(intervals) > 10
+
+
+class TestPool:
+    """_pmap runs at most one worker per item and one per core: the pool
+    forks all max_workers processes at its first submit.  A fake executor
+    records the pool size, so no process is started."""
+
+    @pytest.mark.parametrize("threads, items, cores, workers", [
+        (5000, 57, 4, 4), (5000, 3, 64, 3), (2, 57, 64, 2),
+        (5000, 57, 1, None), (5000, 57, None, None), (1, 57, 64, None),
+        (0, 57, 64, None), (None, 57, 64, None), (8, 1, 64, None)])
+    def test_workers_clamped(self, monkeypatch, threads, items, cores,
+                             workers):
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, it):
+                return map(fn, it)
+
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: cores)
+        got = certify._pmap(abs, list(range(-items, 0)), threads)
+        assert got == list(range(items, 0, -1))
+        assert sizes == ([] if workers is None else [workers])
+
 
 class TestClosedForm:
     def test_matches_pipeline_at_50_points(self):

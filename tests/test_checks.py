@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-import gelfond.checks as checks
 from conftest import inner_shift_loop, outer_shift_loop, transfer_integral_loop
 from gelfond import (GelfondCertificate, PotentialParams,
                      centering_bound_check, gelfond_exponent,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
                      sturmian_condition_probe)
-from gelfond.checks import _transfer_derivative_array
+from gelfond.checks import _psi_differences
 from gelfond.potential import _f, _fp, potential_derivative_array
 
 
@@ -33,6 +32,11 @@ class TestCenteringBound:
         rep = centering_bound_check(3, [0.3])
         theta = rep.details["thetas"][0]
         assert 1.0 / 8.0 < theta < 5.0 / 24.0
+
+    def test_empty_grid_rejected(self):
+        # an empty grid would pass with worst_value inf and no worst point
+        with pytest.raises(ValueError, match="nonempty"):
+            centering_bound_check(3, [])
 
 
 class TestInnerShiftGrid:
@@ -126,15 +130,31 @@ class TestConditionProbe:
         assert rep.passed
 
     def test_transfer_series_truncation_bound(self):
-        # |psi'_depth - psi'_{depth+10}| <= M q^-depth / (q-1) pointwise
-        q, c = 2, 0.4
-        cert = _certificate(q, c)
-        lam = cert.lambda_star % 1.0
-        m_edge = max(abs(_fp(q, lam + c)), abs(_fp(q, lam + 0.5 + c)))
-        xs = np.linspace(0.02, 0.98, 23)
-        d1 = _transfer_derivative_array(q, c, lam, xs, 20)
-        d2 = _transfer_derivative_array(q, c, lam, xs, 30)
-        assert np.all(np.abs(d1 - d2) <= m_edge * 2.0 ** -20 / (q - 1) + 1e-15)
+        # |psi'_20 - psi'_30| <= M q^-20 / (q-1) pointwise, with M the larger
+        # endpoint |f_c'| on the base arc, so |psi_20(p) - psi_30(p)| is at
+        # most p times that, plus rounding
+        for q, c in [(2, 0.4), (3, 0.35)]:
+            cert = _certificate(q, c)
+            lam = cert.lambda_star % 1.0
+            m_edge = max(abs(_fp(q, lam + c)), abs(_fp(q, lam + 1 / q + c)))
+            ps = np.linspace(0.02, 0.98, 23).tolist()
+            psi20 = _psi_differences(q, c, lam, ps, 20)
+            psi30 = _psi_differences(q, c, lam, ps, 30)
+            for p in ps:
+                assert abs(psi20[p] - psi30[p]) <= \
+                    p * m_edge * float(q) ** -20 / (q - 1) + 1e-13
+
+    def test_params_must_match_certificate(self):
+        # another c with this certificate would get a plausible FAIL report
+        with pytest.raises(ValueError, match="differ"):
+            sturmian_condition_probe(PotentialParams(2, 0.3),
+                                     _certificate(2, 0.5))
+
+    def test_depth_zero_rejected(self):
+        # at depth 0 psi vanishes and the probe would fail
+        with pytest.raises(ValueError, match="depth"):
+            sturmian_condition_probe(PotentialParams(2, 0.5),
+                                     _certificate(2, 0.5), depth=0)
 
     def test_residual_decreases_with_depth(self):
         params = PotentialParams(2, 0.5)
@@ -152,9 +172,9 @@ def _hex(x):
 
 
 class TestBatchedScans:
-    """The shift grids evaluate every t row in one array and the probe runs
-    every quadrature node through one series call; both must equal the
-    earlier one-row and one-interval loops bit for bit."""
+    """The shift grids evaluate every t row in one array and must equal the
+    earlier one-row loops bit for bit; the probe's exact psi sweep must
+    agree with a Gauss-Legendre quadrature of its derivative series."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 8])
     def test_shift_grids_match_row_loops(self, q):
@@ -175,6 +195,7 @@ class TestBatchedScans:
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_transfer_integral_matches_interval_loop(self, q):
         rng = random.Random(500 + q)
+        nodes, weights = np.polynomial.legendre.leggauss(24)
         for _ in range(2):
             cert = gelfond_exponent(PotentialParams(q, rng.random()))
             while not isinstance(cert, GelfondCertificate):
@@ -185,27 +206,11 @@ class TestBatchedScans:
             for _ in range(depth + 1):
                 breaks.append(y)
                 y = (q * y) % 1.0
-            positions = np.array(sorted(rng.random() for _ in range(12)))
-            got = checks._cumulative_transfer_integral(q, c, lam, positions,
-                                                       depth, breaks)
-            nodes, weights = checks._gauss_rule()
+            positions = sorted(rng.random() for _ in range(12))
+            got = _psi_differences(q, c, lam, positions, depth)
             want = transfer_integral_loop(potential_derivative_array, nodes,
                                           weights, q, c, lam, positions,
                                           depth, breaks)
-            assert list(got) == list(want)
-            assert [_hex(v) for v in got.values()] == \
-                [_hex(v) for v in want.values()]
-
-    def test_probe_makes_depth_series_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return potential_derivative_array(*args)
-
-        cert = _certificate(3, 0.35)
-        monkeypatch.setattr(checks, "potential_derivative_array", counting)
-        rep = sturmian_condition_probe(PotentialParams(3, 0.35), cert,
-                                       samples=4, depth=12)
-        assert rep.passed
-        assert len(calls) == 12
+            assert sorted(got) == [0.0] + positions
+            for p in positions:
+                assert abs(got[p] - want[p]) <= 1e-12

@@ -12,10 +12,15 @@ which made rho_estimate the exact rotation; gelfond_q2_1_3, gelfond_q2_8_21,
 gelfond_q2_8_21_text, gelfond_q5_0_35 and checks_q4_g64: rewritten by the
 commit that replaced the lambda bracket's coarse grid with one bisection
 from the guarded window's certified ends, which moved lambda_star, and the
-centering theta and probe values derived from it, by less than 1e-12); the
-exit code is pinned here.  The files a run writes beside its stdout (verify
---fit-csv, checks --json-dir) are pinned the same way, from
-tests/data/cli_files/; the checks files were rewritten with checks_q4_g64.
+centering theta and probe values derived from it, by less than 1e-12;
+checks_q4_g64 again by the commit that replaced the condition probe's
+Gauss-Legendre quadrature of psi with the exact telescoped sum over the
+inverse-branch images, which moved the probe's worst value in its last
+printed digit and its inside residual by 5e-15); the exit code is pinned
+here.  The files a run writes beside its stdout (verify --fit-csv, checks
+--json-dir) are pinned the same way, from tests/data/cli_files/; the checks
+files were rewritten with checks_q4_g64 (only condition_probe.json changed
+the second time).
 A change that alters any certificate, CSV cell or JSON key fails this test,
 so refactors that claim byte-identical output can show it.  validity_q2 also
 pins every bisection sign of the c-roots, since each one moves a printed
