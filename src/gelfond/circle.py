@@ -60,10 +60,11 @@ def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
 @functools.lru_cache(maxsize=1)
 def _exit_levels(q: int, lam_mod: float, drop_tol: float):
     """Exit levels at one lambda, shared by the balance calls there (the
-    c-root bisection holds lambda fixed): entry n-1 is A_n's (pairs,
-    dropped) as _tau_pairs returns them, with A_1 = the base arc.  The list
-    grows lazily and depends on nothing but the key, so a cache hit gives
-    the same arcs and dropped masses as computing them afresh."""
+    c-root bisection holds lambda fixed) and by exit_sets: entry n-1 is
+    A_n's (pairs, dropped) as _tau_pairs returns them, with A_1 = the base
+    arc.  The list grows lazily and depends on nothing but the key, so a
+    cache hit gives the same arcs and dropped masses as computing them
+    afresh."""
     return [([(lam_mod, 1.0 / q)], 0.0)]
 
 
@@ -76,12 +77,10 @@ def exit_sets(q: int, lam: float,
     if depth > DEPTH_CAP:
         raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     lam_mod = lam % 1.0
-    pairs = [(lam_mod, 1.0 / q)]
-    out = [pairs]
-    for _ in range(depth - 1):
-        pairs, _ = _tau_pairs(pairs, q, lam_mod, DROP_TOL)
-        out.append(pairs)
-    return out
+    levels = _exit_levels(q, lam_mod, DROP_TOL)
+    for n in range(len(levels), depth):
+        levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod, DROP_TOL)]
+    return [list(pairs) for pairs, _ in levels[:depth]]
 
 
 @dataclass(frozen=True, slots=True)

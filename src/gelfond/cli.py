@@ -373,9 +373,10 @@ def cmd_verify(args) -> int:
     if isinstance(res, GelfondCertificate):
         fit = sup_exponent_fit(params, args.n_max, args.grid_size, res.beta)
         if args.fit_csv:
-            _emit_rows(args.fit_csv, ["n", "gamma_n", "excess_n", "argmax_x"],
-                       [[r.n, fmt(r.gamma_n), fmt(r.excess_n), fmt(r.argmax_x)]
-                        for r in fit])
+            _emit_rows(args.fit_csv,
+                       ["n", "gamma_n", "excess_n", "argmax_x", "excess_hi"],
+                       [[r.n, fmt(r.gamma_n), fmt(r.excess_n), fmt(r.argmax_x),
+                         fmt(r.excess_hi)] for r in fit])
         floor_ok = all(r.gamma_n >= res.gamma - 0.02 for r in fit)
         ok &= floor_ok
         print(f"exponent floor gamma_n >= gamma - 0.02: "

@@ -4,8 +4,9 @@ The coefficient of index n is exp(2*pi*i*c*S_q(n)) with S_q the base-q digit
 sum.  Partial sums of the associated trigonometric polynomial are computed
 two independent ways: a direct compensated complex sum, and (at lengths q^n)
 the product of amplitudes along the orbit of x under multiplication by q.
-Their agreement, the q-multiplicativity identity, and the growth-exponent
-fits are the empirical cross-checks on the certified exponents.
+Their agreement and the q-multiplicativity identity are empirical
+cross-checks; the sup-norm fit encloses log||sigma_{q^n}||_inf - n*beta on
+both sides, the paper's N^gamma growth measured against the certified beta.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from .potential import PotentialParams, _amp, potential_array
 
 DIRECT_SUM_CAP = 2 ** 24
 MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
+FIT_OVERSAMPLE = 8        # fit grid points per frequency of the longest sum
+FIT_GRID_CAP = 2 ** 21    # most fit grid points: a 16 MB table of f_c
+FIT_CHUNK = 2 ** 13       # grid points per array pass, bounding temporaries
+# per level: one potential value was off by <= 3.4e-11 where the amplitude
+# is >= 1e-4 (q <= 8, 48,000 grid points against 200-bit values)
+FIT_ROUNDING = 1e-10
 
 
 def digit_sum(q: int, n: int) -> int:
@@ -119,86 +126,57 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
 
 @dataclass(frozen=True)
 class ExponentFitRow:
+    """Level n of the sup-norm fit, N = q^n: log||sigma_N||_inf - n*beta
+    lies in [excess_n, excess_hi].  The grid maximum of log|sigma_N| is
+    attained at argmax_x; excess_n is it less n*beta, gamma_n it over
+    n log q."""
+
     n: int
     gamma_n: float
     excess_n: float
     argmax_x: float
-
-
-def _orbit_sums(q: int, c: float, xs: np.ndarray, n: int) -> np.ndarray:
-    """Sum of the potential along the first n orbit points of each x
-    (elementwise, any shape)."""
-    out = np.zeros_like(xs)
-    cur = xs.copy()
-    for _ in range(n):
-        out += potential_array(q, c, cur)
-        cur = (q * cur) % 1.0
-    return out
+    excess_hi: float
 
 
 def sup_exponent_fit(params: PotentialParams, n_max: int, grid_size: int,
-                     beta: float, *, top_k: int = 8, zoom: int = 33,
-                     zoom_passes: int = 3) -> list[ExponentFitRow]:
-    """Per-length growth exponents from grid maxima of the orbit sums.
+                     beta: float) -> list[ExponentFitRow]:
+    """Two-sided enclosure of log||sigma_{q^n}||_inf - n*beta, n <= n_max.
 
-    gamma_n = (max over x of sum_{k<n} f_c(q^k x)) / (n log q) and
-    excess_n = that max minus n*beta.  The base grid is refined by zoom
-    passes around the running maxima; the result is a lower bound for the
-    true sup, so gamma_n can undershoot by the residual grid slack.
+    log|sigma_{q^n}(x)| is the orbit sum S_n(x) = sum_{k<n} f_c(q^k x).  On
+    the grid i/K, q*(i/K) mod 1 is grid point (q*i) mod K, so each orbit is
+    exact by index into one table of f_c.  The lower end is the grid maximum
+    of S_n; the upper end is the smaller of Bernstein's bound (|sigma_N| is
+    pi(N-1)||sigma_N||-Lipschitz) and subadditivity (sup S_n <= sup S_m +
+    sup S_{n-m}), plus FIT_ROUNDING per level.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     q, c = params.q, params.c
-    log_q = math.log(q)
-    xs = np.arange(grid_size) / grid_size
-    sums = np.zeros_like(xs)
-    cur = xs.copy()
-    rows = []
-    carried: list[float] = []  # value-ranked seeds from the previous level;
-    # the base grid alone can die into a singularity at deep levels
+    size = max(grid_size, min(FIT_OVERSAMPLE * q ** n_max, FIT_GRID_CAP))
+    blocks = [(a, min(a + FIT_CHUNK, size)) for a in range(0, size, FIT_CHUNK)]
+    f = np.empty(size)
+    for a, b in blocks:
+        f[a:b] = potential_array(q, c, np.arange(a, b) / size)
+    best, at = [-math.inf] * n_max, [0] * n_max  # max of S_n, at grid point
+    for a, b in blocks:
+        j, sums = np.arange(a, b), np.zeros(b - a)
+        for n in range(n_max):
+            sums += f.take(j)
+            j *= q
+            j %= size
+            k = int(sums.argmax())
+            if sums[k] > best[n]:
+                best[n], at[n] = float(sums[k]), a + k
+    his = [0.0]  # his[m]: upper end at level m; sigma_1 = 1 has excess 0
     for n in range(1, n_max + 1):
-        sums += potential_array(q, c, cur)
-        cur = (q * cur) % 1.0
-        order = np.argsort(sums)[::-1][:top_k]
-        finite = [i for i in order if math.isfinite(sums[i])]
-        cands, seen = [], set()
-        for x in [float(xs[i]) for i in finite] + carried:
-            key = round(x, 13)
-            if key not in seen:
-                seen.add(key)
-                cands.append(x)
-        if finite:
-            best_val = float(sums[finite[0]])
-            best_x = float(xs[finite[0]])
-        else:
-            best_val = -math.inf
-            best_x = float(xs[0])
-        entries = [(best_val, x) for x in cands]
-        spacing = 1.0 / grid_size
-        for _ in range(zoom_passes):
-            # window spans two previous grid steps so a peak adjacent to the
-            # chosen sample cannot fall outside the next pass
-            half = 2.0 * spacing
-            if entries:
-                # one row per candidate, one orbit-sum pass for all rows
-                grid = (np.array([x for _, x in entries])[:, None]
-                        + np.linspace(-half, half, zoom)) % 1.0
-                vals = _orbit_sums(q, c, grid, n)
-                at = (np.arange(len(entries)), np.argmax(vals, axis=1))
-                entries = list(zip(vals[at].tolist(), grid[at].tolist()))
-                for v, x in entries:
-                    if v > best_val:
-                        best_val, best_x = v, x
-            spacing = 2.0 * half / (zoom - 1)
-        # the next level's peaks sit near inverse-branch images of this
-        # level's peaks, since S_{n+1}(x) = f(x) + S_n(q x mod 1); keep the
-        # children of the best-valued parents
-        entries.sort(key=lambda t: -t[0])
-        seeds = [x for _, x in entries[:top_k]] + [best_x]
-        carried = [((s + j) / q) % 1.0 for s in seeds for j in range(q)]
-        rows.append(ExponentFitRow(n, best_val / (n * log_q),
-                                   best_val - n * beta, best_x))
-    return rows
+        # the sup is at most the grid maximum over 1 - arg, for arg < 1
+        arg = math.pi * (q ** n - 1) / (2 * size)
+        his.append(min([his[m] + his[n - m] for m in range(1, n)] + [
+            best[n - 1] - n * beta - math.log1p(-arg) + n * FIT_ROUNDING
+            if arg < 1 else math.inf]))
+    return [ExponentFitRow(n, top / (n * math.log(q)), top - n * beta,
+                           i / size, his[n])
+            for n, top, i in zip(range(1, n_max + 1), best, at)]
 
 
 def polynomial_profile(params: PotentialParams, N: int,

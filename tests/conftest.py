@@ -7,12 +7,11 @@ time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
-cycle, and the scalar potential by its earlier u - round(u) form.  The batched verification
-layers (zoom passes of the exponent fit, the two shift grids) are checked
-against their earlier one-candidate and one-t-at-a-time loops, and the
-probe's exact transfer function against a Gauss-Legendre quadrature of its
-derivative series; those take the potential kernels as arguments, so nothing
-here imports gelfond.
+cycle, and the scalar potential by its earlier u - round(u) form.  The two
+batched shift grids are checked against their earlier one-t-at-a-time loops,
+and the probe's exact transfer function against a Gauss-Legendre quadrature
+of its derivative series; those take the potential kernels as arguments, so
+nothing here imports gelfond.
 """
 
 import math
@@ -175,65 +174,6 @@ def f_round_form(q: int, u: float) -> float:
     if a == 0.0:
         return float("-inf")
     return math.log(a)
-
-
-def zoom_fit_loop(potential_array, q: int, c: float, n_max: int,
-                  grid_size: int, beta: float, top_k: int = 8, zoom: int = 33,
-                  zoom_passes: int = 3) -> list[tuple]:
-    """(n, gamma_n, excess_n, argmax_x) per level, one orbit-sum pass per
-    zoom candidate: the exponent fit before its passes were batched."""
-
-    def orbit_sums(xs, n):
-        out = np.zeros_like(xs)
-        cur = xs.copy()
-        for _ in range(n):
-            out += potential_array(q, c, cur)
-            cur = (q * cur) % 1.0
-        return out
-
-    log_q = math.log(q)
-    xs = np.arange(grid_size) / grid_size
-    sums = np.zeros_like(xs)
-    cur = xs.copy()
-    rows = []
-    carried = []
-    for n in range(1, n_max + 1):
-        sums += potential_array(q, c, cur)
-        cur = (q * cur) % 1.0
-        order = np.argsort(sums)[::-1][:top_k]
-        finite = [i for i in order if math.isfinite(sums[i])]
-        cands, seen = [], set()
-        for x in [float(xs[i]) for i in finite] + carried:
-            key = round(x, 13)
-            if key not in seen:
-                seen.add(key)
-                cands.append(x)
-        if finite:
-            best_val = float(sums[finite[0]])
-            best_x = float(xs[finite[0]])
-        else:
-            best_val = -math.inf
-            best_x = float(xs[0])
-        entries = [(best_val, x) for x in cands]
-        spacing = 1.0 / grid_size
-        for _ in range(zoom_passes):
-            half = 2.0 * spacing
-            refined = []
-            for _, ctr in entries:
-                grid = ctr + np.linspace(-half, half, zoom)
-                vals = orbit_sums(grid % 1.0, n)
-                j = int(np.argmax(vals))
-                refined.append((float(vals[j]), float(grid[j] % 1.0)))
-                if vals[j] > best_val:
-                    best_val = float(vals[j])
-                    best_x = float(grid[j] % 1.0)
-            entries = refined
-            spacing = 2.0 * half / (zoom - 1)
-        entries.sort(key=lambda t: -t[0])
-        seeds = [x for _, x in entries[:top_k]] + [best_x]
-        carried = [((s + j) / q) % 1.0 for s in seeds for j in range(q)]
-        rows.append((n, best_val / (n * log_q), best_val - n * beta, best_x))
-    return rows
 
 
 def transfer_integral_loop(derivative_array, nodes, weights, q: int, c: float,

@@ -365,7 +365,8 @@ class TestVerifyAndChecks:
                                "--sigma-csv", str(sigma_csv))
         assert code == 0
         assert "verify: PASS" in out
-        assert fit_csv.read_text().startswith("n,gamma_n,excess_n,argmax_x")
+        assert fit_csv.read_text().startswith(
+            "n,gamma_n,excess_n,argmax_x,excess_hi\n")
         assert sigma_csv.read_text().startswith("x,abs_sigma")
 
     def test_verify_exact_orbits(self, capsys):

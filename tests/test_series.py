@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 import gelfond.series as series
-from conftest import zoom_fit_loop
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit)
@@ -186,6 +185,7 @@ class TestSupExponentFit:
         for r in rows:
             assert r.gamma_n >= res.gamma - 0.02
             assert 0.0 <= r.argmax_x < 1.0
+            assert r.excess_n <= r.excess_hi
 
     def test_excess_bounded(self):
         params = PotentialParams(2, 0.25)
@@ -196,64 +196,98 @@ class TestSupExponentFit:
         assert late <= early + 0.5
 
     def test_mirror_gamma_sequences(self):
-        # dyadic grid, no zoom: the two fits share exact orbit arithmetic
+        # 1 - i/K is grid point K - i, and negation mod K commutes with the
+        # orbit map, so the two fits sum the same orbits mirrored
         pa = PotentialParams(2, 0.3)
         pb = PotentialParams(2, 0.7)
-        ra = sup_exponent_fit(pa, 10, 4096, 0.51, zoom_passes=0)
-        rb = sup_exponent_fit(pb, 10, 4096, 0.51, zoom_passes=0)
+        ra = sup_exponent_fit(pa, 10, 4096, 0.51)
+        rb = sup_exponent_fit(pb, 10, 4096, 0.51)
         for a, b in zip(ra, rb):
             assert a.gamma_n == pytest.approx(b.gamma_n, abs=1e-12)
-
-
-def _fit_hex(rows):
-    return [(r[0], *(float.hex(v) for v in r[1:])) for r in rows]
-
-
-class TestBatchedZoomPasses:
-    """The zoom passes run every candidate through one orbit-sum call; the
-    rows must equal the one-candidate-at-a-time loop bit for bit."""
+            assert a.excess_hi == pytest.approx(b.excess_hi, abs=1e-12)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
-    def test_matches_per_candidate_loop(self, q):
+    def test_matches_fraction_orbit_oracle(self, q):
+        # the oracle iterates grid points' orbits as exact Fractions
         rng = random.Random(1000 + q)
-        for _ in range(3):
-            c = rng.random()
-            n_max = rng.choice([5, 8])
-            grid = rng.choice([64, 200, 256])
-            beta = rng.random()
-            rows = sup_exponent_fit(PotentialParams(q, c), n_max, grid, beta)
-            got = _fit_hex([(r.n, r.gamma_n, r.excess_n, r.argmax_x)
-                            for r in rows])
-            assert got == _fit_hex(zoom_fit_loop(potential_array, q, c,
-                                                 n_max, grid, beta))
+        n_max = 3
+
+        def orbit_sums(c, x):
+            out, total = [], 0.0
+            for _ in range(n_max):
+                total += _f(q, float(x) + c)
+                out.append(total)
+                x = (q * x) % 1
+            return out
+
+        # a small grid, checked whole; then two FIT_CHUNK blocks with the
+        # level-1 peak, near x = 1 - c, in the second block
+        for grid, c in ((64, rng.random()),
+                        (2 * series.FIT_CHUNK, rng.random() / 2)):
+            rows = sup_exponent_fit(PotentialParams(q, c), n_max, grid, 0.0)
+            size = max(grid, min(series.FIT_OVERSAMPLE * q ** n_max,
+                                 series.FIT_GRID_CAP))
+            for r in rows:
+                i = round(r.argmax_x * size)
+                assert i / size == r.argmax_x
+                assert r.excess_n == pytest.approx(
+                    orbit_sums(c, F(i, size))[r.n - 1], abs=1e-12)
+            if grid == 64:
+                sums = [orbit_sums(c, F(i, size)) for i in range(size)]
+                for r in rows:
+                    assert r.excess_n == pytest.approx(
+                        max(s[r.n - 1] for s in sums), abs=1e-12)
+
+    @pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5), (5, 3)])
+    def test_encloses_direct_sum_maximum(self, q, n_max):
+        # the direct sum shares no code with the fit; its dense grid holds
+        # the fit grid, so its maximum lies in [lower end, upper end]
+        params = PotentialParams(q, 0.3)
+        beta = gelfond_exponent(params).beta
+        rows = sup_exponent_fit(params, n_max, 64, beta)
+        dense = 4 * series.FIT_OVERSAMPLE * q ** n_max
+        for r in rows:
+            peak = max(v for _, v in polynomial_profile(params, q ** r.n,
+                                                        dense))
+            excess = math.log(peak) - r.n * beta
+            assert r.excess_n - 1e-9 <= excess <= r.excess_hi
+
+    def test_peak_found_at_quarter(self):
+        # the zoom search this replaced reported 0.210 here
+        params = PotentialParams(2, 0.25)
+        rows = sup_exponent_fit(params, 14, 1024,
+                                gelfond_exponent(params).beta)
+        assert rows[13].excess_n >= 0.29
+        assert rows[13].excess_n <= rows[13].excess_hi
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
-    def test_empty_candidate_level(self, q):
-        # one grid point on an amplitude zero: level 1 has no finite sample
-        # and no carried seed, so its zoom passes have no candidate
-        c = 1.0 / q
-        rows = sup_exponent_fit(PotentialParams(q, c), 3, 1, 0.5)
-        assert rows[0].gamma_n == -math.inf
-        got = _fit_hex([(r.n, r.gamma_n, r.excess_n, r.argmax_x)
-                        for r in rows])
-        assert got == _fit_hex(zoom_fit_loop(potential_array, q, c, 3, 1,
-                                             0.5))
+    def test_zero_amplitude_grid_points(self, q):
+        # at c = 1/q the amplitude vanishes at grid point 0 (and at every
+        # point whose orbit reaches it), whose orbit sums are -inf
+        rows = sup_exponent_fit(PotentialParams(q, 1.0 / q), 4, 1, 0.5)
+        for r in rows:
+            assert math.isfinite(r.excess_n)
+            assert r.excess_n <= r.excess_hi < math.inf
 
-    @pytest.mark.parametrize("top_k", [2, 8])
-    def test_potential_calls_do_not_grow_with_candidates(self, monkeypatch,
-                                                         top_k):
-        calls = []
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_potential_evaluated_once_per_grid_point(self, monkeypatch, q):
+        sizes = []
 
-        def counting(*args):
-            calls.append(1)
-            return potential_array(*args)
+        def counting(q, c, x):
+            sizes.append(len(x))
+            return potential_array(q, c, x)
 
         monkeypatch.setattr(series, "potential_array", counting)
-        n_max = 5
-        sup_exponent_fit(PotentialParams(3, 0.3), n_max, 256, 0.5,
-                         top_k=top_k)
-        # one call per base level, then one per orbit step of each pass
-        assert len(calls) == n_max + 3 * n_max * (n_max + 1) // 2 == 50
+        # a grid within one FIT_CHUNK block is evaluated in one call
+        sup_exponent_fit(PotentialParams(q, 0.3), 3, 256, 0.5)
+        assert sizes == [max(256, series.FIT_OVERSAMPLE * q ** 3)]
+        sizes.clear()
+        # a grid of several blocks is evaluated once, block by block
+        n_max = {2: 16, 8: 5}[q]
+        size = series.FIT_OVERSAMPLE * q ** n_max
+        sup_exponent_fit(PotentialParams(q, 0.3), n_max, 256, 0.5)
+        assert sum(sizes) == size
+        assert sizes == [series.FIT_CHUNK] * (size // series.FIT_CHUNK)
 
 
 class TestProfileAndSample:
