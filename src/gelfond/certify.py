@@ -1,12 +1,12 @@
 """Certified computation of the Gelfond exponent gamma(q;c).
 
 Pipeline: locate the unique zero lam* of the balance integral inside the
-admissible window W_c = (-1/q - c, -c); take the rotation number at the
-bracket midpoint (sturmian.rotation_number, one exact Stern-Brocot walk) and
-accept its witness cycle when its period is at most max_period and its
-arc-base window holds the whole bisection bracket; certify a strict sign
-change of the balance integral at the ends of W_c intersected with that
-window; then evaluate
+admissible window W_c = (-1/q - c, -c); take the rotation number at lam*
+(sturmian.rotation_number, one exact Stern-Brocot walk) and accept its
+witness cycle when its period is at most max_period, lam* lies strictly
+inside its arc-base window intersected with W_c, and the balance integral
+has a certified sign change at the two ends of that intersection; then
+evaluate
 
     beta(c)  = mean of the potential over the exact cycle points,
     gamma(c) = beta(c) / log q.
@@ -17,8 +17,10 @@ intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
 gives clean brackets.  The lambda zero and the c-roots share one routine:
 certify the sign + at the start of the guarded window and - at its end
-(GuardError if either is uncertified), then bisect to a fixed width,
-DEFAULT_LAMBDA_TOL in lambda and DEFAULT_VALIDITY_TOL in c.
+(GuardError if either is uncertified), then bisect on certified signs only,
+to a fixed width (DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c)
+or until a midpoint's sign is uncertain, which is then the bracket's
+midpoint.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -87,18 +89,18 @@ class GelfondCertificate:
 
 @dataclass(frozen=True, slots=True)
 class NonPeriodicReport:
-    """Honest failure: no cycle of the allowed periods certifies this c."""
+    """Honest failure: no cycle of the allowed periods certifies this c;
+    rotation is the rotation number at lambda_star."""
 
     params: PotentialParams
     lambda_star: float
-    rotation: RationalRotation | IrrationalRotation | None
+    rotation: RationalRotation | IrrationalRotation
     reason: str
 
     def to_json_dict(self) -> dict:
         rot = self.rotation
-        rot_json = (str(rot.value) if isinstance(rot, RationalRotation)
-                    else {"estimate": rot.value, "uncertainty": rot.uncertainty}
-                    if isinstance(rot, IrrationalRotation) else None)
+        rot_json = (str(rot.value) if isinstance(rot, RationalRotation) else
+                    {"estimate": rot.value, "uncertainty": rot.uncertainty})
         return {
             "schema_version": 1,
             "q": self.params.q,
@@ -135,14 +137,18 @@ def _certified_sign(v: BalanceValue) -> int:
 
 
 def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Halve [a, b], balance positive at a and negative at b, on the sign of
-    balance_at(mid).value until b - a <= tol or no float lies strictly
-    between a and b."""
+    """Halve [a, b], balance certified positive at a and negative at b,
+    moving an end only on a certified sign at the midpoint, until b - a <=
+    tol, no float lies strictly between a and b, or the midpoint's sign is
+    uncertain (that midpoint is then the midpoint of the returned bracket)."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
-        if balance_at(mid).value > 0.0:
+        sign = _certified_sign(balance_at(mid))
+        if sign == 0:
+            break
+        if sign > 0:
             a = mid
         else:
             b = mid
@@ -151,8 +157,8 @@ def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def _sign_bracket(balance_at, a: float, b: float, tol: float,
                   what: str) -> tuple[float, float]:
-    """Certify balance_at positive at a and negative at b, then bisect to
-    width <= tol; GuardError, naming what, when either sign is uncertified."""
+    """Certify balance_at positive at a and negative at b, then bisect
+    (_bisect); GuardError, naming what, when either sign is uncertified."""
     if not _certified_sign(balance_at(a)) > 0 > _certified_sign(balance_at(b)):
         raise GuardError(f"no certified sign bracket in {what}")
     return _bisect(balance_at, a, b, tol)
@@ -162,7 +168,7 @@ def _balance_bracket(params: PotentialParams, tol: float, *,
                      target_err: float = DEFAULT_TARGET_ERR
                      ) -> tuple[float, float]:
     """Bracket the balance zero in lambda, from the guarded window W_c down
-    to width <= tol."""
+    to width <= tol or an uncertain midpoint."""
     def balance_at(lam):
         return sturmian_balance(params, lam, target_err, stop_on_sign=True)
 
@@ -183,25 +189,6 @@ def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float
     return total / cycle.period
 
 
-def _select(q: int, bra: float, brb: float, max_period: int
-            ) -> tuple[RationalRotation | IrrationalRotation,
-                       tuple[float, float] | None]:
-    """The rotation number at the bracket midpoint lam, and the float window
-    (lo + k, hi + k) of its witness cycle, k = round(lam - (lo + hi)/2), when
-    that cycle has period <= max_period and the window holds [bra, brb];
-    None when the bracket straddles a window edge or lies in no window of
-    the allowed periods."""
-    lam = 0.5 * (bra + brb)
-    rot = rotation_number(q, lam, max(64, 4 * max_period))
-    if isinstance(rot, RationalRotation) and rot.cycle.period <= max_period:
-        win = lambda_window(rot.cycle)
-        lo, hi = float(win.lo), float(win.hi)
-        k = round(lam - 0.5 * (lo + hi))
-        if lo + k <= bra and brb <= hi + k:
-            return rot, (lo + k, hi + k)
-    return rot, None
-
-
 def gelfond_exponent(params: PotentialParams,
                      max_period: int = DEFAULT_MAX_PERIOD, *,
                      target_err: float = DEFAULT_TARGET_ERR):
@@ -213,26 +200,29 @@ def gelfond_exponent(params: PotentialParams,
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     q, c = params.q, params.c
-    glo, ghi = _guarded_window(-1.0 / q - c, -c)
     bra, brb = _balance_bracket(params, DEFAULT_LAMBDA_TOL,
                                 target_err=target_err)
     lam_star = 0.5 * (bra + brb)
-    assert -1.0 / q - c < lam_star < -c  # lifted: c+lam in (-1/q, 0)
-
-    rot, window = _select(q, bra, brb, max_period)
-    if window is None:
+    rot = rotation_number(q, lam_star, max(64, 4 * max_period))
+    if not (isinstance(rot, RationalRotation)
+            and rot.cycle.period <= max_period):
         return NonPeriodicReport(
             params, lam_star, rot,
             f"no cycle of period <= {max_period} has a window containing the "
             f"balance-zero bracket",
         )
-    # l1 <= bra < l2: bra lies in both windows, below both upper ends
-    l1, l2 = max(window[0], glo), min(window[1], ghi)
+    # the exact window holds lam* less an integer, which k recovers
+    win = lambda_window(rot.cycle)
+    lo, hi = float(win.lo), float(win.hi)
+    k = round(lam_star - 0.5 * (lo + hi))
+    glo, ghi = _guarded_window(-1.0 / q - c, -c)
+    l1, l2 = max(lo + k, glo), min(hi + k, ghi)
     v1 = sturmian_balance(params, l1, target_err, stop_on_sign=True)
     v2 = sturmian_balance(params, l2, target_err, stop_on_sign=True)
-    if not (_certified_sign(v1) > 0 > _certified_sign(v2)):
+    if not (l1 < lam_star < l2
+            and _certified_sign(v1) > 0 > _certified_sign(v2)):
         return NonPeriodicReport(
-            params, lam_star, None,
+            params, lam_star, rot,
             "balance signs at the window endpoints could not be certified "
             "beyond their error bounds",
         )

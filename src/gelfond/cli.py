@@ -33,8 +33,8 @@ from .errors import GelfondError, GuardError
 from .potential import PotentialParams
 from .series import (modulus_product, multiplicativity_check,
                      polynomial_profile, polynomial_sum, sup_exponent_fit)
-from .sturmian import (IrrationalRotation, RationalRotation, enumerate_cycles,
-                       lambda_window, rotation_staircase)
+from .sturmian import (IrrationalRotation, enumerate_cycles, lambda_window,
+                       rotation_staircase)
 
 CONFIG_ENV_VAR = "GELFOND_CONFIG"
 
@@ -185,7 +185,7 @@ def _print_gelfond(res, as_json: bool) -> int:
             if isinstance(rot, IrrationalRotation):
                 print(f"rotation estimate = {fmt(rot.value)} "
                       f"+- {fmt(rot.uncertainty)}")
-            elif isinstance(rot, RationalRotation):
+            else:
                 print(f"rotation = {rot.value}")
         return 2
     assert isinstance(res, GelfondCertificate)

@@ -18,7 +18,8 @@ that holds an arc base, with that window's cycle as witness, or the exact
 interval between the two adjacent windows it passes once the denominators
 exceed the cap.  The staircase and the nonperiodic report need that walk, so
 a certificate picks its cycle through it too (certify.gelfond_exponent): the
-witness is accepted when its float window holds the whole bisection bracket.
+walk runs at the balance zero lam*, and the witness is accepted when certified
+balance signs at the ends of its window put lam* strictly inside.
 """
 
 from __future__ import annotations

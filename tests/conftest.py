@@ -221,11 +221,13 @@ def _shift_ts(q: int, t_steps: int, off: float = 1e-6):
 
 def inner_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
                      off: float = 1e-6) -> tuple:
-    """(worst, (t, s)) of the inner-shift grid, one t row at a time."""
+    """(worst, (t, s), rows) of the inner-shift grid, one t row at a time;
+    rows holds every row's values, in t order."""
     one_q = 1.0 / q
     log_q = math.log(q)
     worst = -math.inf
     worst_point = None
+    rows = []
     for t in _shift_ts(q, t_steps, off):
         f_t = f(q, t)
         fp_t = fp(q, t)
@@ -233,20 +235,23 @@ def inner_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
         a_vals = np.log(np.sin(np.pi * s) / np.sin(np.pi * (one_q + s)))
         b_vals = log_q - f_t - fp_t * (one_q - t - s) / (q - 1)
         h = a_vals + b_vals
+        rows.append(h)
         j = int(np.argmax(h))
         if h[j] > worst:
             worst = float(h[j])
             worst_point = (float(t), float(s[j]))
-    return worst, worst_point
+    return worst, worst_point, rows
 
 
 def outer_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
                      off: float = 1e-6) -> tuple:
-    """(worst, (t, s)) of the outer-shift grid, one t row at a time."""
+    """(worst, (t, s), rows) of the outer-shift grid, one t row at a time;
+    rows holds every row's values, in t order."""
     one_q = 1.0 / q
     log_q = math.log(q)
     worst = -math.inf
     worst_point = None
+    rows = []
     for t in _shift_ts(q, t_steps, off):
         f_t = f(q, t)
         fp_t = fp(q, t)
@@ -258,11 +263,12 @@ def outer_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
         f_inner = np.array([f(q, float(w)) for w in inner])
         v_vals = log_q - f_t + f_inner - f_qt - fp_t * (s - t) / (q - 1)
         g = u_vals + v_vals
+        rows.append(g)
         j = int(np.argmax(g))
         if g[j] > worst:
             worst = float(g[j])
             worst_point = (float(t), float(s[j]))
-    return worst, worst_point
+    return worst, worst_point, rows
 
 
 @pytest.fixture

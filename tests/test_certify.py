@@ -1,5 +1,5 @@
 import dataclasses
-import functools
+import itertools
 import math
 import os
 import pickle
@@ -159,10 +159,12 @@ class TestCertificateContract:
         assert res.to_json_dict()["status"] == "nonperiodic"
 
     def test_nonperiodic_rotation_window_holds_lambda_star(self):
-        # the bracket straddles an edge of the 2/5 window; the lift
-        # estimate's best approximation was 21/53, whose window misses lam*
+        # lam* lies 3e-13 inside the lower edge of the 2/5 window, where the
+        # balance sign is not certified; the lift estimate's best
+        # approximation was 21/53, whose window misses lam*
         res = gelfond_exponent(PotentialParams(2, 0.6128191359788798))
         assert isinstance(res, NonPeriodicReport)
+        assert res.reason.startswith("balance signs at the window endpoints")
         assert res.rotation.value == F(2, 5)
         assert exact_window_holds(res.rotation.cycle, res.lambda_star)
         assert res.to_json_dict()["rotation"] == "2/5"
@@ -353,16 +355,13 @@ class TestBetaCurve:
 
 class TestSelectionMatchesLinearScan:
     """gelfond_exponent, which selects through rotation_number, against the
-    linear scan over enumerate_cycles it replaced, on the same bracket: a
-    certificate carries the scanned cycle and its guarded window ends, the
-    endpoint-sign report follows a scanned cycle, and the gap report one
-    the scan does not find, with the rotation of the bracket midpoint."""
+    linear scan over enumerate_cycles it replaced, at the balance zero lam*:
+    a certificate carries the scanned cycle and its guarded window ends, and
+    every report carries the rotation number at lam*, whose witness is the
+    scanned cycle when the scan finds one."""
 
     @pytest.fixture
-    def outcomes(self, monkeypatch):
-        # the pipeline and the oracle share one bracket evaluation
-        monkeypatch.setattr(certify, "_balance_bracket",
-                            functools.cache(certify._balance_bracket))
+    def outcomes(self):
         scans = {}
 
         def run(q, c, max_period=13):
@@ -373,9 +372,8 @@ class TestSelectionMatchesLinearScan:
                 return f"{type(exc).__name__}: {exc}"
             if (q, max_period) not in scans:
                 scans[q, max_period] = enumerate_cycles(q, max_period)
-            bra, brb = certify._balance_bracket(
-                params, DEFAULT_LAMBDA_TOL, target_err=DEFAULT_TARGET_ERR)
-            picked = linear_scan_select(scans[q, max_period], bra, brb)
+            lam = res.lambda_star
+            picked = linear_scan_select(scans[q, max_period], lam, lam)
             if isinstance(res, GelfondCertificate):
                 assert picked is not None
                 cyc, k = picked
@@ -384,12 +382,11 @@ class TestSelectionMatchesLinearScan:
                 assert res.cycle == cyc
                 assert res.lambda1 == max(float(win.lo) + k, glo)
                 assert res.lambda2 == min(float(win.hi) + k, ghi)
-            elif res.rotation is None:
-                assert picked is not None
             else:
-                assert picked is None
                 assert res.rotation == rotation_number(
-                    q, res.lambda_star, max(64, 4 * max_period))
+                    q, lam, max(64, 4 * max_period))
+                if picked is not None:
+                    assert res.rotation.cycle == picked[0]
             return res.to_json_dict()
 
         return run
@@ -468,7 +465,8 @@ def test_max_period_rejected_before_any_balance_call(monkeypatch):
 
 # Bisects to tolerance 0 from a certified sign bracket: the lambda bracket at
 # q = 2, c = 1/3, or the c-root at the upper window end of the q = 2
-# period-2 cycle.  The bisection must stop at two adjacent floats.
+# period-2 cycle.  The bisection must stop at two adjacent floats or at a
+# midpoint whose sign is uncertain.
 ZERO_TOL_BISECTION = """
 import math, sys
 from fractions import Fraction
@@ -491,7 +489,9 @@ else:
         return sturmian_balance(PotentialParams(2, c % 1.0), lam_e,
                                 stop_on_sign=True)
 lo, hi = certify._bisect(balance_at, a, b, 0.0)
-assert a <= lo < hi <= b and math.nextafter(lo, math.inf) == hi, (lo, hi)
+assert a <= lo < hi <= b, (lo, hi)
+assert (math.nextafter(lo, math.inf) == hi or certify._certified_sign(
+    balance_at(0.5 * (lo + hi))) == 0), (lo, hi)
 """
 
 
@@ -509,16 +509,25 @@ def test_zero_tolerance_terminates(bracket):
 
 # Balance calls per certificate: the two ends of the guarded window,
 # ceil(log2(width / DEFAULT_LAMBDA_TOL)) bisection steps for the window
-# width 1/q - 4 * WINDOW_GUARD, and the two window-endpoint checks.
+# width 1/q - 4 * WINDOW_GUARD, and the two window-endpoint checks; fewer
+# when the bisection stops at a midpoint whose sign is uncertain.
 CALLS_PER_CERTIFICATE = {2: 43, 3: 43, 5: 42, 8: 41}
+
+
+def bracket_done(params, bra, brb):
+    """The lambda bracket's stopping rule: width <= DEFAULT_LAMBDA_TOL, or a
+    midpoint whose balance sign is uncertain."""
+    return brb - bra <= DEFAULT_LAMBDA_TOL or certify._certified_sign(
+        sturmian_balance(params, 0.5 * (bra + brb), DEFAULT_TARGET_ERR,
+                         stop_on_sign=True)) == 0
 
 
 class TestBracketMatchesLinearScan:
     """The lambda bracket: the balance certified + at the start of the
-    guarded window and - at its end, then one bisection to
-    DEFAULT_LAMBDA_TOL.  The class keeps the name it had while the bracket
-    started from a coarse grid checked against a scan of every grid point;
-    the grid and that oracle are gone."""
+    guarded window and - at its end, then one bisection on certified signs
+    to DEFAULT_LAMBDA_TOL or an uncertain midpoint.  The class keeps the
+    name it had while the bracket started from a coarse grid checked against
+    a scan of every grid point; the grid and that oracle are gone."""
 
     @staticmethod
     def check_invariants(q, c):
@@ -530,13 +539,14 @@ class TestBracketMatchesLinearScan:
             assert certify._certified_sign(v) == sign, (q, c, lam)
         bra, brb = certify._balance_bracket(params, DEFAULT_LAMBDA_TOL)
         assert glo <= bra < brb <= ghi
-        assert brb - bra <= DEFAULT_LAMBDA_TOL
+        assert bracket_done(params, bra, brb)
         res = gelfond_exponent(params)
         assert res.lambda_star == 0.5 * (bra + brb)
         if isinstance(res, GelfondCertificate):
-            assert res.lambda1 <= bra and brb <= res.lambda2
-            assert exact_window_holds(res.cycle, bra)
-            assert exact_window_holds(res.cycle, brb)
+            assert res.lambda1 < res.lambda_star < res.lambda2
+            assert certify._certified_sign(res.v1) > 0
+            assert certify._certified_sign(res.v2) < 0
+            assert exact_window_holds(res.cycle, res.lambda_star)
         return res
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
@@ -550,14 +560,26 @@ class TestBracketMatchesLinearScan:
             self.check_invariants(q, c)
 
     def test_validity_endpoints(self):
-        # 1e-9 inside each endpoint the row's cycle holds the bracket
-        for row in VALIDITY_BASELINE[::len(VALIDITY_BASELINE) // 10][:10]:
+        # at and within 1e-9 of sampled endpoints any certificate names its
+        # row's cycle; nearer than 1e-12 whether one certifies depends on
+        # where the bisection's points fall, so only the points 1e-9 inside
+        # must certify
+        certified = 0
+        for row in VALIDITY_BASELINE[::4]:
             period, rot, _, _, c_lo, c_hi = row
-            for c in (c_lo + 1e-9, c_hi - 1e-9):
-                res = self.check_invariants(2, c % 1.0)
-                assert isinstance(res, GelfondCertificate), (row, c)
-                assert (res.cycle.period, str(res.cycle.rotation)) == (
-                    period, rot)
+            for c, off in itertools.product(
+                    (c_lo, c_hi), (0.0, 1e-12, -1e-12, 1e-9, -1e-9)):
+                try:
+                    res = self.check_invariants(2, (c + off) % 1.0)
+                except DepthError:
+                    continue
+                if isinstance(res, GelfondCertificate):
+                    certified += 1
+                    assert (res.cycle.period, str(res.cycle.rotation)) == (
+                        period, rot)
+                else:
+                    assert off != (1e-9 if c == c_lo else -1e-9), (row, c)
+        assert certified > 2 * len(VALIDITY_BASELINE[::4])
 
     @pytest.mark.parametrize("q", sorted(CALLS_PER_CERTIFICATE))
     def test_balance_calls_per_certificate(self, monkeypatch, q):
@@ -575,7 +597,14 @@ class TestBracketMatchesLinearScan:
             res = gelfond_exponent(PotentialParams(q, c))
             if isinstance(res, GelfondCertificate):
                 certified += 1
-                assert len(calls) == CALLS_PER_CERTIFICATE[q], (q, c)
+                n = len(calls)
+                bra, brb = certify._balance_bracket(res.params,
+                                                    DEFAULT_LAMBDA_TOL)
+                if brb - bra <= DEFAULT_LAMBDA_TOL:
+                    assert n == CALLS_PER_CERTIFICATE[q], (q, c)
+                else:  # stopped at an uncertain midpoint
+                    assert bracket_done(res.params, bra, brb), (q, c)
+                    assert n < CALLS_PER_CERTIFICATE[q], (q, c)
         assert certified >= 2
 
     def test_depth_error_unchanged(self):
@@ -597,6 +626,63 @@ class TestBracketMatchesLinearScan:
         with pytest.raises(GuardError, match=r"^no certified sign bracket "
                                              r"in lambda for q=2, c=0\.4$"):
             certify._balance_bracket(PotentialParams(2, 0.4), 1e-12)
+
+
+# The certificates at the symmetric c = 0 and 1/2 before the bisection moved
+# only on certified signs: (base digit, rotation, beta as float.hex).
+SYMMETRIC_C = {
+    (2, 0.0): (0, F(0), "0x1.62e42fefa39efp-1"),
+    (2, 0.5): (0, F(1, 2), "0x1.193ea7aad030cp-1"),
+    (3, 0.0): (0, F(0), "0x1.193ea7aad030bp+0"),
+    (3, 0.5): (1, F(0), "0x1.193ea7aad030bp+0"),
+    (5, 0.0): (0, F(0), "0x1.9c041f7ed8d33p+0"),
+    (5, 0.5): (2, F(0), "0x1.9c041f7ed8d33p+0"),
+    (8, 0.0): (0, F(0), "0x1.0a2b23f3bab73p+1"),
+    (8, 0.5): (3, F(1, 2), "0x1.bc442b08a53a4p+0"),
+}
+
+
+class TestCertifiedSigns:
+    """The bisection moves an end only on a certified sign and stops at a
+    midpoint whose sign is uncertain; at the symmetric c = 0 and 1/2 that is
+    its first midpoint, which becomes lam*."""
+
+    @pytest.mark.parametrize("value", [1e-3, -1e-3])
+    def test_uncertain_first_midpoint_moves_no_end(self, value):
+        seen = []
+
+        def balance_at(x):
+            seen.append(x)
+            return BalanceValue(value, 1.0, 1)
+
+        assert certify._bisect(balance_at, 0.0, 1.0, 1e-12) == (0.0, 1.0)
+        assert seen == [0.5]
+
+    def test_search_stops_at_the_uncertain_midpoint(self):
+        # the sign of 0.3 - x is certified only farther than 0.01 from 0.3
+        seen = []
+
+        def balance_at(x):
+            seen.append(x)
+            return BalanceValue(0.3 - x, 0.01, 1)
+
+        a, b = certify._bisect(balance_at, 0.0, 1.0, 1e-12)
+        assert seen == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
+        assert (a, b) == (0.28125, 0.3125)
+        assert 0.5 * (a + b) == seen[-1]
+        assert certify._certified_sign(balance_at(a)) == 1
+        assert certify._certified_sign(balance_at(b)) == -1
+
+    @pytest.mark.parametrize("q, c", sorted(SYMMETRIC_C))
+    def test_symmetric_c_stops_at_the_guarded_midpoint(self, q, c):
+        # the balance vanishes at the guarded window's midpoint, the
+        # bisection's first point
+        res = cert(q, c)
+        digit, rotation, beta = SYMMETRIC_C[q, c]
+        assert (res.cycle.base_digit, res.cycle.rotation) == (digit, rotation)
+        assert res.beta == float.fromhex(beta)
+        glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
+        assert res.lambda_star == 0.5 * (glo + ghi)
 
 
 class TestCompactRecords:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import inner_shift_loop, outer_shift_loop, transfer_integral_loop
+import gelfond.checks as checks
 from gelfond import (GelfondCertificate, PotentialParams,
                      centering_bound_check, gelfond_exponent,
                      inner_shift_negativity_grid, outer_shift_negativity_grid,
@@ -173,11 +174,22 @@ def _hex(x):
 
 class TestBatchedScans:
     """The shift grids evaluate every t row in one array and must equal the
-    earlier one-row loops bit for bit; the probe's exact psi sweep must
-    agree with a Gauss-Legendre quadrature of its derivative series."""
+    earlier one-row loops bit for bit, at every grid point and not only the
+    worst one, where the f'(t) term vanishes; the probe's exact psi sweep
+    must agree with a Gauss-Legendre quadrature of its derivative series."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 8])
-    def test_shift_grids_match_row_loops(self, q):
+    def test_shift_grids_match_row_loops(self, q, monkeypatch):
+        scanned = []
+        scan = checks._shift_scan
+
+        def capturing(q, t_steps, s_steps, s_span, quantity):
+            def recorded(*args):
+                scanned.append(quantity(*args))
+                return scanned[-1]
+            return scan(q, t_steps, s_steps, s_span, recorded)
+
+        monkeypatch.setattr(checks, "_shift_scan", capturing)
         rng = random.Random(300 + q)
         for _ in range(3):
             t_steps, s_steps = rng.randint(10, 150), rng.randint(10, 150)
@@ -185,12 +197,16 @@ class TestBatchedScans:
             if q >= 4:
                 grids.append((outer_shift_negativity_grid, outer_shift_loop))
             for grid, loop in grids:
+                scanned.clear()
                 rep = grid(q, t_steps, s_steps)
-                worst, point = loop(_f, _fp, q, t_steps, s_steps)
+                worst, point, rows = loop(_f, _fp, q, t_steps, s_steps)
                 assert _hex(rep.worst_value) == _hex(worst)
                 assert [_hex(v) for v in rep.worst_point] == \
                     [_hex(v) for v in point]
                 assert rep.passed == (worst < 0.0)
+                [values] = scanned
+                assert values.shape == (t_steps, s_steps)
+                assert np.array_equal(values, np.array(rows))
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_transfer_integral_matches_interval_loop(self, q):

@@ -20,7 +20,10 @@ printed digit and its inside residual by 5e-15); the exit code is pinned
 here.  The files a run writes beside its stdout (verify --fit-csv, checks
 --json-dir) are pinned the same way, from tests/data/cli_files/; the checks
 files were rewritten with checks_q4_g64 (only condition_probe.json changed
-the second time).
+the second time), and centering.json alone by the commit that made the
+bisection move an end only on a certified sign: at c = 1/2 the balance sign
+at the guarded window's midpoint is uncertain, so that midpoint is lambda_star
+and the centering theta is exactly 0.125 = 1/(2q), not 0.12499999999954525.
 A change that alters any certificate, CSV cell or JSON key fails this test,
 so refactors that claim byte-identical output can show it.  validity_q2 also
 pins every bisection sign of the c-roots, since each one moves a printed

@@ -8,7 +8,6 @@ import gelfond.sturmian as sturmian
 from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
                      enumerate_cycles, lambda_window, rotation_number,
                      rotation_staircase)
-from gelfond.certify import _select
 
 from conftest import exact_window_holds, linear_scan_select
 from reference_tables import PRINTED_TABLE1
@@ -90,27 +89,19 @@ class TestBuildCycle:
             build_cycle(2, 1, F(1, 2))
 
 
-def select(q, bra, brb, max_period):
-    """gelfond_exponent's selection for a bracket: (cycle, shifted float
-    window) of the rotation_number witness it accepts, or None."""
-    rot, window = _select(q, bra, brb, max_period)
-    return None if window is None else (rot.cycle, window)
-
-
-def scan_select(cycles, bra, brb):
-    """The oracle's (cycle, k) in the same form as select."""
-    got = linear_scan_select(cycles, bra, brb)
-    if got is None:
-        return None
-    cyc, k = got
-    win = lambda_window(cyc)
-    return cyc, (float(win.lo) + k, float(win.hi) + k)
+def select(q, lam, max_period):
+    """gelfond_exponent's cycle at the balance zero lam: the rotation_number
+    witness when its period is at most max_period, else None."""
+    rot = rotation_number(q, lam, max(64, 4 * max_period))
+    if isinstance(rot, RationalRotation) and rot.cycle.period <= max_period:
+        return rot.cycle
+    return None
 
 
 class TestSelectCycle:
     """A certificate's cycle: the witness of one exact rotation_number walk
-    at the bracket midpoint, accepted when its float window holds the
-    bracket."""
+    at the balance zero lam*, against a linear scan of every float window
+    at that single point."""
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_windows_ordered_by_rotation(self, q):
@@ -126,9 +117,10 @@ class TestSelectCycle:
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_matches_linear_scan(self, q, monkeypatch):
-        # brackets of the certificate's width: uniform over the lifted
-        # range of lam, within 2e-12 of a window edge, or ending on one (at
-        # q = 5 and 8 some adjacent windows share a float edge)
+        # points uniform over the lifted range of lam, within 2e-12 of a
+        # window edge, or on one; within rounding of an edge (at q = 5 and 8
+        # some adjacent windows share a float edge) the exact window of the
+        # reduced point lam % 1.0, which the walk reads, decides
         built = []
         cached = sturmian.build_cycle
 
@@ -141,43 +133,43 @@ class TestSelectCycle:
         edges = [float(e) for c in cycles
                  for e in (lambda_window(c).lo, lambda_window(c).hi)]
         rng = random.Random(q)
-        found = 0
+        found = on_edge = 0
         for max_period in (1, 3, 13):
             scan = [c for c in cycles if c.period <= max_period]
             for i in range(600):
-                width = rng.uniform(4e-13, 1e-12)
                 edge = rng.choice(edges) + rng.choice((-1, 0))
                 if i % 3 == 0:
-                    bra = rng.uniform(-1.0 - 1.0 / q, 0.0)
+                    lam = rng.uniform(-1.0 - 1.0 / q, 0.0)
                 elif i % 3 == 1:
-                    bra = edge + rng.uniform(-2e-12, 2e-12)
+                    lam = edge + rng.uniform(-2e-12, 2e-12)
                 else:
-                    bra = edge - rng.choice((width, 0.0))
-                brb = bra + width
+                    lam = edge
                 built.clear()
-                got = select(q, bra, brb, max_period)
-                assert got == scan_select(scan, bra, brb)
+                got = select(q, lam, max_period)
+                picked = linear_scan_select(scan, lam, lam)
+                if any(abs((lam - e + 0.5) % 1.0 - 0.5) <= 1e-15
+                       for e in edges):
+                    on_edge += 1
+                    assert got is None or exact_window_holds(got, lam % 1.0)
+                    assert got is None or picked is not None
+                else:
+                    assert got == (None if picked is None else picked[0])
                 if got is not None:
+                    assert exact_window_holds(got, lam % 1.0)
                     assert len(built) <= max_period
                     found += 1
-        assert found > 600
+        assert found > 600 and on_edge >= 600
 
     def test_denominator_cap(self):
         # the 9/14 window of q=2 holds its own midpoint only from period 14
         win = lambda_window(build_cycle(2, 0, F(9, 14)))
         mid = float((win.lo + win.hi) / 2)
-        assert select(2, mid - 1e-13, mid + 1e-13, 13) is None
-        cyc, window = select(2, mid - 1e-13, mid + 1e-13, 14)
+        assert select(2, mid, 13) is None
+        assert linear_scan_select(enumerate_cycles(2, 13), mid, mid) is None
+        cyc = select(2, mid, 14)
         assert cyc.rotation == F(9, 14)
-        assert window == (float(win.lo), float(win.hi))
-
-    def test_straddled_edge_selects_nothing(self):
-        win = lambda_window(build_cycle(2, 0, F(1, 2)))
-        lo = float(win.lo)
-        assert select(2, lo - 1e-13, lo + 1e-13, 13) is None
-        cyc, window = select(2, lo + 1e-13, lo + 3e-13, 13)
-        assert cyc.rotation == F(1, 2)
-        assert window == (lo, float(win.hi))
+        assert linear_scan_select(enumerate_cycles(2, 14), mid, mid) == (
+            cyc, 0)
 
 
 class TestRotationNumber:
