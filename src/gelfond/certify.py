@@ -35,8 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import (BalanceValue, DEFAULT_TARGET_ERR, WINDOW_GUARD,
-                     sturmian_balance)
+from .circle import BalanceValue, WINDOW_GUARD, sturmian_balance
 from .errors import DomainError, GuardError
 from .potential import PotentialParams, _f
 from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
@@ -164,13 +163,12 @@ def _sign_bracket(balance_at, a: float, b: float, tol: float,
     return _bisect(balance_at, a, b, tol)
 
 
-def _balance_bracket(params: PotentialParams, tol: float, *,
-                     target_err: float = DEFAULT_TARGET_ERR
-                     ) -> tuple[float, float]:
+def _balance_bracket(params: PotentialParams,
+                     tol: float) -> tuple[float, float]:
     """Bracket the balance zero in lambda, from the guarded window W_c down
     to width <= tol or an uncertain midpoint."""
     def balance_at(lam):
-        return sturmian_balance(params, lam, target_err, stop_on_sign=True)
+        return sturmian_balance(params, lam, stop_on_sign=True)
 
     a, b = _guarded_window(-1.0 / params.q - params.c, -params.c)
     return _sign_bracket(balance_at, a, b, tol,
@@ -190,8 +188,7 @@ def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float
 
 
 def gelfond_exponent(params: PotentialParams,
-                     max_period: int = DEFAULT_MAX_PERIOD, *,
-                     target_err: float = DEFAULT_TARGET_ERR):
+                     max_period: int = DEFAULT_MAX_PERIOD):
     """Certified beta(c) and gamma(c), or a NonPeriodicReport.
 
     The period-1 fixed points participate like any other cycle, so c = 0
@@ -200,8 +197,7 @@ def gelfond_exponent(params: PotentialParams,
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     q, c = params.q, params.c
-    bra, brb = _balance_bracket(params, DEFAULT_LAMBDA_TOL,
-                                target_err=target_err)
+    bra, brb = _balance_bracket(params, DEFAULT_LAMBDA_TOL)
     lam_star = 0.5 * (bra + brb)
     rot = rotation_number(q, lam_star, max(64, 4 * max_period))
     if not (isinstance(rot, RationalRotation)
@@ -217,8 +213,8 @@ def gelfond_exponent(params: PotentialParams,
     k = round(lam_star - 0.5 * (lo + hi))
     glo, ghi = _guarded_window(-1.0 / q - c, -c)
     l1, l2 = max(lo + k, glo), min(hi + k, ghi)
-    v1 = sturmian_balance(params, l1, target_err, stop_on_sign=True)
-    v2 = sturmian_balance(params, l2, target_err, stop_on_sign=True)
+    v1 = sturmian_balance(params, l1, stop_on_sign=True)
+    v2 = sturmian_balance(params, l2, stop_on_sign=True)
     if not (l1 < lam_star < l2
             and _certified_sign(v1) > 0 > _certified_sign(v2)):
         return NonPeriodicReport(

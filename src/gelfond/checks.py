@@ -159,14 +159,14 @@ def _psi_differences(q: int, c: float, lam_mod: float, positions,
     sum_{n=1}^{depth} f_c'(tau^n y) / q^n.
 
     On each image arc of tau^n the map is affine with slope q^-n, so the
-    n-th term integrates exactly to f_c(hi) - f_c(lo) there; _tau_pairs keeps
-    every image (nothing dropped) and splits at the cut.
+    n-th term integrates exactly to f_c(hi) - f_c(lo) there; _tau_pairs
+    splits each arc at the cut, as for the balance.
     """
     cum, total, prev = {0.0: 0.0}, 0.0, 0.0
     for p in sorted(positions):
         pairs, terms = [((lam_mod + prev) % 1.0, p - prev)], []
         for _ in range(depth):
-            pairs, _ = _tau_pairs(pairs, q, lam_mod, 0.0)
+            pairs = _tau_pairs(pairs, q, lam_mod)
             terms.extend(_f(q, lo + ln + c) - _f(q, lo + c)
                          for lo, ln in pairs)
         total += math.fsum(terms)

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from .errors import DepthError, GuardError
 from .potential import PotentialParams, _f, _fp
 
-DROP_TOL = 1e-15          # parts shorter than this are dropped (deficit tracked)
 WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
 DEPTH_CAP = 400           # truncation-depth cap
 DEFAULT_TARGET_ERR = 1e-13
 
 
-def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
-    """Apply the inverse branch to (lo, len) pairs; returns (pairs, dropped).
+def _tau_pairs(pairs, q: int, lam_mod: float):
+    """Apply the inverse branch to (lo, len) pairs; returns every image.
 
     Each arc is lifted into [q*lam, q*lam+1) via t = (lo - q*lam) mod 1 and
     mapped affinely to [lam + t/q, ...); an arc straddling the lift cut
@@ -38,34 +37,25 @@ def _tau_pairs(pairs, q: int, lam_mod: float, drop_tol: float):
     """
     qlam = (q * lam_mod) % 1.0
     out = []
-    dropped = 0.0
     for lo, ln in pairs:
         t = (lo - qlam) % 1.0
         if t + ln <= 1.0:
-            pieces = ((lam_mod + t / q, ln / q),)
+            out.append(((lam_mod + t / q) % 1.0, ln / q))
         else:
             l1 = 1.0 - t
-            pieces = (
-                (lam_mod + t / q, l1 / q),
-                (lam_mod, (ln - l1) / q),
-            )
-        for plo, pln in pieces:
-            if pln < drop_tol:
-                dropped += pln
-            else:
-                out.append((plo % 1.0, pln))
-    return out, dropped
+            out.append(((lam_mod + t / q) % 1.0, l1 / q))
+            out.append((lam_mod % 1.0, (ln - l1) / q))
+    return out
 
 
 @functools.lru_cache(maxsize=1)
-def _exit_levels(q: int, lam_mod: float, drop_tol: float):
+def _exit_levels(q: int, lam_mod: float):
     """Exit levels at one lambda, shared by the balance calls there (the
     c-root bisection holds lambda fixed) and by exit_sets: entry n-1 is
-    A_n's (pairs, dropped) as _tau_pairs returns them, with A_1 = the base
-    arc.  The list grows lazily and depends on nothing but the key, so a
-    cache hit gives the same arcs and dropped masses as computing them
-    afresh."""
-    return [([(lam_mod, 1.0 / q)], 0.0)]
+    A_n's arcs as _tau_pairs returns them, with A_1 = the base arc.  The
+    list grows lazily and depends on nothing but the key, so a cache hit
+    gives the same arcs as computing them afresh."""
+    return [[(lam_mod, 1.0 / q)]]
 
 
 def exit_sets(q: int, lam: float,
@@ -77,10 +67,10 @@ def exit_sets(q: int, lam: float,
     if depth > DEPTH_CAP:
         raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     lam_mod = lam % 1.0
-    levels = _exit_levels(q, lam_mod, DROP_TOL)
+    levels = _exit_levels(q, lam_mod)
     for n in range(len(levels), depth):
-        levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod, DROP_TOL)]
-    return [list(pairs) for pairs, _ in levels[:depth]]
+        levels[n:n + 1] = [_tau_pairs(levels[n - 1], q, lam_mod)]
+    return [list(pairs) for pairs in levels[:depth]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +88,6 @@ class BalanceValue:
 
 def sturmian_balance(params: PotentialParams, lam: float,
                      target_err: float = DEFAULT_TARGET_ERR, *,
-                     drop_tol: float = DROP_TOL,
                      stop_on_sign: bool = False,
                      depth: int | None = None) -> BalanceValue:
     """Certified evaluation of the exit-weighted derivative integral.
@@ -106,10 +95,12 @@ def sturmian_balance(params: PotentialParams, lam: float,
     Each truncation level adds the exact integral of f_c' over A_n as a sum
     of potential differences at the arc endpoints; the tail after depth N is
     bounded by M * q^-N / (q-1) with M the larger endpoint |f_c'| on the base
-    arc (f_c' is monotone there).  Depth grows until the bound meets
-    target_err, or with stop_on_sign until the sign is certified.  A fixed
-    `depth` overrides the adaptive choice; its bound is the one an adaptive
-    call stopping at that depth reports.
+    arc (f_c' is monotone there); every image arc is kept, so that tail is
+    the whole bound.  Depth grows until the bound meets target_err (a
+    DepthError only for a target below M * q^-DEPTH_CAP / (q-1)), or with
+    stop_on_sign until the sign is certified.  A fixed `depth` overrides
+    the adaptive choice; its bound is the one an adaptive call stopping at
+    that depth reports.
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
@@ -131,24 +122,20 @@ def sturmian_balance(params: PotentialParams, lam: float,
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + one_q)))
 
     lam_mod = lam % 1.0
-    levels = _exit_levels(q, lam_mod, drop_tol)
+    levels = _exit_levels(q, lam_mod)
     f = _f  # bound per call, so a patched circle._f still applies
     fs: dict[float, float] = {}  # f is pure; nested levels share endpoints
     terms: list[float] = []
     running = 0.0
     comp = 0.0  # Kahan carry for the running sign check
-    dropped = 0.0
     tail_mass = 1.0 / (q - 1)
     n = 0
     while n < (DEPTH_CAP if depth is None else depth):
         if n == len(levels):
             # a slice store, not append: if another thread added level n
             # first, this rewrites it with the same value
-            levels[n:n + 1] = [_tau_pairs(levels[n - 1][0], q, lam_mod,
-                                          drop_tol)]
-        dropped += levels[n][1]
-        n += 1
-        for lo, ln in levels[n - 1][0]:
+            levels[n:n + 1] = [_tau_pairs(levels[n - 1], q, lam_mod)]
+        for lo, ln in levels[n]:
             fu = fs.get(u := lo + ln + c)
             if fu is None:
                 fu = fs[u] = f(q, u)
@@ -161,8 +148,9 @@ def sturmian_balance(params: PotentialParams, lam: float,
             s = running + y
             comp = (s - running) - y
             running = s
+        n += 1
         tail_mass /= q
-        err = m_edge * (tail_mass + dropped * q / (q - 1))
+        err = m_edge * tail_mass
         if depth is None:
             if err <= target_err:
                 break

@@ -4,8 +4,7 @@ Output is deterministic: fixed column orders, 15-significant-digit reals,
 rationals as num/den, no timestamps.  Worker processes (``--threads``) feed
 an order-preserving map, so parallel runs emit identical bytes.
 
-The certifier's tolerances are module constants, not flags; the one that
-can be set is the balance error bound, ``gelfond --target-err``.
+The certifier's tolerances are module constants, not flags.
 
 Exit codes: 0 success, 1 partial/other failure or bad input (printed as
 ``error: ...``), 2 nonperiodic report, 3 guard violation.
@@ -28,7 +27,7 @@ from .certify import (DEFAULT_MAX_PERIOD, GelfondCertificate,
                       gelfond_exponent, validity_table)
 from .checks import (centering_bound_check, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_condition_probe)
-from .circle import DEFAULT_TARGET_ERR, exit_time_profile
+from .circle import exit_time_profile
 from .errors import GelfondError, GuardError
 from .potential import PotentialParams
 from .series import (modulus_product, multiplicativity_check,
@@ -45,7 +44,6 @@ class RunConfig:
 
     q: int = 2
     max_period: int = DEFAULT_MAX_PERIOD
-    v_target_err: float = DEFAULT_TARGET_ERR
     grid_size: int = 1024
     threads: int = 0  # 0 means all available cores
     output: str = ""  # empty means stdout
@@ -73,7 +71,7 @@ def load_config(path: str | None) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"unknown config key: {key}")
-            caster = {"int": int, "float": float, "str": str}[known[key]]
+            caster = {"int": int, "str": str}[known[key]]
             out[key] = caster(val)
     return out
 
@@ -160,8 +158,7 @@ def _threads(args) -> int:
 def cmd_gelfond(args) -> int:
     params = PotentialParams(args.q, parse_c(args.c))
     try:
-        res = gelfond_exponent(params, args.max_period,
-                               target_err=args.v_target_err)
+        res = gelfond_exponent(params, args.max_period)
     except GuardError as exc:
         if not args.json:
             raise  # main prints it and exits 3
@@ -453,8 +450,6 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     p = sub.add_parser("gelfond", help="certify beta(c) and gamma(c)")
     common(p)
     p.add_argument("--c", required=True, help="phase in [0,1) or num/den")
-    p.add_argument("--target-err", type=float, dest="v_target_err",
-                   default=defaults.v_target_err)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gelfond)
 

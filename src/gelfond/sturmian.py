@@ -163,7 +163,8 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
                     ) -> RationalRotation | IrrationalRotation:
     """Rotation number of the truncated map for the arc based at lam.
 
-    x = Fraction(lam mod 1), reduced into [-1/q, 1 - 1/q) by n in {0, 1},
+    x = Fraction(lam) mod 1, reduced exactly (a float lam % 1.0 rounds for
+    lam just below 0), then into [-1/q, 1 - 1/q) by n in {0, 1},
     which adds n(q-1) to the rotation.  The base digit a is the largest one
     whose fixed-point window [a/(q-1) - 1/q, a/(q-1)] does not start right
     of x.  The windows of a + p/m, 0 < p/m < 1, lie between the fixed
@@ -179,7 +180,7 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
     """
     if max_denominator < 1:
         raise ValueError("max_period must be >= 1")
-    x = Fraction(lam % 1.0)
+    x = Fraction(lam) % 1
     n = int(x >= 1 - Fraction(1, q))
     x -= n
     shift = n * (q - 1)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import gelfond.certify as certify
-from gelfond import (BalanceValue, DepthError, DomainError,
+from gelfond import (BalanceValue, DomainError,
                      GelfondCertificate, GelfondError, GuardError,
                      NonPeriodicReport, PotentialParams,
                      beta_curve, beta_period2_closed_form, build_cycle,
@@ -28,10 +28,16 @@ from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 LOG2 = math.log(2.0)
 
 
-def cert(q, c, **kw):
-    res = gelfond_exponent(PotentialParams(q, c), **kw)
+def cert(q, c):
+    res = gelfond_exponent(PotentialParams(q, c))
     assert isinstance(res, GelfondCertificate), res
     return res
+
+
+# q=2 phases where gelfond_exponent raised DepthError while the balance
+# dropped image arcs shorter than 1e-15
+FORMER_DEPTH_ERROR_C = (0.18208148, 0.1820834, 0.18208392, 0.18208468,
+                        0.18208924)
 
 
 class TestBalancePoint:
@@ -109,12 +115,6 @@ class TestCertificateContract:
         assert res.lambda1 < res.lambda_star < res.lambda2
         assert res.v1.value > res.v1.err_bound
         assert res.v2.value < -res.v2.err_bound
-
-    def test_stability_under_tighter_target(self):
-        a = cert(2, 0.3, target_err=1e-10)
-        b = cert(2, 0.3, target_err=1e-14)
-        assert a.cycle.points == b.cycle.points
-        assert abs(a.beta - b.beta) <= 1e-14
 
     def test_gamma_in_unit_interval(self):
         for c in (0.1, 0.25, 0.4, 0.5, 0.63, 0.9):
@@ -414,13 +414,13 @@ class TestSelectionMatchesLinearScan:
             if inside:
                 assert (res["period"], res["rotation"]) == (period, rot)
 
-    def test_depth_error_unchanged(self, outcomes):
-        assert outcomes(2, 0.18208148).startswith("DepthError: ")
-
     def test_former_depth_error_c_is_a_gap(self, outcomes):
-        # the grid-started bracket met the depth cap here
-        res = outcomes(2, 0.18208128)
-        assert (res["status"], res["rotation"]) == ("nonperiodic", "15/17")
+        # the grid-started bracket met the depth cap at 0.18208128, and the
+        # balance that dropped image arcs shorter than 1e-15 at the others
+        for c in (0.18208128,) + FORMER_DEPTH_ERROR_C:
+            res = outcomes(2, c)
+            assert (res["status"], res["rotation"]) == ("nonperiodic",
+                                                        "15/17"), c
 
     def test_max_period_zero_rejected(self, outcomes):
         # c = 0.05 sits in the fixed point's window, which the walk reaches
@@ -569,10 +569,7 @@ class TestBracketMatchesLinearScan:
             period, rot, _, _, c_lo, c_hi = row
             for c, off in itertools.product(
                     (c_lo, c_hi), (0.0, 1e-12, -1e-12, 1e-9, -1e-9)):
-                try:
-                    res = self.check_invariants(2, (c + off) % 1.0)
-                except DepthError:
-                    continue
+                res = self.check_invariants(2, (c + off) % 1.0)
                 if isinstance(res, GelfondCertificate):
                     certified += 1
                     assert (res.cycle.period, str(res.cycle.rotation)) == (
@@ -607,12 +604,13 @@ class TestBracketMatchesLinearScan:
                     assert n < CALLS_PER_CERTIFICATE[q], (q, c)
         assert certified >= 2
 
-    def test_depth_error_unchanged(self):
-        # a bisection midpoint where |balance| is near 0 holds err_bound
-        # above target_err at every depth
-        with pytest.raises(DepthError, match=r"\(achieved 1\.360e-13\)$"):
-            certify._balance_bracket(PotentialParams(2, 0.18208148),
-                                     DEFAULT_LAMBDA_TOL)
+    def test_former_depth_errors_are_gaps(self):
+        # while image arcs shorter than 1e-15 were dropped, a bisection
+        # midpoint's err_bound stayed above target_err at every depth here
+        for c in FORMER_DEPTH_ERROR_C:
+            res = self.check_invariants(2, c)
+            assert isinstance(res, NonPeriodicReport), c
+            assert res.rotation.value == F(15, 17), c
 
     @pytest.mark.parametrize("value", [
         lambda lam: 1.0,                 # no sign change

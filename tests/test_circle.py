@@ -7,7 +7,7 @@ import pytest
 
 from gelfond import (DepthError, GelfondError, GuardError, PotentialParams,
                      circle, exit_sets, exit_time_profile, sturmian_balance)
-from gelfond.circle import DROP_TOL, _exit_levels, _tau_pairs
+from gelfond.circle import _exit_levels, _tau_pairs
 from gelfond.potential import _f, _fp
 
 from conftest import (balance_quadrature_oracle, f_round_form,
@@ -41,18 +41,15 @@ class TestInverseBranch:
     """_tau_pairs, the inverse branch into [lam, lam+1/q) on (lo, len) arcs."""
 
     def test_full_circle_contracts_to_base_arc(self):
-        out, dropped = _tau_pairs([(0.0, 1.0)], 2, 0.0, DROP_TOL)
-        assert out == [(0.0, 0.5)]
-        assert dropped == 0.0
+        assert _tau_pairs([(0.0, 1.0)], 2, 0.0) == [(0.0, 0.5)]
 
     def test_split_at_discontinuity_hand_computed(self):
         # base arc [1/4, 3/4), input [1/4, 3/4): pieces split at T(1/4)=1/2,
         # images [1/4, 3/8) and [5/8, 3/4), each of length 1/8
-        out, dropped = _tau_pairs([(0.25, 0.5)], 2, 0.25, DROP_TOL)
+        out = _tau_pairs([(0.25, 0.5)], 2, 0.25)
         assert len(out) == 2
         assert sorted(out) == [pytest.approx((0.25, 0.125), abs=1e-15),
                                pytest.approx((0.625, 0.125), abs=1e-15)]
-        assert dropped == 0.0
 
     @pytest.mark.parametrize("q,lam", [(2, 0.17), (3, 0.71), (5, 0.03)])
     def test_measure_contraction_exact(self, q, lam, rng):
@@ -62,8 +59,7 @@ class TestInverseBranch:
             gap = rng.random() * 0.2 + 0.02
             pairs.append(((lo + gap) % 1.0, gap * 0.4))
             lo += gap + gap * 0.4
-        out, dropped = _tau_pairs(pairs, q, lam, DROP_TOL)
-        assert dropped == 0.0
+        out = _tau_pairs(pairs, q, lam)
         assert total(out) == pytest.approx(total(pairs) / q, abs=1e-14)
 
     def test_at_most_two_pieces_per_input(self, rng):
@@ -71,33 +67,18 @@ class TestInverseBranch:
             for lam in (0.0, 0.123, 0.77):
                 for arc in [(0.4, 0.59)] + [(rng.random(), rng.random())
                                             for _ in range(50)]:
-                    out, _ = _tau_pairs([arc], q, lam, DROP_TOL)
+                    out = _tau_pairs([arc], q, lam)
                     assert 1 <= len(out) <= 2
 
     @pytest.mark.parametrize("q,lam", [(2, 0.17), (3, 0.71), (5, 0.03)])
     def test_dropped_mass_accounted(self, q, lam, rng):
-        # a large drop_tol forces drops; kept plus dropped is still the
-        # whole image, len/q, and every kept piece is at least drop_tol
-        drop_tol = 0.02
+        # nothing is dropped, slivers included: the images add up to the
+        # whole image, len/q
         pairs = [(rng.random(), rng.random() * 0.1) for _ in range(40)]
-        pairs.append(((q * lam) % 1.0 - 0.001, 0.5))  # splits off a sliver
-        out, dropped = _tau_pairs(pairs, q, lam, drop_tol)
-        assert dropped > 0.0
-        assert all(ln >= drop_tol for _, ln in out)
-        assert total(out) + dropped == pytest.approx(total(pairs) / q,
-                                                     abs=1e-15)
-
-    def test_dropped_mass_enters_err_bound(self):
-        # with coarse drops the fixed-depth value still lies within its
-        # bound of the exact balance, and the bound grows by the drops
-        params = PotentialParams(2, 0.4)
-        exact = sturmian_balance(params, 0.28, depth=60)
-        fine = sturmian_balance(params, 0.28, depth=30)
-        coarse = sturmian_balance(params, 0.28, depth=30, drop_tol=1e-4)
-        assert coarse.err_bound > 100 * fine.err_bound
-        assert abs(coarse.value - exact.value) <= \
-            coarse.err_bound + exact.err_bound
-        assert abs(coarse.value - exact.value) > fine.err_bound
+        pairs.append(((q * lam) % 1.0 - 1e-15, 0.5))  # splits off a sliver
+        out = _tau_pairs(pairs, q, lam)
+        assert min(ln for _, ln in out) < 1e-15
+        assert total(out) == pytest.approx(total(pairs) / q, abs=1e-15)
 
 
 class TestExitSets:
@@ -219,9 +200,7 @@ class TestBalance:
         assert errs[2] <= errs[1] / 2 ** 3.9
 
     def test_window_limit_signs(self):
-        # positive limit at the left window edge, negative at the right;
-        # near the edges the drop-tolerance deficit floors the achievable
-        # bound, so certify signs rather than chase a tight target
+        # positive limit at the left window edge, negative at the right
         for q, c in [(2, 0.4), (3, 0.25)]:
             params = PotentialParams(q, c)
             wlo, whi = -1.0 / q - c, -c
@@ -242,6 +221,13 @@ class TestBalance:
             assert v.value == pytest.approx(oracle,
                                             abs=v.err_bound + quad_tol)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_target_err_not_positive_finite(self, value):
+        with pytest.raises(ValueError) as exc:
+            sturmian_balance(PotentialParams(2, 0.4), 0.28, float(value))
+        assert str(exc.value) == (f"target_err must be positive and finite, "
+                                  f"got {float(value)!r}")
+
     def test_guard_errors(self):
         params = PotentialParams(2, 0.4)
         with pytest.raises(GuardError):
@@ -256,10 +242,10 @@ class TestBalance:
         assert a.value == pytest.approx(b.value, abs=1e-15)
 
 
-# a lambda where the adaptive balance at q=2, c=0.18208128 meets the depth
-# cap: a bisection midpoint of that c's certificate while its bracket
-# started from a coarse grid
-DEPTH_ERROR_CALL = (2, 0.18208128, -0.5019579854163931)
+# a lambda where the adaptive balance at q=2, c=0.18208128 met the depth
+# cap while image arcs shorter than 1e-15 were dropped (their mass kept the
+# bound above 1e-13); with every arc kept it converges at depth 46
+SLIVER_CALL = (2, 0.18208128, -0.5019579854163931)
 
 
 def balance_outcome(q, c, lam, kwargs):
@@ -277,12 +263,12 @@ def in_window_c(q, lam, t):
 
 
 def interleaved_calls(rng):
-    """Balance calls that switch q, lambda, c and drop_tol, with runs at one
-    lambda as the c-root bisection makes them."""
-    q, c, lam = DEPTH_ERROR_CALL
+    """Balance calls that switch q, lambda and c, with runs at one lambda
+    as the c-root bisection makes them."""
+    q, c, lam = SLIVER_CALL
     calls = [(q, c, lam, {"target_err": 1e-6}),   # shallow first,
              (q, c, lam, {"depth": 50}),          # then a deeper fixed depth,
-             (q, c, lam, {"stop_on_sign": True})]  # then the DepthError
+             (q, c, lam, {"stop_on_sign": True})]  # then the sliver call
     lam = 0.3
     for _ in range(120):
         if rng.random() < 0.3:
@@ -290,9 +276,7 @@ def interleaved_calls(rng):
             lam = rng.uniform(-2.0, 2.0)
         kwargs = {"target_err": rng.choice([1e-13, 1e-9, 1e-5])}
         pick = rng.random()
-        if pick < 0.15:
-            kwargs["drop_tol"] = 1e-9
-        elif pick < 0.3:
+        if pick < 0.3:
             kwargs["depth"] = rng.randint(1, 45)
         elif pick < 0.6:
             kwargs["stop_on_sign"] = True
@@ -306,7 +290,7 @@ def balance_per_level(q, c, lam, kwargs):
     _tau_pairs and sums f_round_form: the balance before the exit-level
     cache, the math.remainder potential and the per-call memo of f, as the
     reference for its bits.  A fixed depth stops at its last level with
-    the bound computed there."""
+    the bound computed there; no call here meets the depth cap."""
     target_err = kwargs.get("target_err", 1e-13)
     depth = kwargs.get("depth")
     stop_on_sign = kwargs.get("stop_on_sign", False)
@@ -315,7 +299,7 @@ def balance_per_level(q, c, lam, kwargs):
     lam_mod = lam % 1.0
     pairs = [(lam_mod, 1.0 / q)]
     terms = []
-    running = comp = dropped = 0.0
+    running = comp = 0.0
     tail_mass = 1.0 / (q - 1)
     for n in range(1, (400 if depth is None else depth) + 1):
         for lo, ln in pairs:
@@ -326,13 +310,11 @@ def balance_per_level(q, c, lam, kwargs):
             comp = (s - running) - y
             running = s
         tail_mass /= q
-        err = m_edge * (tail_mass + dropped * q / (q - 1))
+        err = m_edge * tail_mass
         if n == depth or depth is None and (err <= target_err or (
                 stop_on_sign and n >= 3 and abs(running) > 2.0 * err)):
             return math.fsum(terms).hex(), err.hex(), n
-        pairs, d = _tau_pairs(pairs, q, lam_mod,
-                              kwargs.get("drop_tol", DROP_TOL))
-        dropped += d
+        pairs = _tau_pairs(pairs, q, lam_mod)
     return "DepthError"
 
 
@@ -359,34 +341,27 @@ class TestExitLevelCache:
             cold.append(balance_outcome(*call))
         assert warm == cold
         assert n_warm < len(tau_calls) - n_warm
-        assert warm[2][0] == "DepthError"
         assert warm[1][2] == 50
+        assert warm[2][2] == 46
+        assert float.fromhex(warm[2][1]) <= 1e-13
 
     def test_matches_per_level_loop(self, rng):
         _exit_levels.cache_clear()
         for call in interleaved_calls(rng):
-            out = balance_outcome(*call)
-            ref = balance_per_level(*call)
-            assert (out[0] if ref == "DepthError" else out) == ref, call
+            assert balance_outcome(*call) == balance_per_level(*call), call
 
     def test_fixed_depth_equals_adaptive_stop(self, rng):
         # a fixed depth=n call integrates levels 1..n and reports the bound
-        # an adaptive call that stops at n reports, dropped mass included
+        # an adaptive call that stops at n reports
         calls = [call for call in interleaved_calls(rng)
                  if "depth" not in call[3]]
-        calls += [(2, in_window_c(2, lam, t), lam, {"drop_tol": 1e-6, **kw})
+        calls += [(2, in_window_c(2, lam, t), lam, kw)
                   for lam in (0.3, 0.77) for t in (0.2, 0.5)
                   for kw in ({"target_err": 1e-5}, {"stop_on_sign": True})]
-        checked = 0
         for q, c, lam, kwargs in calls:
             out = balance_outcome(q, c, lam, kwargs)
-            if out[0] == "DepthError":
-                continue
-            fixed = {"depth": out[2], "drop_tol": kwargs.get("drop_tol",
-                                                             DROP_TOL)}
+            fixed = {"depth": out[2]}
             assert balance_outcome(q, c, lam, fixed) == out, (q, c, lam)
-            checked += 1
-        assert checked > len(calls) // 2
 
     def test_f_once_per_distinct_argument(self, rng, monkeypatch):
         args = []
@@ -401,10 +376,8 @@ class TestExitLevelCache:
         for q, c, lam, kwargs in interleaved_calls(rng):
             args.clear()
             out = balance_outcome(q, c, lam, kwargs)
-            n = 400 if out[0] == "DepthError" else out[2]
-            levels = _exit_levels(q, lam % 1.0,
-                                  kwargs.get("drop_tol", DROP_TOL))[:n]
-            endpoints = [u for pairs, _ in levels for lo, ln in pairs
+            levels = _exit_levels(q, lam % 1.0)[:out[2]]
+            endpoints = [u for pairs in levels for lo, ln in pairs
                          for u in (lo + ln + c, lo + c)]
             assert len(args) == len(set(args)) == len(set(endpoints))
             assert set(args) == set(endpoints)

@@ -59,11 +59,11 @@ class TestGelfondCommand:
         assert doc["period"] == 4
         assert doc["beta"] == pytest.approx(0.51585926722389, abs=1e-12)
 
-    def test_target_err_escapes_depth_error(self, capsys):
-        # at the default target_err this c raises DepthError; a looser one
-        # is the way past it
+    def test_former_depth_error_exits_2(self, capsys):
+        # this c raised DepthError while the balance dropped image arcs
+        # shorter than 1e-15
         code, out, _ = run_cli(capsys, "gelfond", "--q", "2",
-                               "--c", "0.18208148", "--target-err", "2e-13")
+                               "--c", "0.18208148")
         assert code == 2
         assert "rotation = 15/17" in out.splitlines()
 
@@ -106,13 +106,6 @@ class TestBadInput:
         clist.write_text("1/2\n1/0\n")
         self.assert_error(capsys, ["table2", "--c-list", str(clist)],
                           "phase '1/0' has a zero denominator")
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-    def test_target_err_not_positive_finite(self, capsys, value):
-        self.assert_error(capsys, ["gelfond", "--c", "0.3", "--target-err",
-                                   value],
-                          f"target_err must be positive and finite, "
-                          f"got {float(value)!r}")
 
     def test_checks_c_points_one(self, capsys):
         self.assert_error(capsys, ["checks", "--q", "3", "--c-points", "1",
@@ -462,7 +455,8 @@ class TestConfig:
         # tolerances and depth cap are constants, not settings either
         cfg = tmp_path / "run.cfg"
         for key, value in [("format", "csv"), ("bisect_tol", "1e-12"),
-                           ("depth_cap", "400"), ("validity_tol", "1e-11")]:
+                           ("depth_cap", "400"), ("validity_tol", "1e-11"),
+                           ("v_target_err", "1e-13")]:
             cfg.write_text(f"{key} = {value}\n")
             code, _, err = run_cli(capsys, "--config", str(cfg), "cycles")
             assert code == 1
@@ -470,9 +464,9 @@ class TestConfig:
 
     def test_load_config_types(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("q=3\nv_target_err=1e-12\noutput=out.csv\n")
+        cfg.write_text("q=3\ngrid_size=512\noutput=out.csv\n")
         vals = load_config(str(cfg))
-        assert vals == {"q": 3, "v_target_err": 1e-12, "output": "out.csv"}
+        assert vals == {"q": 3, "grid_size": 512, "output": "out.csv"}
 
 
 class TestOutputFile:
@@ -509,7 +503,7 @@ def test_option_surface():
     surface = {name: flags(p) for name, p in sub.choices.items()}
     assert flags(parser) == ["--config"]
     assert surface == {name: sorted(common + extra) for name, extra in {
-        "gelfond": ["--c", "--json", "--target-err"],
+        "gelfond": ["--c", "--json"],
         "cycles": ["--min-period"],
         "validity": threads + ["--period"],
         "table2": threads + ["--c-list"],

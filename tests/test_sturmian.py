@@ -119,8 +119,8 @@ class TestSelectCycle:
     def test_matches_linear_scan(self, q, monkeypatch):
         # points uniform over the lifted range of lam, within 2e-12 of a
         # window edge, or on one; within rounding of an edge (at q = 5 and 8
-        # some adjacent windows share a float edge) the exact window of the
-        # reduced point lam % 1.0, which the walk reads, decides
+        # some adjacent windows share a float edge) the exact window of
+        # Fraction(lam), which the walk reduces exactly, decides
         built = []
         cached = sturmian.build_cycle
 
@@ -150,12 +150,12 @@ class TestSelectCycle:
                 if any(abs((lam - e + 0.5) % 1.0 - 0.5) <= 1e-15
                        for e in edges):
                     on_edge += 1
-                    assert got is None or exact_window_holds(got, lam % 1.0)
+                    assert got is None or exact_window_holds(got, lam)
                     assert got is None or picked is not None
                 else:
                     assert got == (None if picked is None else picked[0])
                 if got is not None:
-                    assert exact_window_holds(got, lam % 1.0)
+                    assert exact_window_holds(got, lam)
                     assert len(built) <= max_period
                     found += 1
         assert found > 600 and on_edge >= 600
@@ -184,6 +184,18 @@ class TestRotationNumber:
         assert isinstance(rot, RationalRotation)
         assert rot.value == F(1, 2)
         assert rot.cycle.points == (F(1, 3), F(2, 3))
+
+    def test_lifted_lam_reduced_exactly(self):
+        # the float reduction -0.2 % 1.0 rounds into the fixed point's
+        # window, Fraction(-0.2) lies just left of it; the walk reduces
+        # exactly and its witness window holds Fraction(-0.2)
+        fixed = build_cycle(5, 0, F(0))
+        assert exact_window_holds(fixed, -0.2 % 1.0)
+        assert not exact_window_holds(fixed, -0.2)
+        rot = rotation_number(5, -0.2)
+        assert isinstance(rot, RationalRotation)
+        assert rot.value == F(95, 24)
+        assert exact_window_holds(rot.cycle, -0.2)
 
     def test_plateau_constant_on_window(self):
         # rotation is 1/2 across the whole window of the 2-cycle
