@@ -414,13 +414,18 @@ class TestSelectionMatchesLinearScan:
             if inside:
                 assert (res["period"], res["rotation"]) == (period, rot)
 
-    def test_former_depth_error_c_is_a_gap(self, outcomes):
-        # the grid-started bracket met the depth cap at 0.18208128, and the
-        # balance that dropped image arcs shorter than 1e-15 at the others
-        for c in (0.18208128,) + FORMER_DEPTH_ERROR_C:
+    def test_depth_error_unchanged(self, outcomes):
+        # the balance that dropped image arcs shorter than 1e-15 raised
+        # DepthError here; every arc is kept now, and each c is a gap
+        for c in FORMER_DEPTH_ERROR_C:
             res = outcomes(2, c)
             assert (res["status"], res["rotation"]) == ("nonperiodic",
                                                         "15/17"), c
+
+    def test_former_depth_error_c_is_a_gap(self, outcomes):
+        # the grid-started bracket met the depth cap here
+        res = outcomes(2, 0.18208128)
+        assert (res["status"], res["rotation"]) == ("nonperiodic", "15/17")
 
     def test_max_period_zero_rejected(self, outcomes):
         # c = 0.05 sits in the fixed point's window, which the walk reaches
