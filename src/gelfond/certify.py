@@ -15,12 +15,12 @@ The certificate carries the signed balance values with their rigorous error
 bounds, so the cycle identification is machine-checkable.  Validity
 intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
-gives clean brackets.  The lambda zero and the c-roots share one routine:
-certify the sign + at the start of the guarded window and - at its end
-(GuardError if either is uncertified), then bisect on certified signs only,
-to a fixed width (DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c)
-or until a midpoint's sign is uncertain, which is then the bracket's
-midpoint.
+gives clean brackets.  The lambda zero and the c-roots share one routine,
+_sign_bracket: certify the sign + at the start of the guarded window and -
+at its end (GuardError if either is uncertified), then bisect on certified
+signs only, to a fixed width (DEFAULT_LAMBDA_TOL in lambda,
+DEFAULT_VALIDITY_TOL in c) or until a midpoint's sign is uncertain, which
+is then the bracket's midpoint.  Each sign is one adaptive balance call.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .circle import BalanceValue, WINDOW_GUARD, sturmian_balance
 from .errors import DomainError, GuardError
-from .potential import PotentialParams, _f
+from .potential import PotentialParams, _f, reduce_phase
 from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
                        build_cycle, enumerate_cycles, lambda_window,
                        rotation_number)
@@ -135,11 +135,15 @@ def _certified_sign(v: BalanceValue) -> int:
     return 0
 
 
-def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Halve [a, b], balance certified positive at a and negative at b,
-    moving an end only on a certified sign at the midpoint, until b - a <=
-    tol, no float lies strictly between a and b, or the midpoint's sign is
-    uncertain (that midpoint is then the midpoint of the returned bracket)."""
+def _sign_bracket(balance_at, a: float, b: float, tol: float,
+                  what: str) -> tuple[float, float]:
+    """Certify balance_at positive at a and negative at b (GuardError, naming
+    what, when either sign is uncertified), then halve [a, b], moving an end
+    only on a certified sign at the midpoint, until b - a <= tol, no float
+    lies strictly between a and b, or the midpoint's sign is uncertain (that
+    midpoint is then the midpoint of the returned bracket)."""
+    if not _certified_sign(balance_at(a)) > 0 > _certified_sign(balance_at(b)):
+        raise GuardError(f"no certified sign bracket in {what}")
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -154,31 +158,15 @@ def _bisect(balance_at, a: float, b: float, tol: float) -> tuple[float, float]:
     return a, b
 
 
-def _sign_bracket(balance_at, a: float, b: float, tol: float,
-                  what: str) -> tuple[float, float]:
-    """Certify balance_at positive at a and negative at b, then bisect
-    (_bisect); GuardError, naming what, when either sign is uncertified."""
-    if not _certified_sign(balance_at(a)) > 0 > _certified_sign(balance_at(b)):
-        raise GuardError(f"no certified sign bracket in {what}")
-    return _bisect(balance_at, a, b, tol)
-
-
-def _balance_bracket(params: PotentialParams,
-                     tol: float) -> tuple[float, float]:
-    """Bracket the balance zero in lambda, from the guarded window W_c down
-    to width <= tol or an uncertain midpoint."""
-    def balance_at(lam):
-        return sturmian_balance(params, lam, stop_on_sign=True)
-
-    a, b = _guarded_window(-1.0 / params.q - params.c, -params.c)
-    return _sign_bracket(balance_at, a, b, tol,
-                         f"lambda for q={params.q}, c={params.c!r}")
-
-
 def find_balance_point(params: PotentialParams) -> float:
-    """The lambda in W_c where the balance integral vanishes (lifted)."""
-    lo, hi = _balance_bracket(params, DEFAULT_LAMBDA_TOL)
-    return 0.5 * (lo + hi)
+    """The lambda in W_c where the balance integral vanishes (lifted): the
+    midpoint of _sign_bracket on the guarded W_c."""
+    q, c = params.q, params.c
+    # a partial of the current binding, so a patched one sees every call
+    a, b = _sign_bracket(functools.partial(sturmian_balance, params),
+                         *_guarded_window(-1.0 / q - c, -c),
+                         DEFAULT_LAMBDA_TOL, f"lambda for q={q}, c={c!r}")
+    return 0.5 * (a + b)
 
 
 def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float:
@@ -197,8 +185,7 @@ def gelfond_exponent(params: PotentialParams,
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     q, c = params.q, params.c
-    bra, brb = _balance_bracket(params, DEFAULT_LAMBDA_TOL)
-    lam_star = 0.5 * (bra + brb)
+    lam_star = find_balance_point(params)
     rot = rotation_number(q, lam_star, max(64, 4 * max_period))
     if not (isinstance(rot, RationalRotation)
             and rot.cycle.period <= max_period):
@@ -213,8 +200,8 @@ def gelfond_exponent(params: PotentialParams,
     k = round(lam_star - 0.5 * (lo + hi))
     glo, ghi = _guarded_window(-1.0 / q - c, -c)
     l1, l2 = max(lo + k, glo), min(hi + k, ghi)
-    v1 = sturmian_balance(params, l1, stop_on_sign=True)
-    v2 = sturmian_balance(params, l2, stop_on_sign=True)
+    v1 = sturmian_balance(params, l1)
+    v2 = sturmian_balance(params, l2)
     if not (l1 < lam_star < l2
             and _certified_sign(v1) > 0 > _certified_sign(v2)):
         return NonPeriodicReport(
@@ -231,8 +218,7 @@ def gelfond_exponent(params: PotentialParams,
 def _c_root(q: int, lam_e: float) -> float:
     """Solve balance = 0 in c at a fixed lambda (strictly decreasing in c)."""
     def balance_at(c):
-        return sturmian_balance(PotentialParams(q, c % 1.0), lam_e,
-                                stop_on_sign=True)
+        return sturmian_balance(PotentialParams(q, c % 1.0), lam_e)
 
     a, b = _guarded_window(-lam_e - 1.0 / q, -lam_e)
     a, b = _sign_bracket(balance_at, a, b, DEFAULT_VALIDITY_TOL,
@@ -333,7 +319,7 @@ def _validity_row(args) -> Table1Row:
 def _exponent_row(args) -> ExponentRow:
     q, c_value, max_period, uncertified = args
     label = str(c_value)
-    c = float(c_value) % 1.0
+    c = reduce_phase(float(c_value))
     try:
         res = gelfond_exponent(PotentialParams(q, c), max_period)
     except Exception as exc:

@@ -10,8 +10,8 @@ integral
 
 is evaluated exactly per truncation level as a telescoping sum of potential
 values at interval endpoints, with a rigorous tail bound from the monotone
-derivative on C'.  Its zero in lam certifies the maximizing arc.  The
-truncation depth grows to meet a target error, up to the fixed DEPTH_CAP.
+derivative on C'.  Its zero in lam certifies the maximizing arc.  Depth grows
+until the sign is certified or the bound meets DEFAULT_TARGET_ERR.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ class BalanceValue:
     depth: int
 
 
-def sturmian_balance(params: PotentialParams, lam: float,
-                     target_err: float = DEFAULT_TARGET_ERR, *,
-                     stop_on_sign: bool = False,
+def sturmian_balance(params: PotentialParams, lam: float, *,
                      depth: int | None = None) -> BalanceValue:
     """Certified evaluation of the exit-weighted derivative integral.
 
@@ -96,17 +94,14 @@ def sturmian_balance(params: PotentialParams, lam: float,
     of potential differences at the arc endpoints; the tail after depth N is
     bounded by M * q^-N / (q-1) with M the larger endpoint |f_c'| on the base
     arc (f_c' is monotone there); every image arc is kept, so that tail is
-    the whole bound.  Depth grows until the bound meets target_err (a
-    DepthError only for a target below M * q^-DEPTH_CAP / (q-1)), or with
-    stop_on_sign until the sign is certified.  A fixed `depth` overrides
-    the adaptive choice; its bound is the one an adaptive call stopping at
-    that depth reports.
+    the whole bound.  Without `depth` the call stops at the first level N >= 3
+    where the running sum exceeds twice the bound (a certified sign), or where
+    the bound meets DEFAULT_TARGET_ERR: by depth 64 at q = 2, as the window
+    guard keeps M below about 1e6.  A fixed `depth` integrates that many
+    levels; its bound is the one an adaptive call stopping there reports.
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
-    if not 0.0 < target_err < math.inf:
-        raise ValueError(f"target_err must be positive and finite, "
-                         f"got {target_err!r}")
     q, c = params.q, params.c
     one_q = 1.0 / q
     # r = lam + c must lie in the window (1-1/q, 1) mod 1 with WINDOW_GUARD
@@ -129,13 +124,12 @@ def sturmian_balance(params: PotentialParams, lam: float,
     running = 0.0
     comp = 0.0  # Kahan carry for the running sign check
     tail_mass = 1.0 / (q - 1)
-    n = 0
-    while n < (DEPTH_CAP if depth is None else depth):
-        if n == len(levels):
+    for n in range(1, (depth or DEPTH_CAP) + 1):
+        if n > len(levels):
             # a slice store, not append: if another thread added level n
             # first, this rewrites it with the same value
-            levels[n:n + 1] = [_tau_pairs(levels[n - 1], q, lam_mod)]
-        for lo, ln in levels[n]:
+            levels[n - 1:n] = [_tau_pairs(levels[n - 2], q, lam_mod)]
+        for lo, ln in levels[n - 1]:
             fu = fs.get(u := lo + ln + c)
             if fu is None:
                 fu = fs[u] = f(q, u)
@@ -148,20 +142,11 @@ def sturmian_balance(params: PotentialParams, lam: float,
             s = running + y
             comp = (s - running) - y
             running = s
-        n += 1
         tail_mass /= q
         err = m_edge * tail_mass
-        if depth is None:
-            if err <= target_err:
-                break
-            if stop_on_sign and n >= 3 and abs(running) > 2.0 * err:
-                break
-    else:
-        if depth is None:
-            raise DepthError(
-                f"target_err={target_err} unreachable at depth cap "
-                f"{DEPTH_CAP} (achieved {err:.3e})"
-            )
+        if depth is None and (err <= DEFAULT_TARGET_ERR
+                              or n >= 3 and abs(running) > 2.0 * err):
+            break
     return BalanceValue(math.fsum(terms), err, n)
 
 

@@ -29,8 +29,8 @@ from .checks import (centering_bound_check, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_condition_probe)
 from .circle import exit_time_profile
 from .errors import GelfondError, GuardError
-from .potential import PotentialParams
-from .series import (modulus_product, multiplicativity_check,
+from .potential import PotentialParams, reduce_phase
+from .series import (DIRECT_SUM_CAP, modulus_product, multiplicativity_check,
                      polynomial_profile, polynomial_sum, sup_exponent_fit)
 from .sturmian import (IrrationalRotation, enumerate_cycles, lambda_window,
                        rotation_staircase)
@@ -106,7 +106,7 @@ def parse_c(text: str) -> float:
     value = float(_parse_fraction(text)) if "/" in text else float(text)
     if not math.isfinite(value):
         raise ValueError(f"phase must be a finite number, got {text!r}")
-    return value % 1.0
+    return reduce_phase(value)
 
 
 @contextlib.contextmanager
@@ -323,6 +323,9 @@ def cmd_verify(args) -> int:
     import random
 
     _require(args, n_max=2, grid_size=1, samples=1)
+    if args.q ** args.n_max > DIRECT_SUM_CAP:
+        raise ValueError(f"q^n_max = {args.q}^{args.n_max} exceeds the "
+                         f"direct-sum cap {DIRECT_SUM_CAP}")
     rng = random.Random(args.seed)
     params = PotentialParams(args.q, parse_c(args.c))
     q, c = params.q, params.c

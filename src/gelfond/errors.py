@@ -15,7 +15,7 @@ class GuardError(GelfondError):
 
 
 class DepthError(GelfondError):
-    """An iteration-depth cap was exceeded before reaching the target."""
+    """exit_sets was asked for more levels than the depth cap."""
 
 
 class DomainError(GelfondError):

@@ -42,6 +42,12 @@ class PotentialParams:
             raise ValueError(f"c must lie in [0,1), got {self.c!r}")
 
 
+def reduce_phase(x: float) -> float:
+    """x % 1.0, but 0.0 where that rounds a tiny negative x up to 1.0."""
+    r = x % 1.0
+    return 0.0 if r == 1.0 else r
+
+
 _PI = math.pi
 
 

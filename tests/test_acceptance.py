@@ -350,7 +350,8 @@ def test_criterion_7_exit_mass_and_balance_oracle():
         c = 0.05 + 0.9 * rng.random()
         t = 0.05 + 0.9 * rng.random()
         lam = -1.0 / q - c + t / q
-        v = sturmian_balance(PotentialParams(q, c), lam)
+        v = sturmian_balance(PotentialParams(q, c), lam, depth=60)
+        assert v.err_bound <= 1e-13
         oracle = balance_quadrature_oracle(q, c, lam, n=400_000)
         gap = abs(v.value - oracle) - v.err_bound
         worst_gap = max(worst_gap, gap)

@@ -19,7 +19,7 @@ from gelfond import (BalanceValue, DomainError,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
                      rotation_number, validity_interval, validity_table)
 from gelfond.certify import DEFAULT_LAMBDA_TOL, period2_validity_q2
-from gelfond.circle import DEFAULT_TARGET_ERR, sturmian_balance
+from gelfond.circle import sturmian_balance
 from gelfond.potential import _f
 
 from conftest import exact_window_holds, linear_scan_select
@@ -482,18 +482,17 @@ from gelfond.sturmian import build_cycle, lambda_window
 
 if sys.argv[1] == "lambda_bracket":
     params = PotentialParams(2, 1 / 3)
-    a, b = certify._balance_bracket(params, math.inf)
+    a, b = certify._guarded_window(-0.5 - 1 / 3, -1 / 3)
 
     def balance_at(lam):
-        return sturmian_balance(params, lam, stop_on_sign=True)
+        return sturmian_balance(params, lam)
 else:
     lam_e = float(lambda_window(build_cycle(2, 0, Fraction(1, 2))).hi)
     a, b = certify._guarded_window(-lam_e - 0.5, -lam_e)
 
     def balance_at(c):
-        return sturmian_balance(PotentialParams(2, c % 1.0), lam_e,
-                                stop_on_sign=True)
-lo, hi = certify._bisect(balance_at, a, b, 0.0)
+        return sturmian_balance(PotentialParams(2, c % 1.0), lam_e)
+lo, hi = certify._sign_bracket(balance_at, a, b, 0.0, sys.argv[1])
 assert a <= lo < hi <= b, (lo, hi)
 assert (math.nextafter(lo, math.inf) == hi or certify._certified_sign(
     balance_at(0.5 * (lo + hi))) == 0), (lo, hi)
@@ -519,12 +518,20 @@ def test_zero_tolerance_terminates(bracket):
 CALLS_PER_CERTIFICATE = {2: 43, 3: 43, 5: 42, 8: 41}
 
 
+def lambda_bracket(params):
+    """The bracket whose midpoint find_balance_point returns."""
+    q, c = params.q, params.c
+    return certify._sign_bracket(
+        lambda lam: sturmian_balance(params, lam),
+        *certify._guarded_window(-1.0 / q - c, -c), DEFAULT_LAMBDA_TOL,
+        "lambda")
+
+
 def bracket_done(params, bra, brb):
     """The lambda bracket's stopping rule: width <= DEFAULT_LAMBDA_TOL, or a
     midpoint whose balance sign is uncertain."""
     return brb - bra <= DEFAULT_LAMBDA_TOL or certify._certified_sign(
-        sturmian_balance(params, 0.5 * (bra + brb), DEFAULT_TARGET_ERR,
-                         stop_on_sign=True)) == 0
+        sturmian_balance(params, 0.5 * (bra + brb))) == 0
 
 
 class TestBracketMatchesLinearScan:
@@ -539,14 +546,14 @@ class TestBracketMatchesLinearScan:
         params = PotentialParams(q, c)
         glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
         for lam, sign in ((glo, 1), (ghi, -1)):
-            v = sturmian_balance(params, lam, DEFAULT_TARGET_ERR,
-                                 stop_on_sign=True)
+            v = sturmian_balance(params, lam)
             assert certify._certified_sign(v) == sign, (q, c, lam)
-        bra, brb = certify._balance_bracket(params, DEFAULT_LAMBDA_TOL)
+        bra, brb = lambda_bracket(params)
         assert glo <= bra < brb <= ghi
         assert bracket_done(params, bra, brb)
         res = gelfond_exponent(params)
         assert res.lambda_star == 0.5 * (bra + brb)
+        assert res.lambda_star == find_balance_point(params)
         if isinstance(res, GelfondCertificate):
             assert res.lambda1 < res.lambda_star < res.lambda2
             assert certify._certified_sign(res.v1) > 0
@@ -600,8 +607,7 @@ class TestBracketMatchesLinearScan:
             if isinstance(res, GelfondCertificate):
                 certified += 1
                 n = len(calls)
-                bra, brb = certify._balance_bracket(res.params,
-                                                    DEFAULT_LAMBDA_TOL)
+                bra, brb = lambda_bracket(res.params)
                 if brb - bra <= DEFAULT_LAMBDA_TOL:
                     assert n == CALLS_PER_CERTIFICATE[q], (q, c)
                 else:  # stopped at an uncertain midpoint
@@ -611,7 +617,7 @@ class TestBracketMatchesLinearScan:
 
     def test_former_depth_errors_are_gaps(self):
         # while image arcs shorter than 1e-15 were dropped, a bisection
-        # midpoint's err_bound stayed above target_err at every depth here
+        # midpoint's err_bound stayed above 1e-13 at every depth here
         for c in FORMER_DEPTH_ERROR_C:
             res = self.check_invariants(2, c)
             assert isinstance(res, NonPeriodicReport), c
@@ -628,7 +634,7 @@ class TestBracketMatchesLinearScan:
             lambda params, lam, *a, **k: BalanceValue(value(lam), 0.0, 1))
         with pytest.raises(GuardError, match=r"^no certified sign bracket "
                                              r"in lambda for q=2, c=0\.4$"):
-            certify._balance_bracket(PotentialParams(2, 0.4), 1e-12)
+            find_balance_point(PotentialParams(2, 0.4))
 
 
 # The certificates at the symmetric c = 0 and 1/2 before the bisection moved
@@ -652,14 +658,18 @@ class TestCertifiedSigns:
 
     @pytest.mark.parametrize("value", [1e-3, -1e-3])
     def test_uncertain_first_midpoint_moves_no_end(self, value):
+        # certified + at 0 and - at 1, uncertain in between
         seen = []
 
         def balance_at(x):
             seen.append(x)
+            if x in (0.0, 1.0):
+                return BalanceValue(1.0 - 2.0 * x, 0.0, 1)
             return BalanceValue(value, 1.0, 1)
 
-        assert certify._bisect(balance_at, 0.0, 1.0, 1e-12) == (0.0, 1.0)
-        assert seen == [0.5]
+        assert certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12,
+                                     "x") == (0.0, 1.0)
+        assert seen == [0.0, 1.0, 0.5]
 
     def test_search_stops_at_the_uncertain_midpoint(self):
         # the sign of 0.3 - x is certified only farther than 0.01 from 0.3
@@ -669,8 +679,9 @@ class TestCertifiedSigns:
             seen.append(x)
             return BalanceValue(0.3 - x, 0.01, 1)
 
-        a, b = certify._bisect(balance_at, 0.0, 1.0, 1e-12)
-        assert seen == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
+        a, b = certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x")
+        assert seen[:2] == [0.0, 1.0]  # the certified ends
+        assert seen[2:] == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
         assert (a, b) == (0.28125, 0.3125)
         assert 0.5 * (a + b) == seen[-1]
         assert certify._certified_sign(balance_at(a)) == 1

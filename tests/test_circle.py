@@ -7,7 +7,7 @@ import pytest
 
 from gelfond import (DepthError, GelfondError, GuardError, PotentialParams,
                      circle, exit_sets, exit_time_profile, sturmian_balance)
-from gelfond.circle import _exit_levels, _tau_pairs
+from gelfond.circle import WINDOW_GUARD, _exit_levels, _tau_pairs
 from gelfond.potential import _f, _fp
 
 from conftest import (balance_quadrature_oracle, f_round_form,
@@ -169,8 +169,9 @@ class TestBalance:
 
     def test_certified_sign_flip_vs_oracle(self):
         params = PotentialParams(2, 0.5)
-        v_lo = sturmian_balance(params, 1.0 / 6.0 + 1e-9)
-        v_hi = sturmian_balance(params, 1.0 / 3.0 - 1e-9)
+        v_lo = sturmian_balance(params, 1.0 / 6.0 + 1e-9, depth=60)
+        v_hi = sturmian_balance(params, 1.0 / 3.0 - 1e-9, depth=60)
+        assert max(v_lo.err_bound, v_hi.err_bound) <= 1e-13
         assert v_lo.value > v_lo.err_bound
         assert v_hi.value < -v_hi.err_bound
         o_lo = balance_quadrature_oracle(2, 0.5, 1.0 / 6.0 + 1e-9, depth=60)
@@ -204,8 +205,8 @@ class TestBalance:
         for q, c in [(2, 0.4), (3, 0.25)]:
             params = PotentialParams(q, c)
             wlo, whi = -1.0 / q - c, -c
-            v_lo = sturmian_balance(params, wlo + 1e-4, stop_on_sign=True)
-            v_hi = sturmian_balance(params, whi - 1e-4, stop_on_sign=True)
+            v_lo = sturmian_balance(params, wlo + 1e-4)
+            v_hi = sturmian_balance(params, whi - 1e-4)
             assert v_lo.value > v_lo.err_bound
             assert v_hi.value < -v_hi.err_bound
 
@@ -216,17 +217,28 @@ class TestBalance:
             c = 0.05 + 0.9 * rng.random()
             t = 0.05 + 0.9 * rng.random()
             lam = -1.0 / q - c + t / q  # inside the admissible window
-            v = sturmian_balance(PotentialParams(q, c), lam)
+            v = sturmian_balance(PotentialParams(q, c), lam, depth=60)
+            assert v.err_bound <= 1e-13
             oracle = balance_quadrature_oracle(q, c, lam, n=400_000)
             assert v.value == pytest.approx(oracle,
                                             abs=v.err_bound + quad_tol)
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-    def test_target_err_not_positive_finite(self, value):
-        with pytest.raises(ValueError) as exc:
-            sturmian_balance(PotentialParams(2, 0.4), 0.28, float(value))
-        assert str(exc.value) == (f"target_err must be positive and finite, "
-                                  f"got {float(value)!r}")
+    @pytest.mark.parametrize("q, target_depth",
+                             [(2, 64), (3, 40), (5, 27), (8, 21)])
+    def test_adaptive_stop_far_inside_depth_cap(self, q, target_depth):
+        # next to the window guard f_c' is largest (m_edge about 1e6), and
+        # still the bound meets the 1e-13 target by target_depth, so an
+        # adaptive call never runs on to DEPTH_CAP
+        for c in (0.0, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.999):
+            params = PotentialParams(q, c)
+            wlo, whi = -1.0 / q - c, -c
+            for g in (1.001 * WINDOW_GUARD, 2.0 * WINDOW_GUARD):
+                for lam in (wlo + g, whi - g):
+                    v = sturmian_balance(params, lam)
+                    assert abs(v.value) > v.err_bound or v.err_bound <= 1e-13
+                    assert v.depth <= target_depth
+                    fixed = sturmian_balance(params, lam, depth=target_depth)
+                    assert fixed.err_bound <= 1e-13, (c, lam)
 
     def test_guard_errors(self):
         params = PotentialParams(2, 0.4)
@@ -266,20 +278,15 @@ def interleaved_calls(rng):
     """Balance calls that switch q, lambda and c, with runs at one lambda
     as the c-root bisection makes them."""
     q, c, lam = SLIVER_CALL
-    calls = [(q, c, lam, {"target_err": 1e-6}),   # shallow first,
-             (q, c, lam, {"depth": 50}),          # then a deeper fixed depth,
-             (q, c, lam, {"stop_on_sign": True})]  # then the sliver call
+    calls = [(q, c, lam, {"depth": 10}),  # shallow first,
+             (q, c, lam, {"depth": 50}),  # then a deeper fixed depth,
+             (q, c, lam, {})]             # then the sliver call
     lam = 0.3
     for _ in range(120):
         if rng.random() < 0.3:
             q = rng.choice([2, 3, 5])
             lam = rng.uniform(-2.0, 2.0)
-        kwargs = {"target_err": rng.choice([1e-13, 1e-9, 1e-5])}
-        pick = rng.random()
-        if pick < 0.3:
-            kwargs["depth"] = rng.randint(1, 45)
-        elif pick < 0.6:
-            kwargs["stop_on_sign"] = True
+        kwargs = {"depth": rng.randint(1, 45)} if rng.random() < 0.3 else {}
         calls.append((q, in_window_c(q, lam, rng.uniform(0.01, 0.99)), lam,
                       kwargs))
     return calls
@@ -291,9 +298,7 @@ def balance_per_level(q, c, lam, kwargs):
     cache, the math.remainder potential and the per-call memo of f, as the
     reference for its bits.  A fixed depth stops at its last level with
     the bound computed there; no call here meets the depth cap."""
-    target_err = kwargs.get("target_err", 1e-13)
     depth = kwargs.get("depth")
-    stop_on_sign = kwargs.get("stop_on_sign", False)
     r = (lam + c) % 1.0
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + 1.0 / q)))
     lam_mod = lam % 1.0
@@ -311,11 +316,11 @@ def balance_per_level(q, c, lam, kwargs):
             running = s
         tail_mass /= q
         err = m_edge * tail_mass
-        if n == depth or depth is None and (err <= target_err or (
-                stop_on_sign and n >= 3 and abs(running) > 2.0 * err)):
+        if n == depth or depth is None and (
+                err <= 1e-13 or n >= 3 and abs(running) > 2.0 * err):
             return math.fsum(terms).hex(), err.hex(), n
         pairs = _tau_pairs(pairs, q, lam_mod)
-    return "DepthError"
+    return "depth cap"
 
 
 class TestExitLevelCache:
@@ -355,9 +360,8 @@ class TestExitLevelCache:
         # an adaptive call that stops at n reports
         calls = [call for call in interleaved_calls(rng)
                  if "depth" not in call[3]]
-        calls += [(2, in_window_c(2, lam, t), lam, kw)
-                  for lam in (0.3, 0.77) for t in (0.2, 0.5)
-                  for kw in ({"target_err": 1e-5}, {"stop_on_sign": True})]
+        calls += [(2, in_window_c(2, lam, t), lam, {})
+                  for lam in (0.3, 0.77) for t in (0.2, 0.5)]
         for q, c, lam, kwargs in calls:
             out = balance_outcome(q, c, lam, kwargs)
             fixed = {"depth": out[2]}
@@ -388,7 +392,7 @@ class TestExitLevelCache:
         lam = 0.3
         calls = [(2, in_window_c(2, lam, t), lam, kwargs)
                  for t in (0.1, 0.35, 0.6, 0.85)
-                 for kwargs in ({"target_err": 1e-5}, {"depth": 40}, {})]
+                 for kwargs in ({"depth": 12}, {"depth": 40}, {})]
         expected = []
         for call in calls:
             _exit_levels.cache_clear()

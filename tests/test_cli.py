@@ -25,6 +25,8 @@ class TestHelpers:
         assert parse_c("0.5") == 0.5
         assert parse_c("8/21") == pytest.approx(8.0 / 21.0)
         assert parse_c("1.25") == 0.25
+        # -1e-20 % 1.0 rounds up to 1.0, which is the phase 0
+        assert parse_c("-1e-20") == parse_c("-1/100000000000000000000") == 0.0
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1/0", "x"])
     def test_parse_c_rejects(self, text):
@@ -49,6 +51,11 @@ class TestGelfondCommand:
                                "--c", "0.380952380952")
         assert code == 2
         assert "nonperiodic" in out
+
+    def test_negative_phase_within_half_an_ulp_of_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "gelfond", "--q", "2", "--c=-1e-20")
+        assert code == 0
+        assert "beta  = 0.693147180559945" in out.splitlines()
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "gelfond", "--q", "2", "--c", "1/4",
@@ -176,6 +183,14 @@ class TestBadInput:
                                    "--n-max", "3", "--grid", "8", *argv],
                           message)
 
+    @pytest.mark.parametrize("q, n_max", [(2, 25), (3, 16), (8, 9)])
+    def test_verify_direct_sum_cap(self, capsys, q, n_max):
+        # rejected whichever n the seed would sample
+        self.assert_error(capsys, ["verify", "--q", str(q), "--c", "1/4",
+                                   "--n-max", str(n_max), "--samples", "5"],
+                          f"q^n_max = {q}^{n_max} exceeds the direct-sum "
+                          f"cap 16777216")
+
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "grid_size must be >= 1"),
         (["--probe-c", "0.3", "--samples", "0"], "samples must be >= 1"),
@@ -300,6 +315,16 @@ class TestTable2Command:
         assert lines[0] == "c,beta,gamma,period,status"
         assert lines[1].startswith("1/2,0.549306144334055,")
         assert lines[2] == "8/21,,,,SKIPPED"
+
+    def test_negative_phase_within_half_an_ulp_of_zero(self, capsys,
+                                                       tmp_path):
+        clist = tmp_path / "cs.txt"
+        clist.write_text("-1/100000000000000000000\n")
+        code, out, _ = run_cli(capsys, "table2", "--c-list", str(clist),
+                               "--threads", "1")
+        assert code == 0
+        assert out.splitlines()[1] == ("-1/100000000000000000000,"
+                                       "0.693147180559945,1,1,OK")
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         clist = tmp_path / "cs.txt"
