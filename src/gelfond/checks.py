@@ -22,7 +22,8 @@ from .certify import GelfondCertificate, find_balance_point
 from .circle import _tau_pairs
 from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
-from .potential import PotentialParams, _f, _fp, potential_derivative_array
+from .potential import (PotentialParams, _f, _fp, potential_derivative_array,
+                        reduce_phase)
 
 BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
 PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
@@ -67,8 +68,8 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     worst_point = None
     thetas = []
     for c in c_grid:
-        lam = find_balance_point(PotentialParams(q, float(c) % 1.0))
-        theta = lam + 1.0 / q + (float(c) % 1.0)
+        params = PotentialParams(q, reduce_phase(float(c)))
+        theta = find_balance_point(params) + 1.0 / q + params.c
         theta -= math.floor(theta)  # lifted lam has lam+c in (-1/q, 0)
         margin = min(theta - lo, hi - theta)
         thetas.append(theta)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DepthError, GuardError
@@ -99,10 +100,16 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
     the bound meets DEFAULT_TARGET_ERR: by depth 64 at q = 2, as the window
     guard keeps M below about 1e6.  A fixed `depth` integrates that many
     levels; its bound is the one an adaptive call stopping there reports.
+    Past DEPTH_CAP, or once q^-N/(q-1) is subnormal, it raises DepthError.
     """
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be >= 1")
     q, c = params.q, params.c
+    if depth is not None:
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if depth > DEPTH_CAP:
+            raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+        if q ** -depth / (q - 1) < sys.float_info.min:
+            raise DepthError(f"depth {depth} underflows the tail bound")
     one_q = 1.0 / q
     # r = lam + c must lie in the window (1-1/q, 1) mod 1 with WINDOW_GUARD
     # to spare at both ends; a lambda outside it has a negative gap

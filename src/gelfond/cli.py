@@ -4,7 +4,7 @@ Output is deterministic: fixed column orders, 15-significant-digit reals,
 rationals as num/den, no timestamps.  Worker processes (``--threads``) feed
 an order-preserving map, so parallel runs emit identical bytes.
 
-The certifier's tolerances are module constants, not flags.
+Flags alone set a run; the certifier's tolerances are module constants.
 
 Exit codes: 0 success, 1 partial/other failure or bad input (printed as
 ``error: ...``), 2 nonperiodic report, 3 guard violation.
@@ -18,8 +18,8 @@ import csv
 import json
 import math
 import os
+import random
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .certify import (DEFAULT_MAX_PERIOD, GelfondCertificate,
@@ -34,47 +34,6 @@ from .series import (DIRECT_SUM_CAP, modulus_product, multiplicativity_check,
                      polynomial_profile, polynomial_sum, sup_exponent_fit)
 from .sturmian import (IrrationalRotation, enumerate_cycles, lambda_window,
                        rotation_staircase)
-
-CONFIG_ENV_VAR = "GELFOND_CONFIG"
-
-
-@dataclass
-class RunConfig:
-    """Defaults shared by the subcommands; flags override config-file values."""
-
-    q: int = 2
-    max_period: int = DEFAULT_MAX_PERIOD
-    grid_size: int = 1024
-    threads: int = 0  # 0 means all available cores
-    output: str = ""  # empty means stdout
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
-
-
-def load_config(path: str | None) -> dict:
-    """Parse a key=value config file; unknown keys are rejected."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    known = {f.name: f.type for f in fields(RunConfig)}
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"unknown config key: {key}")
-            caster = {"int": int, "str": str}[known[key]]
-            out[key] = caster(val)
-    return out
-
 
 def fmt(x: float) -> str:
     """Reals as 15 significant digits, matching the reference tables."""
@@ -320,14 +279,17 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import random
-
     _require(args, n_max=2, grid_size=1, samples=1)
     if args.q ** args.n_max > DIRECT_SUM_CAP:
         raise ValueError(f"q^n_max = {args.q}^{args.n_max} exceeds the "
                          f"direct-sum cap {DIRECT_SUM_CAP}")
-    rng = random.Random(args.seed)
     params = PotentialParams(args.q, parse_c(args.c))
+    with _writer(args.output) as fh, contextlib.redirect_stdout(fh):
+        return _print_verify(args, params)
+
+
+def _print_verify(args, params: PotentialParams) -> int:
+    rng = random.Random(args.seed)
     q, c = params.q, params.c
     ok = True
 
@@ -398,6 +360,15 @@ def cmd_checks(args) -> int:
     _require(args, c_points=2, grid_size=1, samples=1, depth=1)
     if args.q < 3 and args.probe_c is None:
         raise ValueError(f"q={args.q} has no inequality grid; give --probe-c")
+    probe = (None if args.probe_c is None
+             else PotentialParams(args.q, parse_c(args.probe_c)))
+    if args.json_dir:
+        os.makedirs(args.json_dir, exist_ok=True)
+    with _writer(args.output) as fh, contextlib.redirect_stdout(fh):
+        return _print_checks(args, probe)
+
+
+def _print_checks(args, probe: PotentialParams | None) -> int:
     reports = {}
     if args.q >= 3:
         grid = [0.05 + 0.9 * i / (args.c_points - 1)
@@ -408,12 +379,11 @@ def cmd_checks(args) -> int:
     if args.q >= 4:
         reports["outer_shift"] = outer_shift_negativity_grid(
             args.q, args.grid_size, args.grid_size)
-    if args.probe_c is not None:
-        params = PotentialParams(args.q, parse_c(args.probe_c))
-        cert = gelfond_exponent(params, args.max_period)
+    if probe is not None:
+        cert = gelfond_exponent(probe, args.max_period)
         if isinstance(cert, GelfondCertificate):
             reports["condition_probe"] = sturmian_condition_probe(
-                params, cert, samples=args.samples, depth=args.depth)
+                probe, cert, samples=args.samples, depth=args.depth)
         else:
             print(f"probe skipped: no certificate at c={args.probe_c}")
     ok = True
@@ -422,31 +392,28 @@ def cmd_checks(args) -> int:
         print(f"{name}: worst {fmt(rep.worst_value)} at {rep.worst_point} "
               f"[{'PASS' if rep.passed else 'FAIL'}]")
         if args.json_dir:
-            os.makedirs(args.json_dir, exist_ok=True)
             with open(os.path.join(args.json_dir, f"{name}.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(rep.to_json_dict(), fh, sort_keys=True, indent=2)
     return 0 if ok else 1
 
 
-def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gelfond",
         description="Certified Gelfond exponents of generalized Thue-Morse "
                     "polynomials",
     )
-    parser.add_argument("--config", help="key=value config file "
-                        f"(or ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, threads=False):
-        p.add_argument("--q", type=int, default=defaults.q)
+        p.add_argument("--q", type=int, default=2)
         p.add_argument("--max-period", type=int, dest="max_period",
-                       default=defaults.max_period)
-        p.add_argument("-o", "--output", default=defaults.output,
+                       default=DEFAULT_MAX_PERIOD)
+        p.add_argument("-o", "--output", default="",
                        help="output file (default stdout)")
         if threads:
-            p.add_argument("--threads", type=int, default=defaults.threads,
+            p.add_argument("--threads", type=int, default=0,
                            help="worker processes, 0 = all cores; at most "
                            "one per row and one per core")
 
@@ -491,8 +458,7 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--grid", type=int, dest="grid_size",
-                   default=defaults.grid_size)
+    p.add_argument("--grid", type=int, dest="grid_size", default=1024)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("verify", help="polynomial-side verification suite")
@@ -501,8 +467,7 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--n-max", type=int, dest="n_max", default=8)
-    p.add_argument("--grid", type=int, dest="grid_size",
-                   default=defaults.grid_size)
+    p.add_argument("--grid", type=int, dest="grid_size", default=1024)
     p.add_argument("--fit-csv", dest="fit_csv",
                    help="write the exponent-fit rows here")
     p.add_argument("--sigma-csv", dest="sigma_csv",
@@ -524,20 +489,7 @@ def build_parser(defaults: RunConfig) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # --config must be read before the parser is built, since it sets the
-    # parser's defaults; without allow_abbrev, --c would match --config
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
-                                  exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        config_path = pre.parse_known_args(argv)[0].config
-        defaults = RunConfig(**load_config(config_path))
-    except (argparse.ArgumentError, OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         PotentialParams(args.q, 0.0)  # rejects q < 2 before any command runs
         return args.fn(args)

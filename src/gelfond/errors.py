@@ -15,7 +15,7 @@ class GuardError(GelfondError):
 
 
 class DepthError(GelfondError):
-    """exit_sets was asked for more levels than the depth cap."""
+    """A truncation depth past the cap, or one whose tail bound underflows."""
 
 
 class DomainError(GelfondError):

@@ -7,8 +7,9 @@ import pytest
 from conftest import inner_shift_loop, outer_shift_loop, transfer_integral_loop
 import gelfond.checks as checks
 from gelfond import (GelfondCertificate, PotentialParams,
-                     centering_bound_check, gelfond_exponent,
-                     inner_shift_negativity_grid, outer_shift_negativity_grid,
+                     centering_bound_check, find_balance_point,
+                     gelfond_exponent, inner_shift_negativity_grid,
+                     outer_shift_negativity_grid, sturmian_balance,
                      sturmian_condition_probe)
 from gelfond.checks import _psi_differences
 from gelfond.potential import _f, _fp, potential_derivative_array
@@ -33,6 +34,12 @@ class TestCenteringBound:
         rep = centering_bound_check(3, [0.3])
         theta = rep.details["thetas"][0]
         assert 1.0 / 8.0 < theta < 5.0 / 24.0
+
+    def test_tiny_negative_phase_is_zero(self):
+        # -1e-20 % 1.0 rounds up to 1.0, outside [0, 1)
+        rep = centering_bound_check(3, [-1e-20])
+        assert rep.details["thetas"] == \
+            centering_bound_check(3, [0.0]).details["thetas"]
 
     def test_empty_grid_rejected(self):
         # an empty grid would pass with worst_value inf and no worst point
@@ -144,6 +151,20 @@ class TestConditionProbe:
             for p in ps:
                 assert abs(psi20[p] - psi30[p]) <= \
                     p * m_edge * float(q) ** -20 / (q - 1) + 1e-13
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    @pytest.mark.parametrize("depth", [5, 12, 20])
+    def test_balance_is_psi_difference(self, q, depth):
+        # the balance at lambda* is f_c + psi - psi o T integrated over the
+        # base arc: both sum f_c over the same _tau_pairs images
+        c = 0.35
+        params = PotentialParams(q, c)
+        lam_star = find_balance_point(params)
+        lam = lam_star % 1.0
+        psi = _psi_differences(q, c, lam, [1 / q], depth - 1)[1 / q]
+        v = sturmian_balance(params, lam_star, depth=depth)
+        assert v.value == pytest.approx(
+            _f(q, lam + 1 / q + c) - _f(q, lam + c) + psi, abs=1e-15)
 
     def test_params_must_match_certificate(self):
         # another c with this certificate would get a plausible FAIL report

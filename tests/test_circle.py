@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gelfond import (DepthError, GelfondError, GuardError, PotentialParams,
-                     circle, exit_sets, exit_time_profile, sturmian_balance)
+                     circle, exit_sets, exit_time_profile, find_balance_point,
+                     sturmian_balance)
 from gelfond.circle import WINDOW_GUARD, _exit_levels, _tau_pairs
 from gelfond.potential import _f, _fp
 
@@ -246,6 +247,20 @@ class TestBalance:
             sturmian_balance(params, -0.4 - 1e-9)  # inside the guard margin
         with pytest.raises(GuardError):
             sturmian_balance(params, 0.7)  # outside the window entirely
+
+    @pytest.mark.parametrize("q, depth", [(8, 340), (8, 358), (8, 400),
+                                          (2, 401), (2, 1100)])
+    def test_fixed_depth_refuses_underflowing_bound(self, q, depth):
+        # past the cap, or once q^-depth/(q-1) is subnormal, err_bound would
+        # round down (to 0.0 at q=8 from depth 358) and claim an exact value
+        params = PotentialParams(q, 0.35)
+        with pytest.raises(DepthError):
+            sturmian_balance(params, find_balance_point(params), depth=depth)
+
+    def test_deepest_fixed_depth_has_positive_bound(self):
+        params = PotentialParams(8, 0.35)
+        v = sturmian_balance(params, find_balance_point(params), depth=339)
+        assert v.err_bound >= sys.float_info.min
 
     def test_lifted_and_mod1_inputs_agree(self):
         params = PotentialParams(2, 0.5)

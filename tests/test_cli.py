@@ -6,8 +6,7 @@ import pytest
 import gelfond.certify as certify
 import gelfond.cli as cli
 from gelfond import DepthError, GuardError
-from gelfond.cli import (RunConfig, build_parser, fmt, load_config, main,
-                         parse_c)
+from gelfond.cli import build_parser, fmt, main, parse_c
 
 
 def run_cli(capsys, *argv):
@@ -437,63 +436,6 @@ class TestBetaCurveCommand:
             "OK", "ERROR: depth cap reached", "OK", "OK"]
 
 
-class TestConfig:
-    def test_config_file_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("q = 2\nmax_period = 3\n# comment\n")
-        for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
-            code, out, _ = run_cli(capsys, *flag, "cycles")
-            assert code == 0
-            assert len(out.strip().splitlines()) == 4  # header + periods 2,3
-
-    def test_config_without_value(self, capsys):
-        code, out, err = run_cli(capsys, "cycles", "--config")
-        assert code == 1
-        assert out == ""
-        assert err == "config error: argument --config: expected one argument\n"
-
-    def test_env_var_config(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_period = 2\n")
-        monkeypatch.setenv("GELFOND_CONFIG", str(cfg))
-        code, out, _ = run_cli(capsys, "cycles", "--q", "2")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 2
-
-    def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_period = 2\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "cycles",
-                               "--q", "2", "--max-period", "4")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 6  # header + periods 2,3,4
-
-    def test_bad_config_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("no_such_key = 1\n")
-        code, _, err = run_cli(capsys, "--config", str(cfg), "cycles")
-        assert code == 1
-        assert "unknown config key" in err
-
-    def test_format_key_rejected(self, tmp_path, capsys):
-        # output is always CSV; there is no format setting.  The certifier's
-        # tolerances and depth cap are constants, not settings either
-        cfg = tmp_path / "run.cfg"
-        for key, value in [("format", "csv"), ("bisect_tol", "1e-12"),
-                           ("depth_cap", "400"), ("validity_tol", "1e-11"),
-                           ("v_target_err", "1e-13")]:
-            cfg.write_text(f"{key} = {value}\n")
-            code, _, err = run_cli(capsys, "--config", str(cfg), "cycles")
-            assert code == 1
-            assert err == f"config error: unknown config key: {key}\n"
-
-    def test_load_config_types(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("q=3\ngrid_size=512\noutput=out.csv\n")
-        vals = load_config(str(cfg))
-        assert vals == {"q": 3, "grid_size": 512, "output": "out.csv"}
-
-
 class TestOutputFile:
     def test_output_flag_writes_file(self, tmp_path, capsys):
         path = tmp_path / "cycles.csv"
@@ -512,10 +454,34 @@ class TestOutputFile:
         assert out == ""
         assert path.read_text() == stdout
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--q", "2", "--c", "1/3", "--samples", "5", "--n-max", "4",
+         "--grid", "64"),
+        ("checks", "--q", "3", "--grid", "20", "--c-points", "2"),
+    ])
+    def test_report_lines_output_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "report.txt"
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "-o", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == stdout
+
+    def test_checks_bad_json_dir_before_output(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "checks", "--q", "3", "--grid", "20",
+                                 "--c-points", "2", "--json-dir",
+                                 str(blocker / "reports"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 def test_option_surface():
     # every subcommand's flags, so that adding or removing one shows here
-    parser = build_parser(RunConfig())
+    parser = build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
 
@@ -526,7 +492,7 @@ def test_option_surface():
     common = ["--max-period", "--output", "--q", "-o"]
     threads = ["--threads"]
     surface = {name: flags(p) for name, p in sub.choices.items()}
-    assert flags(parser) == ["--config"]
+    assert flags(parser) == []
     assert surface == {name: sorted(common + extra) for name, extra in {
         "gelfond": ["--c", "--json"],
         "cycles": ["--min-period"],
