@@ -22,8 +22,8 @@ from .certify import GelfondCertificate, find_balance_point
 from .circle import _tau_pairs
 from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
-from .potential import (PotentialParams, _f, _fp, potential_derivative_array,
-                        reduce_phase)
+from .potential import (REMOVABLE_TOL, ZERO_TOL, PotentialParams, _f, _fp,
+                        potential_derivative_array, reduce_phase)
 
 BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
 PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
@@ -86,15 +86,37 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     )
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn from math on every element of a 1-D x."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 def _f_map(q: int, x: np.ndarray) -> np.ndarray:
-    """The scalar potential kernel on every element of x."""
-    return np.fromiter((_f(q, v) for v in x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    """_f on every element of x, bit for bit _f, in one array pass.
+
+    x - rint(x) is math.remainder(x, 1.0) exactly, up to the sign of a zero,
+    which reaches the result only through abs.  sin and log are called
+    through math, so the bits are libm's: NumPy's own kernels may round
+    differently.
+    """
+    ur = x - np.rint(x)
+    vr = q * ur
+    vr -= np.rint(vr)
+    out = np.full(x.shape, math.log(q))
+    live = np.abs(ur) > REMOVABLE_TOL
+    zero = np.abs(vr) <= q * ZERO_TOL
+    out[live & zero] = -math.inf
+    live &= ~zero
+    ratio = _libm(math.sin, np.pi * vr[live])
+    ratio /= _libm(math.sin, np.pi * ur[live])
+    out[live] = _libm(math.log, np.abs(ratio))
+    return out
 
 
 def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
                 quantity) -> GridReport:
-    """Grid maximum over t in (3/8q, 5/8q) and s in linspace(*s_span(t)).
+    """Grid maximum over t in (3/8q, 5/8q) and s in linspace(*s_span(t));
+    s_span takes the array of t and returns each row's two ends.
 
     quantity(t, s, f_t, fp_t) is evaluated once on the whole (t_steps,
     s_steps) grid, t and its f, f' as columns; each row's maximum then
@@ -102,7 +124,7 @@ def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
     """
     off = BOUNDARY_OFFSET
     ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
-    s = np.array([np.linspace(*s_span(t), s_steps) for t in ts])
+    s = np.linspace(*s_span(ts), s_steps, axis=1)
     t = ts[:, None]
     g = quantity(t, s, _f_map(q, t),
                  np.array([[_fp(q, v)] for v in ts.tolist()]))

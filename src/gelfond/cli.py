@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -398,6 +399,7 @@ def _print_checks(args, probe: PotentialParams | None) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gelfond",

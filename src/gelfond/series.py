@@ -88,17 +88,19 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
 def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
     """|partial sum of length q^n| via the amplitude product along the orbit.
 
-    The orbit of x (a float or a Fraction) is iterated exactly as a Fraction,
-    reduced mod 1 at every level, so no rounding is amplified by q^n.
+    The orbit of x (a float or a Fraction) is iterated exactly, as integer
+    numerators over x's denominator, reduced mod 1 at every level, so no
+    rounding is amplified by q^n; num / den rounds as float(Fraction) does.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     q, c = params.q, params.c
     acc = 1.0
-    xk = Fraction(x) % 1
+    num, den = Fraction(x).as_integer_ratio()
+    num %= den
     for _ in range(n_levels):
-        acc *= _amp(q, float(xk) + c)
-        xk = (q * xk) % 1
+        acc *= _amp(q, num / den + c)
+        num = q * num % den
     return acc
 
 
@@ -106,18 +108,20 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
                            x: float) -> bool:
     """Check w(a*q^t + b) = w(a*q^t) * w(b) for b < q^t, w(n) = t_n e^(2 pi i n x).
 
-    Phases are reduced mod 1 in exact rational arithmetic so the check stays
-    meaningful for large n*x.
+    Phases are reduced mod 1 in exact integer arithmetic, over the product
+    of the denominators of c and x, so the check stays meaningful for large
+    n*x.
     """
     q, c = params.q, params.c
     if b >= q ** t:
         raise ValueError("requires b < q^t")
-    xf = Fraction(x)
-    cf = Fraction(c)
+    c_num, c_den = Fraction(c).as_integer_ratio()
+    x_num, x_den = Fraction(x).as_integer_ratio()
+    den = c_den * x_den
 
     def w(n: int) -> complex:
-        theta = (cf * digit_sum(q, n) + n * xf) % 1
-        return cmath.exp(2j * math.pi * float(theta))
+        num = c_num * x_den * digit_sum(q, n) + n * x_num * c_den
+        return cmath.exp(2j * math.pi * (num % den / den))
 
     lhs = w(a * q ** t + b)
     rhs = w(a * q ** t) * w(b)

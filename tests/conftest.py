@@ -10,10 +10,12 @@ the Stern-Brocot cycle selection by a linear scan over every enumerated
 cycle, and the scalar potential by its earlier u - round(u) form.  The two
 batched shift grids are checked against their earlier one-t-at-a-time loops,
 and the probe's exact transfer function against a Gauss-Legendre quadrature
-of its derivative series; those take the potential kernels as arguments, so
-nothing here imports gelfond.
+of its derivative series.  The orbit product and the multiplicativity check
+are checked against their earlier Fraction-orbit forms.  Those take the
+potential kernels as arguments, so nothing here imports gelfond.
 """
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -269,6 +271,34 @@ def outer_shift_loop(f, fp, q: int, t_steps: int, s_steps: int,
             worst = float(g[j])
             worst_point = (float(t), float(s[j]))
     return worst, worst_point, rows
+
+
+def modulus_product_fraction(amp, q: int, c: float, n_levels: int,
+                             x) -> float:
+    """The orbit product with the orbit of x iterated as a Fraction, the
+    form modulus_product had before it moved to integer numerators."""
+    acc = 1.0
+    xk = Fraction(x) % 1
+    for _ in range(n_levels):
+        acc *= amp(q, float(xk) + c)
+        xk = (q * xk) % 1
+    return acc
+
+
+def multiplicativity_fraction(digit_sum, q: int, c: float, a: int, t: int,
+                              b: int, x: float, tol: float) -> bool:
+    """The multiplicativity check with its phases reduced as Fractions, the
+    form multiplicativity_check had before it moved to integers."""
+    xf = Fraction(x)
+    cf = Fraction(c)
+
+    def w(n: int) -> complex:
+        theta = (cf * digit_sum(q, n) + n * xf) % 1
+        return cmath.exp(2j * math.pi * float(theta))
+
+    lhs = w(a * q ** t + b)
+    rhs = w(a * q ** t) * w(b)
+    return abs(lhs - rhs) <= tol
 
 
 @pytest.fixture

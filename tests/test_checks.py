@@ -12,7 +12,8 @@ from gelfond import (GelfondCertificate, PotentialParams,
                      outer_shift_negativity_grid, sturmian_balance,
                      sturmian_condition_probe)
 from gelfond.checks import _psi_differences
-from gelfond.potential import _f, _fp, potential_derivative_array
+from gelfond.potential import (REMOVABLE_TOL, ZERO_TOL, _f, _fp,
+                               potential_derivative_array)
 
 
 class TestCenteringBound:
@@ -251,3 +252,67 @@ class TestBatchedScans:
             assert sorted(got) == [0.0] + positions
             for p in positions:
                 assert abs(got[p] - want[p]) <= 1e-12
+
+
+class TestFMap:
+    """_f_map is the scalar _f on every element, bit for bit, at random
+    points and at each branch boundary of the kernel."""
+
+    @staticmethod
+    def _assert_bits(q, x):
+        x = np.asarray(x, dtype=float)
+        want = np.array([_f(q, v) for v in x.ravel().tolist()])
+        got = checks._f_map(q, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+        return want
+
+    @staticmethod
+    def _ulps(u, k=100):
+        # the 2k + 1 floats centred on u
+        lo = [u]
+        for _ in range(k):
+            lo.append(math.nextafter(lo[-1], -math.inf))
+        hi = [u]
+        for _ in range(k):
+            hi.append(math.nextafter(hi[-1], math.inf))
+        return lo[::-1] + hi[1:]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_seeded_points(self, q):
+        gen = np.random.default_rng(700 + q)
+        self._assert_bits(q, gen.uniform(-2.0, 3.0, 100_000))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_branches(self, q):
+        ints = [float(n) for n in range(-2, 4)] + [2.0 ** 53, -2.0 ** 60]
+        assert set(self._assert_bits(q, ints).tolist()) == {math.log(q)}
+        zeros = [k / q for k in range(-2 * q, 3 * q) if k % q]
+        assert set(self._assert_bits(q, zeros).tolist()) == {-math.inf}
+        for u in (REMOVABLE_TOL, -REMOVABLE_TOL, 1.0 + REMOVABLE_TOL,
+                  -2.0 - REMOVABLE_TOL):
+            us = self._ulps(u)
+            self._assert_bits(q, us)
+            # the floats straddle the removable-point threshold
+            assert {abs(math.remainder(v, 1.0)) <= REMOVABLE_TOL
+                    for v in us} == {True, False}
+        # near a nonzero integer q*ur steps by multiples of 2**-53, which
+        # q*ZERO_TOL is not, so no float lands on the zero threshold itself;
+        # the floats around it straddle it
+        vtol = q * ZERO_TOL
+        for u in ((1.0 + vtol) / q, (1.0 - vtol) / q, (q - 1.0 + vtol) / q,
+                  1.0 / q + ZERO_TOL, -1.0 / q - ZERO_TOL):
+            want = self._assert_bits(q, self._ulps(u))
+            assert (want == -math.inf).any()
+            assert np.isfinite(want).any()
+        for u in ([1e6 + 0.3, -1e6 - 0.3, 1e6 + 1.0 / q, 3e9 + 0.7,
+                   2.0 ** 52 + 0.5]):
+            self._assert_bits(q, [u])
+
+    @pytest.mark.parametrize("q", [3, 8])
+    def test_two_dimensional_input(self, q):
+        gen = np.random.default_rng(800 + q)
+        x = gen.uniform(-2.0, 3.0, (40, 25))
+        x[3, :5] = [0.0, 1.0 / q, 1.0 + REMOVABLE_TOL, 2.0, -1.0]
+        self._assert_bits(q, x)
+        self._assert_bits(q, x[:, :1])

@@ -405,6 +405,39 @@ class TestVerifyAndChecks:
         assert doc["passed"] is True
 
 
+class TestSharedParser:
+    """main parses every call with one parser, which keeps no state from
+    one call to the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_fit_csv_not_carried_over(self, capsys, tmp_path):
+        fit = tmp_path / "fit.csv"
+        small = ["verify", "--q", "2", "--c", "0.3", "--samples", "5",
+                 "--n-max", "3", "--grid", "64"]
+        assert run_cli(capsys, *small, "--fit-csv", str(fit))[0] == 0
+        fit.unlink()
+        assert run_cli(capsys, *small)[0] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_probe_not_carried_over(self, capsys, monkeypatch):
+        small = ["--grid", "20", "--c-points", "2"]
+        code, out, _ = run_cli(capsys, "checks", "--q", "3", "--probe-c",
+                               "0.3", "--samples", "8", "--depth", "12",
+                               *small)
+        assert code == 0 and "condition_probe" in out
+
+        def no_certificate(*args):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(cli, "gelfond_exponent", no_certificate)
+        code, out, _ = run_cli(capsys, "checks", "--q", "4", *small)
+        assert code == 0
+        assert "probe" not in out
+        assert "outer_shift" in out
+
+
 class TestBetaCurveCommand:
     def test_csv_and_svg(self, capsys, tmp_path):
         svg = tmp_path / "curve.svg"

@@ -24,8 +24,12 @@ the second time), and centering.json alone by the commit that made the
 bisection move an end only on a certified sign: at c = 1/2 the balance sign
 at the guarded window's midpoint is uncertain, so that midpoint is lambda_star
 and the centering theta is exactly 0.125 = 1/(2q), not 0.12499999999954525.
-A change that alters any certificate, CSV cell or JSON key fails this test,
-so refactors that claim byte-identical output can show it.  validity_q2 also
+verify_q2_c03_s7 and verify_q3_c03_s7 are the two verify sizes of the
+benchmark's crosscheck items, written before the orbit products moved from
+Fraction to integer numerators and the outer shift grid from scalar _f calls
+to one array pass.  A change that alters any certificate, CSV cell or JSON
+key fails this test, so refactors that claim byte-identical output can show
+it.  validity_q2 also
 pins every bisection sign of the c-roots, since each one moves a printed
 digit.
 """
@@ -62,6 +66,12 @@ CASES = {
     "checks_q4_g64": (["checks", "--q", "4", "--grid", "64", "--c-points", "3",
                        "--probe-c", "0.3", "--samples", "8", "--depth", "12"],
                       0),
+    "verify_q2_c03_s7": (["verify", "--q", "2", "--c", "0.3", "--seed", "7",
+                          "--samples", "40", "--n-max", "5", "--grid", "256"],
+                         0),
+    "verify_q3_c03_s7": (["verify", "--q", "3", "--c", "0.3", "--seed", "7",
+                          "--samples", "20", "--n-max", "5", "--grid", "256"],
+                         0),
 }
 FILES = Path(__file__).parent / "data" / "cli_files"
 

@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 import gelfond.series as series
+from conftest import modulus_product_fraction, multiplicativity_fraction
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit)
-from gelfond.potential import _f, potential_array
+from gelfond.potential import _amp, _f, potential_array
 from gelfond.series import polynomial_profile
 
 TM_SIGNS = [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
@@ -131,6 +132,61 @@ class TestMultiplicativity:
         lhs = w(a * 2 ** t + b, extra=1e-6)
         rhs = w(a * 2 ** t) * w(b)
         assert abs(lhs - rhs) > 1e-12
+
+
+# phases whose Fraction has a large denominator (up to 2**1074)
+WIDE_C = [5e-324, 1e-300, 0.3 + 2.0 ** -54, 1.0 - 2.0 ** -53]
+
+
+def _orbit_inputs(rng, q):
+    """Seeded floats, dyadic floats, Fractions, verify's mirror points
+    1 - Fraction(x), zero and large-denominator floats."""
+    xs = [0.0, 0, F(0), 5e-324, 1e-300, 1.0 - 2.0 ** -53, -0.3]
+    for _ in range(20):
+        x = rng.random()
+        xs += [x, F(x), 1 - F(x), rng.randint(0, 2 ** 10) / 2 ** 10,
+               F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 6)),
+               F(rng.randint(0, q ** 12), q ** 12 - 1)]
+    return xs
+
+
+class TestIntegerOrbits:
+    """The integer orbits equal the earlier Fraction orbits exactly."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_modulus_product_matches_fraction_orbit(self, q):
+        rng = random.Random(900 + q)
+        for c in [0.0, 0.3, rng.random(), rng.random()] + WIDE_C:
+            params = PotentialParams(q, c)
+            for x in _orbit_inputs(rng, q):
+                for n in (1, rng.randint(2, 12), 40):
+                    assert modulus_product(params, n, x) == \
+                        modulus_product_fraction(_amp, q, c, n, x), (c, x, n)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_multiplicativity_matches_fraction_phases(self, q, monkeypatch):
+        # every phase handed to cmath.exp is compared, not only the verdict
+        rng = random.Random(950 + q)
+        phases, real_exp = [], cmath.exp
+
+        def exp(z):
+            phases.append(z)
+            return real_exp(z)
+
+        monkeypatch.setattr(cmath, "exp", exp)
+        for c in [0.0, 0.37, rng.random()] + WIDE_C:
+            params = PotentialParams(q, c)
+            for x in _orbit_inputs(rng, q)[:40]:
+                t = rng.randint(1, 8)
+                a, b = rng.randint(1, 1000), rng.randint(0, q ** t - 1)
+                phases.clear()
+                got = multiplicativity_check(params, a, t, b, x=x)
+                ours = phases[:]
+                phases.clear()
+                want = multiplicativity_fraction(
+                    digit_sum, q, c, a, t, b, x, series.MULTIPLICATIVITY_TOL)
+                assert len(ours) == 3
+                assert (got, ours) == (want, phases), (c, x, a, t, b)
 
 
 class TestSymmetry:
