@@ -5,10 +5,12 @@ negativity grids for composite bounds controlling points reached by 1/q
 shifts of the arc, and a direct probe that the transfer-corrected potential
 is constant on the certified arc and strictly smaller outside.  The probe's
 transfer function psi is exact up to its truncation depth: each series term
-integrates in closed form over the inverse-branch images of an arc.  These
-are numerical confirmations with explicit margins, not proofs; the margins
-double as regression baselines.  The probe's sample margin and pass
-thresholds are the PROBE_* constants, written into its report.
+integrates in closed form over the inverse-branch images of an arc.  The
+centering bound is certified at each grid c by two balance signs, with the
+certificates' err_bound; the other three are numerical confirmations with
+explicit margins, not proofs.  The margins double as regression baselines.
+The probe's sample margin and pass thresholds are the PROBE_* constants,
+written into its report.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import certify
+# find_balance_point is unused here: the benchmark tracer wraps it
 from .certify import GelfondCertificate, find_balance_point
 from .circle import _tau_pairs
 from .errors import GuardError
@@ -53,10 +57,17 @@ class GridReport:
 
 
 def centering_bound_check(q: int, c_grid) -> GridReport:
-    """Check 3/(8q) < theta < 5/(8q) for theta = lam* + 1/q + c, q >= 3.
+    """Certify 3/(8q) < theta < 5/(8q) for theta = lam* + 1/q + c, q >= 3.
 
     theta measures where the balanced arc's right endpoint sits relative to
-    the potential maximum; the bound says the arc is nearly centered.
+    the potential maximum; the bound says the arc is nearly centered.  The
+    balance is strictly decreasing in lam and vanishes at lam*, so the bound
+    holds exactly when the balance is certified + at lam = 3/(8q) - 1/q - c
+    and - at lam = 5/(8q) - 1/q - c: two adaptive balance calls per c, no
+    search for lam*.  worst_value is the least sign margin over the grid,
+    value - err_bound at the first end and -value - err_bound at the second,
+    so it is positive exactly when every sign is certified; worst_point is
+    that c with its end's lambda.
     """
     if q < 3:
         raise ValueError("the centering bound applies to q >= 3")
@@ -66,23 +77,29 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     hi = 5.0 / (8.0 * q)
     worst = math.inf
     worst_point = None
-    thetas = []
+    ends = []
     for c in c_grid:
         params = PotentialParams(q, reduce_phase(float(c)))
-        theta = find_balance_point(params) + 1.0 / q + params.c
-        theta -= math.floor(theta)  # lifted lam has lam+c in (-1/q, 0)
-        margin = min(theta - lo, hi - theta)
-        thetas.append(theta)
-        if margin < worst:
-            worst = margin
-            worst_point = (float(c), theta)
+        lam_lo = lo - 1.0 / q - params.c
+        lam_hi = hi - 1.0 / q - params.c
+        # certify's binding, so the benchmark tracer counts these calls
+        v_lo = certify.sturmian_balance(params, lam_lo)
+        v_hi = certify.sturmian_balance(params, lam_hi)
+        ends.append([{"lambda": lam, "value": v.value,
+                      "err_bound": v.err_bound, "depth": v.depth}
+                     for lam, v in ((lam_lo, v_lo), (lam_hi, v_hi))])
+        for margin, lam in ((v_lo.value - v_lo.err_bound, lam_lo),
+                            (-v_hi.value - v_hi.err_bound, lam_hi)):
+            if margin < worst:
+                worst = margin
+                worst_point = (float(c), lam)
     return GridReport(
         grid_spec={"q": q, "c_grid": [float(c) for c in c_grid],
                    "bound": [lo, hi]},
         worst_value=worst,
         worst_point=worst_point,
         passed=worst > 0.0,
-        details={"thetas": thetas},
+        details={"ends": ends},
     )
 
 

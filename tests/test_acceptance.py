@@ -410,7 +410,7 @@ def test_criterion_10_lemma_grids_and_probe():
         grid = [0.06 + 0.88 * i / 7 for i in range(8)]
         rep = centering_bound_check(q, grid)
         assert rep.passed and rep.worst_value > 0
-        margins.append(f"theta(q={q}) {rep.worst_value:.3f}")
+        margins.append(f"centering sign(q={q}) {rep.worst_value:.3f}")
         rep = inner_shift_negativity_grid(q, 200, 200)
         assert rep.passed and rep.worst_value < 0
         margins.append(f"inner(q={q}) {rep.worst_value:.3f}")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import inner_shift_loop, outer_shift_loop, transfer_integral_loop
+import gelfond.certify as certify
 import gelfond.checks as checks
-from gelfond import (GelfondCertificate, PotentialParams,
+from gelfond import (BalanceValue, GelfondCertificate, PotentialParams,
                      centering_bound_check, find_balance_point,
                      gelfond_exponent, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_balance,
@@ -14,6 +15,13 @@ from gelfond import (GelfondCertificate, PotentialParams,
 from gelfond.checks import _psi_differences
 from gelfond.potential import (REMOVABLE_TOL, ZERO_TOL, _f, _fp,
                                potential_derivative_array)
+
+
+def _signs(end_pair):
+    """The certified signs of one c's two ends in a centering report."""
+    return tuple(certify._certified_sign(
+        BalanceValue(e["value"], e["err_bound"], e["depth"]))
+        for e in end_pair)
 
 
 class TestCenteringBound:
@@ -28,24 +36,90 @@ class TestCenteringBound:
         assert rep.passed
         assert rep.worst_value > 0
         lo, hi = 3.0 / (8 * q), 5.0 / (8 * q)
-        for theta in rep.details["thetas"]:
-            assert lo < theta < hi
+        margins = []
+        for c, (e_lo, e_hi) in zip(grid, rep.details["ends"]):
+            assert e_lo["lambda"] + 1.0 / q + c == pytest.approx(lo)
+            assert e_hi["lambda"] + 1.0 / q + c == pytest.approx(hi)
+            assert _signs((e_lo, e_hi)) == (1, -1)
+            margins += [e_lo["value"] - e_lo["err_bound"],
+                        -e_hi["value"] - e_hi["err_bound"]]
+        assert rep.worst_value == min(margins)
 
     def test_q3_specific_value(self):
         rep = centering_bound_check(3, [0.3])
-        theta = rep.details["thetas"][0]
-        assert 1.0 / 8.0 < theta < 5.0 / 24.0
+        (e_lo, e_hi), = rep.details["ends"]
+        assert e_lo["lambda"] == 1.0 / 8.0 - 1.0 / 3.0 - 0.3
+        assert e_hi["lambda"] == 5.0 / 24.0 - 1.0 / 3.0 - 0.3
+        assert _signs((e_lo, e_hi)) == (1, -1)
+        assert rep.worst_point[0] == 0.3
+        assert rep.worst_point[1] in (e_lo["lambda"], e_hi["lambda"])
 
     def test_tiny_negative_phase_is_zero(self):
         # -1e-20 % 1.0 rounds up to 1.0, outside [0, 1)
         rep = centering_bound_check(3, [-1e-20])
-        assert rep.details["thetas"] == \
-            centering_bound_check(3, [0.0]).details["thetas"]
+        assert rep.details["ends"] == \
+            centering_bound_check(3, [0.0]).details["ends"]
 
     def test_empty_grid_rejected(self):
         # an empty grid would pass with worst_value inf and no worst point
         with pytest.raises(ValueError, match="nonempty"):
             centering_bound_check(3, [])
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6, 8])
+    def test_verdict_matches_bisected_theta(self, q):
+        # the oracle: theta = lam* + 1/q + c with lam* bisected to 1e-12,
+        # the method the check used before it read two signs
+        rng = random.Random(1000 + q)
+        grid = [rng.random() for _ in range(200)] + [0.0, 0.5]
+        rep = centering_bound_check(q, grid)
+        lo, hi = 3.0 / (8 * q), 5.0 / (8 * q)
+        inside = []
+        for c, ends in zip(grid, rep.details["ends"]):
+            theta = find_balance_point(PotentialParams(q, c)) + 1.0 / q + c
+            theta -= math.floor(theta)
+            inside.append(lo < theta < hi)
+            assert (_signs(ends) == (1, -1)) == inside[-1], (q, c, theta)
+        assert rep.passed == all(inside)
+        # two shallow calls replace the bisection's ~41, most of them deep
+        assert max(e["depth"] for ends in rep.details["ends"]
+                   for e in ends) <= 8
+
+    def test_two_balance_calls_per_c(self, monkeypatch):
+        calls = []
+
+        def counting(params, lam, **kw):
+            calls.append(lam)
+            return sturmian_balance(params, lam, **kw)
+
+        monkeypatch.setattr(certify, "sturmian_balance", counting)
+        grid = [0.05 + 0.9 * i / 6 for i in range(7)]
+        rep = centering_bound_check(4, grid)
+        assert len(calls) == 2 * len(grid)
+        assert calls == [e["lambda"] for ends in rep.details["ends"]
+                         for e in ends]
+
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("value", [0.05, -0.5])
+    def test_bad_sign_fails(self, monkeypatch, end, value):
+        # one end of one c reads value times the sign it needs, against an
+        # err_bound of 0.1: 0.05 leaves the sign uncertain, -0.5 certifies
+        # the wrong one; the report must fail and name that c and end
+        grid = [0.1, 0.4, 0.7]
+        bad = 2 * 1 + end  # the call for c = 0.4 at this end
+        calls = []
+
+        def patched(params, lam, **kw):
+            calls.append(lam)
+            v = sturmian_balance(params, lam, **kw)
+            if len(calls) - 1 != bad:
+                return v
+            return BalanceValue((1 - 2 * end) * value, 0.1, v.depth)
+
+        monkeypatch.setattr(certify, "sturmian_balance", patched)
+        rep = centering_bound_check(3, grid)
+        assert not rep.passed
+        assert rep.worst_value <= 0
+        assert rep.worst_point == (0.4, calls[bad])
 
 
 class TestInnerShiftGrid:

@@ -24,6 +24,11 @@ the second time), and centering.json alone by the commit that made the
 bisection move an end only on a certified sign: at c = 1/2 the balance sign
 at the guarded window's midpoint is uncertain, so that midpoint is lambda_star
 and the centering theta is exactly 0.125 = 1/(2q), not 0.12499999999954525.
+checks_q4_g64's centering line and centering.json were rewritten again by
+the commit that certifies the centering bound by two balance signs per c
+instead of bisecting lambda*: worst_value became the least sign margin and
+worst_point names the lambda of that end, the JSON details give each c's two
+ends with their balance values, not theta; no other line or file changed.
 verify_q2_c03_s7 and verify_q3_c03_s7 are the two verify sizes of the
 benchmark's crosscheck items, written before the orbit products moved from
 Fraction to integer numerators and the outer shift grid from scalar _f calls
