@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -337,6 +336,9 @@ def _pmap(fn, items, threads):
     workers = min(threads or 1, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
+    # imported here, so that a run in one process never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import certify
 # find_balance_point is unused here: the benchmark tracer wraps it
@@ -28,6 +27,9 @@ from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
 from .potential import (REMOVABLE_TOL, ZERO_TOL, PotentialParams, _f, _fp,
                         potential_derivative_array, reduce_phase)
+
+if TYPE_CHECKING:  # imported on first use by the grid functions
+    import numpy as np
 
 BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
 PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
@@ -105,6 +107,8 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """fn from math on every element of a 1-D x."""
+    import numpy as np
+
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
@@ -116,6 +120,8 @@ def _f_map(q: int, x: np.ndarray) -> np.ndarray:
     through math, so the bits are libm's: NumPy's own kernels may round
     differently.
     """
+    import numpy as np
+
     ur = x - np.rint(x)
     vr = q * ur
     vr -= np.rint(vr)
@@ -139,6 +145,8 @@ def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
     s_steps) grid, t and its f, f' as columns; each row's maximum then
     updates the running worst in t order.
     """
+    import numpy as np
+
     off = BOUNDARY_OFFSET
     ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
     s = np.linspace(*s_span(ts), s_steps, axis=1)
@@ -164,6 +172,8 @@ def inner_shift_negativity_grid(q: int, t_steps: int = 200,
     """
     if q < 3:
         raise ValueError("the inner-shift grid applies to q >= 3")
+    import numpy as np
+
     one_q, log_q = 1.0 / q, math.log(q)
     return _shift_scan(
         q, t_steps, s_steps, lambda t: (BOUNDARY_OFFSET, one_q - t),
@@ -183,6 +193,8 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
     """
     if q < 4:
         raise ValueError("the outer-shift grid applies to q >= 4")
+    import numpy as np
+
     one_q, log_q = 1.0 / q, math.log(q)
     return _shift_scan(
         q, t_steps, s_steps, lambda t: (t, one_q - BOUNDARY_OFFSET),
@@ -229,6 +241,8 @@ def sturmian_condition_probe(params: PotentialParams,
         raise ValueError(f"params {params} differ from {certificate.params}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    import numpy as np
+
     q, c = params.q, params.c
     lam_mod = certificate.lambda_star % 1.0
     beta = certificate.beta

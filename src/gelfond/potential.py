@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SingularityError
+
+# The array functions import NumPy on first use, so the scalar certificate
+# path never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Circle-distance thresholds, in circle units.
 REMOVABLE_TOL = 1e-12     # x+c this close to an integer counts as the maximum
@@ -110,6 +114,8 @@ def potential(params: PotentialParams, x: float) -> float:
 
 def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
     """Vectorized amplitude; no guards, removable points patched to q."""
+    import numpy as np
+
     u = np.asarray(x, dtype=float) + c
     ur = u - np.round(u)
     vr = q * ur - np.round(q * ur)
@@ -125,6 +131,8 @@ def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
 
 def potential_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
     """Vectorized log amplitude; returns -inf at the zeros (no exceptions)."""
+    import numpy as np
+
     a = amplitude_array(q, c, x)
     with np.errstate(divide="ignore"):
         return np.log(a)
@@ -136,6 +144,8 @@ def potential_derivative_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
     Callers must keep arguments away from the logarithmic singularities;
     near the maximum the series branch avoids the cot cancellation.
     """
+    import numpy as np
+
     u = np.asarray(x, dtype=float) + c
     ur = u - np.round(u)
     vr = q * ur - np.round(q * ur)

@@ -15,10 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .potential import PotentialParams, _amp, potential_array
+
+if TYPE_CHECKING:  # imported on first use by the array functions
+    import numpy as np
 
 DIRECT_SUM_CAP = 2 ** 24
 MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
@@ -42,6 +44,8 @@ def digit_sum(q: int, n: int) -> int:
 
 
 def _digit_sums_upto(q: int, N: int) -> np.ndarray:
+    import numpy as np
+
     arr = np.arange(N, dtype=np.int64)
     s = np.zeros(N, dtype=np.int64)
     while arr.any():
@@ -155,6 +159,8 @@ def sup_exponent_fit(params: PotentialParams, n_max: int, grid_size: int,
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    import numpy as np
+
     q, c = params.q, params.c
     size = max(grid_size, min(FIT_OVERSAMPLE * q ** n_max, FIT_GRID_CAP))
     blocks = [(a, min(a + FIT_CHUNK, size)) for a in range(0, size, FIT_CHUNK)]
@@ -188,6 +194,8 @@ def polynomial_profile(params: PotentialParams, N: int,
     """(x, |partial sum of length N|) on a uniform grid, chunked by index."""
     if N > DIRECT_SUM_CAP:
         raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
+    import numpy as np
+
     q, c = params.q, params.c
     xs = np.arange(grid_size) / grid_size
     coeff = np.exp(2j * np.pi * c * _digit_sums_upto(q, N))

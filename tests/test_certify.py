@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -243,7 +244,9 @@ class TestValidityIntervals:
 class TestPool:
     """_pmap runs at most one worker per item and one per core: the pool
     forks all max_workers processes at its first submit.  A fake executor
-    records the pool size, so no process is started."""
+    records the pool size, so no process is started; _pmap imports the
+    executor from concurrent.futures only when it forks, so the fake
+    replaces it there."""
 
     @pytest.mark.parametrize("threads, items, cores, workers", [
         (5000, 57, 4, 4), (5000, 3, 64, 3), (2, 57, 64, 2),
@@ -266,7 +269,8 @@ class TestPool:
             def map(self, fn, it):
                 return map(fn, it)
 
-        monkeypatch.setattr(certify, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakeExecutor)
         monkeypatch.setattr(certify.os, "cpu_count", lambda: cores)
         got = certify._pmap(abs, list(range(-items, 0)), threads)
         assert got == list(range(items, 0, -1))
@@ -718,13 +722,3 @@ class TestCompactRecords:
     def test_certificates_share_cycles(self):
         a, b = cert(2, 0.25), cert(2, 0.26)
         assert a.cycle is b.cycle is build_cycle(2, 0, F(3, 4))
-
-    def test_import_leaves_numpy_polynomial_unloaded(self):
-        code = ("import sys, gelfond; "
-                "sys.exit('numpy.polynomial' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(certify.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
