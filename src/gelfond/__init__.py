@@ -24,7 +24,7 @@ from .series import (ExponentFitRow, digit_sum, modulus_product,
                      multiplicativity_check, polynomial_sum, sup_exponent_fit)
 from .sturmian import (IrrationalRotation, LambdaWindow, RationalRotation,
                        SturmianCycle, build_cycle, enumerate_cycles,
-                       lambda_window, rotation_number, rotation_staircase)
+                       lambda_window, rotation_number)
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,5 @@ __all__ = [
     "multiplicativity_check", "polynomial_sum", "sup_exponent_fit",
     "IrrationalRotation", "LambdaWindow", "RationalRotation",
     "SturmianCycle", "build_cycle", "enumerate_cycles", "lambda_window",
-    "rotation_number", "rotation_staircase",
+    "rotation_number",
 ]

@@ -280,53 +280,26 @@ DEFAULT_TABLE2_FRACTIONS: tuple[Fraction, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    period: int
-    rotation: Fraction
-    window_lo: Fraction
-    window_hi: Fraction
-    c_lo: float | None
-    c_hi: float | None
-    status: str  # OK or ERROR: <message>
-
-
-@dataclass(frozen=True)
-class ExponentRow:
-    """One (q, c) of a table or curve; beta, gamma and period when OK."""
-
-    c_label: str
-    c: float
-    beta: float | None
-    gamma: float | None
-    period: int | None
-    status: str  # OK, SKIPPED (table2) or GAP (curve), or ERROR: <message>
-
-
-def _validity_row(args) -> Table1Row:
-    q, cycle = args
-    win = lambda_window(cycle)
+def _answer(fn, *args):
+    """fn(*args), or the exception it raised: one row's answer."""
     try:
-        vi = validity_interval(q, cycle)
-        return Table1Row(cycle.period, cycle.rotation, win.lo, win.hi,
-                         vi.c_lo, vi.c_hi, "OK")
+        return fn(*args)
     except Exception as exc:  # per-row errors are collected, not fatal
-        return Table1Row(cycle.period, cycle.rotation, win.lo, win.hi,
-                         None, None, f"ERROR: {exc}")
+        return exc
 
 
-def _exponent_row(args) -> ExponentRow:
-    q, c_value, max_period, uncertified = args
-    label = str(c_value)
-    c = reduce_phase(float(c_value))
-    try:
-        res = gelfond_exponent(PotentialParams(q, c), max_period)
-    except Exception as exc:
-        return ExponentRow(label, c, None, None, None, f"ERROR: {exc}")
-    if isinstance(res, GelfondCertificate):
-        return ExponentRow(label, c, res.beta, res.gamma, res.cycle.period,
-                           "OK")
-    return ExponentRow(label, c, None, None, None, uncertified)
+# The row functions name validity_interval and gelfond_exponent at call time,
+# so a patched binding sees every row's call, also in a worker process.
+def _validity_row(args):
+    q, cycle = args
+    return cycle, _answer(validity_interval, q, cycle)
+
+
+def _exponent_row(args):
+    q, c_value, max_period = args
+    return c_value, _answer(
+        gelfond_exponent, PotentialParams(q, reduce_phase(float(c_value))),
+        max_period)
 
 
 def _pmap(fn, items, threads):
@@ -344,10 +317,11 @@ def _pmap(fn, items, threads):
 
 
 def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
-                   threads: int | None = None,
-                   period: int | None = None) -> list[Table1Row]:
-    """One validity-interval row per cycle of period 2..max_period, or only
-    of the given period."""
+                   threads: int | None = None, period: int | None = None
+                   ) -> list[tuple[SturmianCycle,
+                                   ValidityInterval | Exception]]:
+    """(cycle, validity interval or the exception it raised) for each cycle
+    of period 2..max_period, or only of the given period."""
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
     if period is not None and not 2 <= period <= max_period:
@@ -357,29 +331,31 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
     return _pmap(_validity_row, [(q, cy) for cy in cycles], threads)
 
 
-def _exponent_rows(q, c_values, max_period, uncertified, threads):
+def _exponent_rows(q, c_values, max_period, threads):
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    return _pmap(_exponent_row,
-                 [(q, cv, max_period, uncertified) for cv in c_values],
+    return _pmap(_exponent_row, [(q, cv, max_period) for cv in c_values],
                  threads)
 
 
 def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
-                   c_list=None, *,
-                   threads: int | None = None) -> list[ExponentRow]:
-    """One certified beta/gamma row per requested c; SKIPPED if none."""
+                   c_list=None, *, threads: int | None = None
+                   ) -> list[tuple[Fraction, GelfondCertificate
+                                   | NonPeriodicReport | Exception]]:
+    """(c, gelfond_exponent's answer or the exception it raised) for each
+    requested c, as given; the reference list of c by default at q = 2."""
     if c_list is None:
         c_list = DEFAULT_TABLE2_FRACTIONS if q == 2 else []
-    return _exponent_rows(q, c_list, max_period, "SKIPPED", threads)
+    return _exponent_rows(q, c_list, max_period, threads)
 
 
 def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
-               resolution: int = 256, *,
-               threads: int | None = None) -> list[ExponentRow]:
-    """Certified (c, beta, gamma, period) across a uniform c grid; GAP rows
-    where no cycle certifies."""
+               resolution: int = 256, *, threads: int | None = None
+               ) -> list[tuple[float, GelfondCertificate
+                               | NonPeriodicReport | Exception]]:
+    """(c, gelfond_exponent's answer or the exception it raised) for each c
+    of the grid i / resolution."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     return _exponent_rows(q, [i / resolution for i in range(resolution)],
-                          max_period, "GAP", threads)
+                          max_period, threads)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DepthError, GuardError
-from .potential import PotentialParams, _f, _fp
+from .potential import PotentialParams, _f, _fp, reduce_phase
 
 WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
 DEPTH_CAP = 400           # truncation-depth cap
@@ -67,7 +67,7 @@ def exit_sets(q: int, lam: float,
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:
         raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
-    lam_mod = lam % 1.0
+    lam_mod = reduce_phase(lam)
     levels = _exit_levels(q, lam_mod)
     for n in range(len(levels), depth):
         levels[n:n + 1] = [_tau_pairs(levels[n - 1], q, lam_mod)]
@@ -123,7 +123,7 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
         )
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + one_q)))
 
-    lam_mod = lam % 1.0
+    lam_mod = reduce_phase(lam)
     levels = _exit_levels(q, lam_mod)
     f = _f  # bound per call, so a patched circle._f still applies
     fs: dict[float, float] = {}  # f is pure; nested levels share endpoints

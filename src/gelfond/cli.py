@@ -6,8 +6,8 @@ an order-preserving map, so parallel runs emit identical bytes.
 
 Flags alone set a run; the certifier's tolerances are module constants.
 
-Exit codes: 0 success, 1 partial/other failure or bad input (printed as
-``error: ...``), 2 nonperiodic report, 3 guard violation.
+Exit codes: 0 success, 1 partial/other failure, bad input (printed as
+``error: ...``) or a usage error, 2 nonperiodic report, 3 guard violation.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import GelfondError, GuardError
 from .potential import PotentialParams, reduce_phase
 from .series import (DIRECT_SUM_CAP, modulus_product, multiplicativity_check,
                      polynomial_profile, polynomial_sum, sup_exponent_fit)
-from .sturmian import (IrrationalRotation, enumerate_cycles, lambda_window,
-                       rotation_staircase)
+from .sturmian import (IrrationalRotation, RationalRotation, enumerate_cycles,
+                       lambda_window, rotation_number)
 
 def fmt(x: float) -> str:
     """Reals as 15 significant digits, matching the reference tables."""
@@ -86,21 +86,35 @@ def _emit_rows(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _emit_status_rows(path: str, header: list[str], rows, key, cells) -> int:
-    """A table whose last column is each row's status: key(row) leads every
-    line, an OK row prints cells(row) and any other row leaves those cells
-    blank.  Returns the exit code, 1 if any row is an ERROR."""
+def _emit_answers(path: str, header: list[str], answers, key, cells,
+                  gap: str = "") -> int:
+    """A table of (input, answer) pairs whose last column is the status:
+    key(input) leads every line; an exception is ERROR: <message>, a
+    NonPeriodicReport is gap, and any other answer is OK and prints
+    cells(answer), which the other rows leave blank.  Returns the exit code,
+    1 if any answer is an exception."""
     out = []
-    for r in rows:
-        lead = key(r)
-        out.append([*lead, *(cells(r) if r.status == "OK" else
-                             [""] * (len(header) - len(lead) - 1)), r.status])
+    for x, a in answers:
+        if isinstance(a, Exception):
+            status = f"ERROR: {a}"
+        elif isinstance(a, NonPeriodicReport):
+            status = gap
+        else:
+            status = "OK"
+        lead = key(x)
+        out.append([*lead, *(cells(a) if status == "OK" else
+                             [""] * (len(header) - len(lead) - 1)), status])
     _emit_rows(path, header, out)
-    return 1 if any(r.status.startswith("ERROR") for r in rows) else 0
+    return 1 if any(isinstance(a, Exception) for _, a in answers) else 0
 
 
-def _exponent_cells(r) -> list:
-    return [fmt(r.beta), fmt(r.gamma), r.period]
+def _exponent_cells(cert: GelfondCertificate) -> list:
+    return [fmt(cert.beta), fmt(cert.gamma), cert.cycle.period]
+
+
+def _validity_key(cycle) -> list:
+    win = lambda_window(cycle)
+    return [cycle.period, frac(cycle.rotation), frac(win.lo), frac(win.hi)]
 
 
 def _require(args, **least) -> None:
@@ -179,14 +193,12 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_validity(args) -> int:
-    rows1 = validity_table(args.q, args.max_period, threads=_threads(args),
-                           period=args.period)
-    return _emit_status_rows(
+    answers = validity_table(args.q, args.max_period, threads=_threads(args),
+                             period=args.period)
+    return _emit_answers(
         args.output, ["period", "rotation", "window_lo", "window_hi", "c_lo",
-                      "c_hi", "status"], rows1,
-        lambda r: [r.period, frac(r.rotation), frac(r.window_lo),
-                   frac(r.window_hi)],
-        lambda r: [fmt(r.c_lo), fmt(r.c_hi)])
+                      "c_hi", "status"], answers, _validity_key,
+        lambda vi: [fmt(vi.c_lo), fmt(vi.c_hi)])
 
 
 def cmd_table2(args) -> int:
@@ -195,15 +207,16 @@ def cmd_table2(args) -> int:
         with open(args.c_list, encoding="utf-8") as fh:
             c_list = [_parse_fraction(line.strip()) for line in fh
                       if line.strip()]
-    rows2 = exponent_table(args.q, args.max_period, c_list=c_list,
-                           threads=_threads(args))
-    return _emit_status_rows(args.output,
-                             ["c", "beta", "gamma", "period", "status"], rows2,
-                             lambda r: [r.c_label], _exponent_cells)
+    answers = exponent_table(args.q, args.max_period, c_list=c_list,
+                             threads=_threads(args))
+    return _emit_answers(args.output,
+                         ["c", "beta", "gamma", "period", "status"], answers,
+                         lambda c: [str(c)], _exponent_cells, "SKIPPED")
 
 
-def _svg_curve(points, path: str) -> None:
-    """Self-contained SVG of gamma(c): axes plus one polyline per OK run."""
+def _svg_curve(answers, path: str) -> None:
+    """Self-contained SVG of gamma(c): axes plus one polyline per run of
+    certificates."""
     width, height = 840, 560
     mx, my = 60, 40
     pw, ph = width - 2 * mx, height - 2 * my
@@ -216,9 +229,9 @@ def _svg_curve(points, path: str) -> None:
         return my + ph * (y_hi - g) / (y_hi - y_lo)
 
     segs: list[list[tuple[float, float]]] = [[]]
-    for pt in points:
-        if pt.status == "OK":
-            segs[-1].append((sx(pt.c), sy(min(max(pt.gamma, y_lo), y_hi))))
+    for c, a in answers:
+        if isinstance(a, GelfondCertificate):
+            segs[-1].append((sx(c), sy(min(max(a.gamma, y_lo), y_hi))))
         elif segs[-1]:
             segs.append([])
     lines = [
@@ -249,24 +262,27 @@ def _svg_curve(points, path: str) -> None:
 
 
 def cmd_beta_curve(args) -> int:
-    points = beta_curve(args.q, args.max_period, args.resolution,
-                        threads=_threads(args))
-    code = _emit_status_rows(args.output,
-                             ["c", "beta", "gamma", "period", "status"],
-                             points, lambda r: [fmt(r.c)], _exponent_cells)
+    answers = beta_curve(args.q, args.max_period, args.resolution,
+                         threads=_threads(args))
+    code = _emit_answers(args.output,
+                         ["c", "beta", "gamma", "period", "status"], answers,
+                         lambda c: [fmt(c)], _exponent_cells, "GAP")
     if args.svg:
-        _svg_curve(points, args.svg)
+        _svg_curve(answers, args.svg)
     return code
 
 
 def cmd_staircase(args) -> int:
-    rows = rotation_staircase(args.q, args.points, args.max_period)
+    """rotation_number on the grid lam = i/points; the estimate is the exact
+    rotation as a float, or the midpoint of its enclosure."""
+    _require(args, points=1, max_period=1)
     out = []
-    for lam, est, cert in rows:
-        if cert is None:
-            out.append([fmt(lam), fmt(est), "", ""])
-        else:
-            out.append([fmt(lam), fmt(est), cert.numerator, cert.denominator])
+    for i in range(args.points):
+        lam = i / args.points
+        rot = rotation_number(args.q, lam, args.max_period)
+        exact = ([rot.value.numerator, rot.value.denominator]
+                 if isinstance(rot, RationalRotation) else ["", ""])
+        out.append([fmt(lam), fmt(float(rot.value)), *exact])
     _emit_rows(args.output, ["lambda", "rho_estimate", "rho_num", "rho_den"],
                out)
     return 0
@@ -457,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_staircase)
 
     p = sub.add_parser("profile", help="first-exit time profile as CSV")
-    common(p)
+    p.add_argument("--q", type=int, default=2)
+    p.add_argument("-o", "--output", default="",
+                   help="output file (default stdout)")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--grid", type=int, dest="grid_size", default=1024)
@@ -491,7 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2,
+        # which would read as a nonperiodic report)
+        return 1 if exc.code else 0
     try:
         PotentialParams(args.q, 0.0)  # rejects q < 2 before any command runs
         return args.fn(args)

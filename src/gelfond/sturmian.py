@@ -81,10 +81,6 @@ class LambdaWindow:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
 
 @functools.lru_cache(maxsize=CYCLE_CACHE_SIZE)
 def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
@@ -179,7 +175,7 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
     max_denominator, so at most 1/max_denominator wide.
     """
     if max_denominator < 1:
-        raise ValueError("max_period must be >= 1")
+        raise ValueError("max_denominator must be >= 1")
     x = Fraction(lam) % 1
     n = int(x >= 1 - Fraction(1, q))
     x -= n
@@ -210,17 +206,3 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
         uncertainty = math.nextafter(uncertainty, math.inf)
     return IrrationalRotation(value, uncertainty)
 
-
-def rotation_staircase(q: int, points: int, max_denominator: int = 64):
-    """Rows (lam, rotation as a float, exact rotation or None) of
-    rotation_number on the grid lam = i/points; where no window of period
-    <= max_denominator holds lam, the float is the enclosure's midpoint."""
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    rows = []
-    for i in range(points):
-        lam = i / points
-        rot = rotation_number(q, lam, max_denominator)
-        exact = rot.value if isinstance(rot, RationalRotation) else None
-        rows.append((lam, float(rot.value), exact))
-    return rows

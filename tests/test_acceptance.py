@@ -38,13 +38,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from gelfond import (GelfondCertificate, PotentialParams,
+from gelfond import (GelfondCertificate, NonPeriodicReport, PotentialParams,
+                     RationalRotation, ValidityInterval,
                      beta_period2_closed_form, centering_bound_check,
                      enumerate_cycles, exit_sets, exponent_table,
                      gelfond_exponent, inner_shift_negativity_grid,
                      lambda_window, modulus_product,
                      multiplicativity_check, outer_shift_negativity_grid,
-                     polynomial_sum, rotation_staircase, sturmian_balance,
+                     polynomial_sum, rotation_number, sturmian_balance,
                      sturmian_condition_probe, sup_exponent_fit,
                      validity_table)
 from gelfond.certify import period2_validity_q2
@@ -130,7 +131,7 @@ def test_criterion_2a_enumeration_and_windows():
     rows1, elapsed = _table1_rows()
     TABLE1_CACHE["rows"] = rows1
     TABLE1_CACHE["elapsed"] = elapsed
-    assert all(r.status == "OK" for r in rows1)
+    assert all(isinstance(vi, ValidityInterval) for _, vi in rows1)
     ok = report("2a", elapsed < 120.0,
                 f"57 cycles, exact windows, intervals in {elapsed:.1f}s")
     assert ok
@@ -139,8 +140,8 @@ def test_criterion_2a_enumeration_and_windows():
 def test_criterion_2b_printed_validity_endpoints():
     if "rows" not in TABLE1_CACHE:
         TABLE1_CACHE["rows"], TABLE1_CACHE["elapsed"] = _table1_rows()
-    by_window = {(r.period, r.window_lo, r.window_hi): r
-                 for r in TABLE1_CACHE["rows"]}
+    by_window = {(cy.period, lambda_window(cy).lo, lambda_window(cy).hi):
+                 (cy.rotation, vi) for cy, vi in TABLE1_CACHE["rows"]}
     tour = SturmianTournament(TOURNAMENT_PERIOD_T1)
     rotation_of = {(rot.denominator, pts[-1] - F(1, 2), pts[0]): rot
                    for rot, pts in tour.cycles.items()}
@@ -149,9 +150,9 @@ def test_criterion_2b_printed_validity_endpoints():
         key = (period, wlo, whi)
         if key in TABLE1_MIRROR_FIX:
             c_lo, c_hi = TABLE1_MIRROR_FIX[key]
-        r = by_window[key]
+        rotation, r = by_window[key]
         rot = rotation_of[key]
-        assert r.rotation == rot, (key, r.rotation, rot)
+        assert rotation == rot, (key, rotation, rot)
         tol = 1e-9 if period <= 6 else 1e-8
         if max(abs(r.c_lo - c_lo), abs(r.c_hi - c_hi)) <= tol:
             matched.append(key)
@@ -202,9 +203,9 @@ def test_criterion_3a_table2_skip_and_runtime():
     rows2 = exponent_table(2, 13, threads=1)
     elapsed = time.perf_counter() - t0
     TABLE1_CACHE["rows2"] = rows2
-    by_label = {r.c_label: r for r in rows2}
-    assert by_label["8/21"].status == "SKIPPED"
-    assert sum(r.status == "OK" for r in rows2) == 61
+    by_label = {str(c): a for c, a in rows2}
+    assert isinstance(by_label["8/21"], NonPeriodicReport)
+    assert sum(isinstance(a, GelfondCertificate) for _, a in rows2) == 61
     ok = report("3a", elapsed < 60.0,
                 f"62 rows with 8/21 SKIPPED in {elapsed:.1f}s")
     assert ok
@@ -213,18 +214,18 @@ def test_criterion_3a_table2_skip_and_runtime():
 def test_criterion_3b_printed_table2_values():
     if "rows2" not in TABLE1_CACHE:
         TABLE1_CACHE["rows2"] = exponent_table(2, 13, threads=1)
-    by_label = {r.c_label: r for r in TABLE1_CACHE["rows2"]}
+    by_label = {str(c): (float(c), a) for c, a in TABLE1_CACHE["rows2"]}
     tour = SturmianTournament(TOURNAMENT_PERIOD_T2)
     deviating, oracle_gap, margins = set(), 0.0, []
     for label, beta_p, gamma_p in PRINTED_TABLE2:
         if beta_p is None:
             continue
-        r = by_label[label]
-        rot, margin = tour.winner(r.c)
+        c, r = by_label[label]
+        rot, margin = tour.winner(c)
         assert margin > WIN_MARGIN, (label, margin)
         margins.append(margin)
-        beta50 = orbit_mean_50(rot, r.c)
-        assert r.period == rot.denominator, (label, r.period, rot)
+        beta50 = orbit_mean_50(rot, c)
+        assert r.cycle.period == rot.denominator, (label, r.cycle.period, rot)
         gap = max(abs(r.beta - beta50), abs(r.gamma - beta50 / LOG2))
         assert gap <= 1e-12, (label, gap)
         oracle_gap = max(oracle_gap, gap)
@@ -234,7 +235,7 @@ def test_criterion_3b_printed_table2_values():
         deviating.add(label)
         if label not in TABLE2_KNOWN_DEVIATIONS:
             continue
-        assert certify(r.c).cycle.rotation == rot, label
+        assert certify(c).cycle.rotation == rot, label
         if label != "5/13":
             assert dev <= 2e-5, (label, dev)
     assert deviating == TABLE2_KNOWN_DEVIATIONS, \
@@ -246,7 +247,7 @@ def test_criterion_3b_printed_table2_values():
     beta47 = orbit_mean_50(F(4, 7), F(5, 13))
     assert abs(beta_p - beta47) <= 2e-5
     assert abs(gamma_p - beta47 / LOG2) <= 2e-5
-    assert by_label["5/13"].beta - beta47 > 1e-2
+    assert by_label["5/13"][1].beta - beta47 > 1e-2
 
     ok = report("3b", True,
                 f"{61 - len(deviating)}/61 printed rows match at 5e-6; "
@@ -304,10 +305,10 @@ def test_criterion_6_symmetry():
     if "rows2" not in TABLE1_CACHE:
         TABLE1_CACHE["rows2"] = exponent_table(2, 13, threads=1)
     worst_gamma = 0.0
-    for r in TABLE1_CACHE["rows2"]:
-        if r.status != "OK":
+    for c, r in TABLE1_CACHE["rows2"]:
+        if not isinstance(r, GelfondCertificate):
             continue
-        mirror = gelfond_exponent(PotentialParams(2, (1.0 - r.c) % 1.0))
+        mirror = gelfond_exponent(PotentialParams(2, (1.0 - float(c)) % 1.0))
         assert isinstance(mirror, GelfondCertificate)
         worst_gamma = max(worst_gamma, abs(mirror.gamma - r.gamma))
     assert worst_gamma <= 1e-10
@@ -391,13 +392,14 @@ def test_criterion_8_sup_norm_behaviour():
 
 
 def test_criterion_9_rotation_staircase():
-    rows = rotation_staircase(2, 2048)
-    ests = [r[1] for r in rows]
+    rows = [(i / 2048, rotation_number(2, i / 2048)) for i in range(2048)]
+    ests = [float(rot.value) for _, rot in rows]
     assert all(b >= a for a, b in zip(ests, ests[1:]))
-    window = [r for r in rows
-              if 1.0 / 6.0 + 1e-4 <= r[0] <= 1.0 / 3.0 - 1e-4]
+    window = [rot for lam, rot in rows
+              if 1.0 / 6.0 + 1e-4 <= lam <= 1.0 / 3.0 - 1e-4]
     assert window
-    assert all(r[2] == F(1, 2) for r in window)
+    assert all(isinstance(rot, RationalRotation) and rot.value == F(1, 2)
+               for rot in window)
     ok = report(9, True,
                 f"2048-point staircase monotone; rho = 1/2 certified on "
                 f"{len(window)} window points")

@@ -14,7 +14,7 @@ import pytest
 import gelfond.certify as certify
 from gelfond import (BalanceValue, DomainError,
                      GelfondCertificate, GelfondError, GuardError,
-                     NonPeriodicReport, PotentialParams,
+                     NonPeriodicReport, PotentialParams, ValidityInterval,
                      beta_curve, beta_period2_closed_form, build_cycle,
                      enumerate_cycles, exponent_table, find_balance_point,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
@@ -102,7 +102,8 @@ class TestLandmarks:
         res = cert(q, c)
         lam = find_balance_point(PotentialParams(q, c))
         assert exact_window_holds(res.cycle, lam)
-        assert lambda_window(res.cycle).length <= F(1, q)
+        win = lambda_window(res.cycle)
+        assert win.hi - win.lo <= F(1, q)
 
     def test_support_matches_certificate(self):
         res = cert(2, 0.25)
@@ -219,7 +220,8 @@ class TestValidityIntervals:
 
     def test_pairwise_disjoint(self):
         rows1 = validity_table(2, 6)
-        ivs = sorted((r.c_lo, r.c_hi) for r in rows1 if r.status == "OK")
+        ivs = sorted((vi.c_lo, vi.c_hi) for _, vi in rows1
+                     if isinstance(vi, ValidityInterval))
         for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
             assert hi1 < lo2 + 1e-9
 
@@ -303,18 +305,18 @@ class TestClosedForm:
 class TestTables:
     def test_table2_skipped_row(self):
         rows2 = exponent_table(2, 13, c_list=[F(8, 21), F(1, 2)])
-        by_label = {r.c_label: r for r in rows2}
-        assert by_label["8/21"].status == "SKIPPED"
-        assert by_label["1/2"].status == "OK"
+        by_label = {str(c): a for c, a in rows2}
+        assert isinstance(by_label["8/21"], NonPeriodicReport)
+        assert isinstance(by_label["1/2"], GelfondCertificate)
 
     def test_table2_baseline_sample(self):
         wanted = {"1/2", "2/5", "5/13", "9/19", "12/25"}
         c_list = [F(lbl) for lbl, *_ in TABLE2_BASELINE if lbl in wanted]
         rows2 = exponent_table(2, 13, c_list=c_list)
         baseline = {lbl: (p, rot, b) for lbl, p, rot, b in TABLE2_BASELINE}
-        for r in rows2:
-            p, rot, b = baseline[r.c_label]
-            assert r.period == p
+        for c, r in rows2:
+            p, rot, b = baseline[str(c)]
+            assert r.cycle.period == p
             assert r.beta == pytest.approx(b, abs=1e-11)
 
     def test_table2_baseline_rotations(self):
@@ -328,33 +330,33 @@ class TestTables:
     def test_table1_row_count(self):
         rows1 = validity_table(2, 6)
         assert len(rows1) == 11  # periods 2..6
-        assert all(r.status == "OK" for r in rows1)
+        assert all(isinstance(vi, ValidityInterval) for _, vi in rows1)
 
 
 class TestBetaCurve:
     def test_symmetry_and_bounds(self):
         points = beta_curve(2, 13, resolution=64)
-        by_c = {round(p.c, 12): p for p in points}
-        for p in points:
-            if p.status != "OK":
+        by_c = {round(c, 12): p for c, p in points}
+        for c, p in points:
+            if not isinstance(p, GelfondCertificate):
                 continue
-            if p.c != 0.0:
+            if c != 0.0:
                 assert p.beta < LOG2
-            mirror = by_c.get(round((1.0 - p.c) % 1.0, 12))
-            if mirror is not None and mirror.status == "OK":
+            mirror = by_c.get(round((1.0 - c) % 1.0, 12))
+            if isinstance(mirror, GelfondCertificate):
                 assert p.beta == pytest.approx(mirror.beta, abs=1e-10)
 
     def test_gaps_flagged_not_fatal(self):
         points = beta_curve(2, 4, resolution=32)
-        statuses = {p.status for p in points}
-        assert "OK" in statuses
-        assert all(s in ("OK", "GAP") for s in statuses)
+        kinds = {type(p) for _, p in points}
+        assert GelfondCertificate in kinds
+        assert all(k in (GelfondCertificate, NonPeriodicReport) for k in kinds)
 
     def test_maximum_near_c_zero(self):
-        points = [p for p in beta_curve(2, 13, resolution=64)
-                  if p.status == "OK"]
-        best = max(points, key=lambda p: p.beta)
-        assert min(best.c, 1.0 - best.c) <= 2.0 / 64
+        points = [(c, p) for c, p in beta_curve(2, 13, resolution=64)
+                  if isinstance(p, GelfondCertificate)]
+        best_c, _ = max(points, key=lambda cp: cp[1].beta)
+        assert min(best_c, 1.0 - best_c) <= 2.0 / 64
 
 
 class TestSelectionMatchesLinearScan:

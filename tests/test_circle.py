@@ -132,6 +132,10 @@ class TestExitSets:
         with pytest.raises(DepthError):
             exit_sets(2, 0.2, 401)
 
+    def test_base_in_unit_interval_just_below_zero(self):
+        # -1e-20 % 1.0 rounds up to 1.0; the base arc starts at 0.0 instead
+        assert exit_sets(2, -1e-20, 2) == exit_sets(2, 0.0, 2)
+
 
 class TestExitTimeProfile:
     def test_zero_off_base_arc(self):

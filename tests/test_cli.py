@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,33 @@ class TestGelfondCommand:
         doc = json.loads(out)
         assert doc["status"] == "nonperiodic"
         assert doc["rotation"] == "9/14"
+
+
+class TestUsageError:
+    """argparse's usage and message on stderr, and exit 1: its own code, 2,
+    is a nonperiodic report's."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gelfond", "--q", "x", "--c", "1/3"],
+         "gelfond gelfond: error: argument --q: invalid int value: 'x'"),
+        (["gelfond", "--q", "2"],
+         "gelfond gelfond: error: the following arguments are required: --c"),
+        (["profile", "--lambda", "0.3", "--bogus", "1"],
+         "gelfond: error: unrecognized arguments: --bogus 1"),
+        (["profile", "--lambda", "0.3", "--max-period", "5"],
+         "gelfond: error: unrecognized arguments: --max-period 5"),
+    ], ids=["bad-int", "missing-c", "unknown-flag", "profile-max-period"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert err.endswith(f"\n{message}\n")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "gelfond", "--help")
+        assert code == 0
+        assert out.startswith("usage: gelfond gelfond") and err == ""
 
 
 class TestBadInput:
@@ -451,22 +479,82 @@ class TestBetaCurveCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
-    def test_error_row_exits_1(self, capsys, monkeypatch):
-        gelfond_exponent = certify.gelfond_exponent
 
-        def fail_at_quarter(params, *args, **kwargs):
-            if params.c == 0.25:
-                raise DepthError("depth cap reached")
-            return gelfond_exponent(params, *args, **kwargs)
 
-        monkeypatch.setattr(certify, "gelfond_exponent", fail_at_quarter)
-        code, out, _ = run_cli(capsys, "beta-curve", "--q", "2",
-                               "--resolution", "4", "--threads", "1")
+def _fail_at(monkeypatch, name, bad):
+    """certify.<name> raises DepthError where bad(*args) holds.  The row
+    drivers look the name up at call time, in worker processes too."""
+    real = getattr(certify, name)
+
+    def failing(*args, **kwargs):
+        if bad(*args):
+            raise DepthError("depth cap reached")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, name, failing)
+
+
+def _quarter(params, *_):
+    return params.c == 0.25
+
+
+def _rotation_one_third(q, cycle):
+    return cycle.rotation == Fraction(1, 3)
+
+
+class TestErrorRows:
+    """A row whose certifier raises is an ERROR row and the run exits 1."""
+
+    @pytest.mark.parametrize("name, bad, argv, c_list, error_line, statuses", [
+        ("gelfond_exponent", _quarter,
+         ["beta-curve", "--q", "2", "--resolution", "4"], None,
+         "0.25,,,,ERROR: depth cap reached",
+         ["OK", "ERROR: depth cap reached", "OK", "OK"]),
+        ("validity_interval", _rotation_one_third,
+         ["validity", "--q", "2", "--max-period", "3"], None,
+         "3,1/3,1/14,1/7,,,ERROR: depth cap reached",
+         ["OK", "ERROR: depth cap reached", "OK"]),
+        ("gelfond_exponent", _quarter, ["table2", "--q", "2"],
+         "1/2\n1/4\n1/3\n", "1/4,,,,ERROR: depth cap reached",
+         ["OK", "ERROR: depth cap reached", "OK"]),
+    ], ids=["beta-curve", "validity", "table2"])
+    def test_error_row_exits_1(self, capsys, monkeypatch, tmp_path, name,
+                               bad, argv, c_list, error_line, statuses):
+        if c_list is not None:
+            (tmp_path / "cs.txt").write_text(c_list)
+            argv = [*argv, "--c-list", str(tmp_path / "cs.txt")]
+        _fail_at(monkeypatch, name, bad)
+        code, out, _ = run_cli(capsys, *argv, "--threads", "1")
         assert code == 1
         lines = out.splitlines()
-        assert lines[2] == "0.25,,,,ERROR: depth cap reached"
-        assert [line.split(",")[-1] for line in lines[1:]] == [
-            "OK", "ERROR: depth cap reached", "OK", "OK"]
+        assert lines[2] == error_line
+        assert [line.split(",")[-1] for line in lines[1:]] == statuses
+
+    @pytest.mark.parametrize("name, bad, argv, c_list, statuses", [
+        ("gelfond_exponent", _quarter,
+         ["beta-curve", "--q", "2", "--resolution", "16", "--max-period",
+          "4"], None, {"OK", "GAP", "ERROR: depth cap reached"}),
+        ("validity_interval", _rotation_one_third,
+         ["validity", "--q", "2", "--max-period", "3"], None,
+         {"OK", "ERROR: depth cap reached"}),
+        ("gelfond_exponent", _quarter, ["table2", "--q", "2"],
+         "1/2\n8/21\n1/4\n1/3\n",
+         {"OK", "SKIPPED", "ERROR: depth cap reached"}),
+    ], ids=["beta-curve", "validity", "table2"])
+    def test_pool_matches_serial(self, capsys, monkeypatch, tmp_path, name,
+                                 bad, argv, c_list, statuses):
+        # certificates, reports and exceptions cross the pool by pickle
+        if c_list is not None:
+            (tmp_path / "cs.txt").write_text(c_list)
+            argv = [*argv, "--c-list", str(tmp_path / "cs.txt")]
+        _fail_at(monkeypatch, name, bad)
+        monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+        serial = run_cli(capsys, *argv, "--threads", "1")
+        parallel = run_cli(capsys, *argv, "--threads", "2")
+        assert serial == parallel
+        assert serial[0] == 1
+        lines = serial[1].splitlines()[1:]
+        assert {line.split(",")[-1] for line in lines} == statuses
 
 
 class TestOutputFile:
@@ -526,6 +614,9 @@ def test_option_surface():
     threads = ["--threads"]
     surface = {name: flags(p) for name, p in sub.choices.items()}
     assert flags(parser) == []
+    # profile has no cycles, so no --max-period
+    assert surface.pop("profile") == ["--depth", "--grid", "--lambda",
+                                      "--output", "--q", "-o"]
     assert surface == {name: sorted(common + extra) for name, extra in {
         "gelfond": ["--c", "--json"],
         "cycles": ["--min-period"],
@@ -533,7 +624,6 @@ def test_option_surface():
         "table2": threads + ["--c-list"],
         "beta-curve": threads + ["--resolution", "--svg"],
         "staircase": ["--points"],
-        "profile": ["--depth", "--grid", "--lambda"],
         "verify": ["--c", "--fit-csv", "--grid", "--n-max", "--samples",
                    "--seed", "--sigma-csv"],
         "checks": ["--c-points", "--depth", "--grid", "--json-dir",

@@ -6,8 +6,8 @@ import pytest
 
 import gelfond.sturmian as sturmian
 from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
-                     enumerate_cycles, lambda_window, rotation_number,
-                     rotation_staircase)
+                     enumerate_cycles, lambda_window, rotation_number)
+from gelfond.cli import fmt, main
 
 from conftest import exact_window_holds, linear_scan_select
 from reference_tables import PRINTED_TABLE1
@@ -179,6 +179,11 @@ class TestRotationNumber:
         assert rot.value == 0
         assert rot.cycle.points == (F(0),)
 
+    def test_max_denominator_zero_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^max_denominator must be >= 1$"):
+            rotation_number(2, 0.25, 0)
+
     def test_half_at_quarter(self):
         rot = rotation_number(2, 0.25)
         assert isinstance(rot, RationalRotation)
@@ -322,15 +327,20 @@ class TestMeasureSupport:
 
 class TestStaircase:
     def test_monotone_and_plateau(self):
-        rows = rotation_staircase(2, 512)
-        est = [r[1] for r in rows]
+        rows = [(i / 512, rotation_number(2, i / 512)) for i in range(512)]
+        est = [float(rot.value) for _, rot in rows]
         assert all(b >= a for a, b in zip(est, est[1:]))
-        plateau = [r[2] for r in rows
-                   if 1.0 / 6.0 + 1e-4 <= r[0] <= 1.0 / 3.0 - 1e-4]
-        assert plateau and all(v == F(1, 2) for v in plateau)
+        plateau = [rot for lam, rot in rows
+                   if 1.0 / 6.0 + 1e-4 <= lam <= 1.0 / 3.0 - 1e-4]
+        assert plateau and all(isinstance(rot, RationalRotation)
+                               and rot.value == F(1, 2) for rot in plateau)
 
-    def test_estimates_near_certified(self):
-        rows = rotation_staircase(2, 128)
-        for lam, est, cert in rows:
-            if cert is not None:
-                assert est == float(cert)
+    def test_estimates_near_certified(self, capsys):
+        # the staircase command's estimate column on its certified rows
+        assert main(["staircase", "--q", "2", "--points", "128"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 128
+        for line in lines:
+            lam, est, num, den = line.split(",")
+            if num:
+                assert est == fmt(float(F(int(num), int(den))))
