@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .circle import BalanceValue, WINDOW_GUARD, sturmian_balance
 from .errors import DomainError, GuardError
-from .potential import PotentialParams, _f, reduce_phase
+from .potential import PotentialParams, _f, check_base, reduce_phase
 from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
                        build_cycle, enumerate_cycles, lambda_window,
                        rotation_number)
@@ -232,6 +232,7 @@ def validity_interval(q: int, cycle: SturmianCycle) -> ValidityInterval:
     endpoint to c-endpoint is orientation-reversing, which is asserted
     rather than assumed.
     """
+    check_base(q)
     win = lambda_window(cycle)
     r_from_hi = _c_root(q, float(win.hi))
     r_from_lo = _c_root(q, float(win.lo))
@@ -322,6 +323,7 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
                                    ValidityInterval | Exception]]:
     """(cycle, validity interval or the exception it raised) for each cycle
     of period 2..max_period, or only of the given period."""
+    check_base(q)
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
     if period is not None and not 2 <= period <= max_period:
@@ -344,6 +346,7 @@ def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
                                    | NonPeriodicReport | Exception]]:
     """(c, gelfond_exponent's answer or the exception it raised) for each
     requested c, as given; the reference list of c by default at q = 2."""
+    check_base(q)
     if c_list is None:
         c_list = DEFAULT_TABLE2_FRACTIONS if q == 2 else []
     return _exponent_rows(q, c_list, max_period, threads)
@@ -355,6 +358,7 @@ def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
                                | NonPeriodicReport | Exception]]:
     """(c, gelfond_exponent's answer or the exception it raised) for each c
     of the grid i / resolution."""
+    check_base(q)
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     return _exponent_rows(q, [i / resolution for i in range(resolution)],

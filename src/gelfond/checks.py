@@ -26,7 +26,7 @@ from .circle import _tau_pairs
 from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
 from .potential import (REMOVABLE_TOL, ZERO_TOL, PotentialParams, _f, _fp,
-                        potential_derivative_array, reduce_phase)
+                        check_base, potential_derivative_array, reduce_phase)
 
 if TYPE_CHECKING:  # imported on first use by the grid functions
     import numpy as np
@@ -71,6 +71,7 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     so it is positive exactly when every sign is certified; worst_point is
     that c with its end's lambda.
     """
+    check_base(q)
     if q < 3:
         raise ValueError("the centering bound applies to q >= 3")
     if len(c_grid) == 0:
@@ -170,6 +171,7 @@ def inner_shift_negativity_grid(q: int, t_steps: int = 200,
     B(t,s) = log q - f(t) - f'(t) (1/q - t - s)/(q-1), f the base potential.
     Negativity bounds the shifted points whose base point lies inside the arc.
     """
+    check_base(q)
     if q < 3:
         raise ValueError("the inner-shift grid applies to q >= 3")
     import numpy as np
@@ -191,6 +193,7 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
              - f'(t) (s-t)/(q-1).
     Negativity bounds the shifted points whose base point lies past the arc.
     """
+    check_base(q)
     if q < 4:
         raise ValueError("the outer-shift grid applies to q >= 4")
     import numpy as np

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DepthError, GuardError
-from .potential import PotentialParams, _f, _fp, reduce_phase
+from .potential import PotentialParams, _f, _fp, check_base, reduce_phase
 
 WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
 DEPTH_CAP = 400           # truncation-depth cap
@@ -63,6 +63,7 @@ def exit_sets(q: int, lam: float,
               depth: int) -> list[list[tuple[float, float]]]:
     """Exit sets A_1..A_depth as (lo, len) arcs; A_1 is the base arc,
     A_{n+1} its tau image.  The arcs of one level are pairwise disjoint."""
+    check_base(q)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:

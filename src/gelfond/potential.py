@@ -32,6 +32,12 @@ SINGULARITY_GUARD = 1e-9  # f' is refused this close to a singularity
 _SERIES_CUTOFF = 1e-4     # below this |x+c mod 1| the derivative formulas cancel
 
 
+def check_base(q) -> None:
+    """Reject a base that is not an integer >= 2."""
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class PotentialParams:
     """Base q >= 2 and phase c in [0,1)."""
@@ -40,8 +46,7 @@ class PotentialParams:
     c: float
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        check_base(self.q)
         if not (0.0 <= self.c < 1.0):
             raise ValueError(f"c must lie in [0,1), got {self.c!r}")
 
@@ -113,7 +118,9 @@ def potential(params: PotentialParams, x: float) -> float:
 
 
 def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized amplitude; no guards, removable points patched to q."""
+    """Vectorized amplitude; no singularity guards, removable points
+    patched to q."""
+    check_base(q)
     import numpy as np
 
     u = np.asarray(x, dtype=float) + c
@@ -144,6 +151,7 @@ def potential_derivative_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
     Callers must keep arguments away from the logarithmic singularities;
     near the maximum the series branch avoids the cot cancellation.
     """
+    check_base(q)
     import numpy as np
 
     u = np.asarray(x, dtype=float) + c

@@ -7,23 +7,29 @@ the product of amplitudes along the orbit of x under multiplication by q.
 Their agreement and the q-multiplicativity identity are empirical
 cross-checks; the sup-norm fit encloses log||sigma_{q^n}||_inf - n*beta on
 both sides, the paper's N^gamma growth measured against the certified beta.
+
+The direct sum stores one float per term, 8 bytes, so 128 MiB at
+DIRECT_SUM_CAP = 2^24 terms (it held about 73 bytes per term before the
+digit sums came from a carry counter).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from array import array
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .potential import PotentialParams, _amp, potential_array
+from .potential import PotentialParams, _amp, check_base, potential_array
 
 if TYPE_CHECKING:  # imported on first use by the array functions
     import numpy as np
 
-DIRECT_SUM_CAP = 2 ** 24
+DIRECT_SUM_CAP = 2 ** 24  # 8 B per term: 128 MiB of phases at the cap
 MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
+LOW_BLOCK = 64            # digit sums per table block, at most
 FIT_OVERSAMPLE = 8        # fit grid points per frequency of the longest sum
 FIT_GRID_CAP = 2 ** 21    # most fit grid points: a 16 MB table of f_c
 FIT_CHUNK = 2 ** 13       # grid points per array pass, bounding temporaries
@@ -34,6 +40,7 @@ FIT_ROUNDING = 1e-10
 
 def digit_sum(q: int, n: int) -> int:
     """Sum of the base-q digits of n >= 0."""
+    check_base(q)
     if n < 0:
         raise ValueError("n must be >= 0")
     s = 0
@@ -43,39 +50,62 @@ def digit_sum(q: int, n: int) -> int:
     return s
 
 
-def _digit_sums_upto(q: int, N: int) -> np.ndarray:
-    import numpy as np
+@functools.cache
+def _low_digit_sums(q: int) -> tuple[float, ...]:
+    """S_q(r) for r < q^m, the largest power of q at most LOW_BLOCK."""
+    low = [0.0]
+    while len(low) * q <= LOW_BLOCK:
+        low = [d + s for d in range(q) for s in low]
+    return tuple(low)
 
-    arr = np.arange(N, dtype=np.int64)
-    s = np.zeros(N, dtype=np.int64)
-    while arr.any():
-        s += arr % q
-        arr //= q
-    return s
+
+def _digit_sums(q: int, N: int) -> Iterator[float]:
+    """S_q(n) for n = 0..N-1, as floats, by a carry counter.
+
+    With B = q^m, n = j*B + r has S_q(n) = S_q(j) + S_q(r), the second read
+    from a table.  Going from j to j + 1 clears the k trailing digits of j
+    equal to q - 1 and raises the next one, so S_q(j) changes by
+    1 - k(q - 1), exactly in floats.
+    """
+    low = _low_digit_sums(q)
+    size = len(low)
+    top = q - 1
+    digits = [0] * N.bit_length()  # the digits of j, lowest first
+    high = 0.0
+    r = 0
+    for _ in range(N):
+        yield high + low[r]
+        r += 1
+        if r == size:
+            r = k = 0
+            while digits[k] == top:
+                digits[k] = 0
+                k += 1
+            digits[k] += 1
+            high += 1 - k * top
 
 
 def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
     """Direct partial sum of length N at x, via compensated summation.
 
     The cumulative phase n*x mod 1 is carried as a double-double pair so the
-    per-term phase error stays at one ulp independent of n.
+    per-term phase error stays at one ulp independent of n.  Only the phase
+    of each term is stored, 8 bytes per term; math.fsum rounds the cosines
+    and sines exactly, so summing them afterwards loses nothing.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > DIRECT_SUM_CAP:
         raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
     q, c = params.q, params.c
-    digit_sums = _digit_sums_upto(q, N)
     xm = x % 1.0
     phase_hi = 0.0
     phase_lo = 0.0
-    re: list[float] = []
-    im: list[float] = []
+    thetas = array("d")
+    append = thetas.append
     two_pi = 2.0 * math.pi
-    for n in range(N):
-        theta = two_pi * ((phase_hi + phase_lo) + c * float(digit_sums[n]))
-        re.append(math.cos(theta))
-        im.append(math.sin(theta))
+    for s_n in _digit_sums(q, N):
+        append(two_pi * ((phase_hi + phase_lo) + c * s_n))
         # exact two-sum of the phase increment, then exact wrap into [0,1)
         s = phase_hi + xm
         z = s - phase_hi
@@ -86,21 +116,24 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
         if phase_lo >= 1.0:
             phase_lo -= 1.0
         phase_hi = s
-    return complex(math.fsum(re), math.fsum(im))
+    return complex(math.fsum(map(math.cos, thetas)),
+                   math.fsum(map(math.sin, thetas)))
 
 
 def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
     """|partial sum of length q^n| via the amplitude product along the orbit.
 
-    The orbit of x (a float or a Fraction) is iterated exactly, as integer
-    numerators over x's denominator, reduced mod 1 at every level, so no
-    rounding is amplified by q^n; num / den rounds as float(Fraction) does.
+    The orbit of x (a float, an int or a Fraction, whose as_integer_ratio()
+    is Fraction(x)'s numerator and denominator) is iterated exactly, as
+    integer numerators over x's denominator, reduced mod 1 at every level,
+    so no rounding is amplified by q^n; num / den rounds as float(Fraction)
+    does.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     q, c = params.q, params.c
     acc = 1.0
-    num, den = Fraction(x).as_integer_ratio()
+    num, den = x.as_integer_ratio()
     num %= den
     for _ in range(n_levels):
         acc *= _amp(q, num / den + c)
@@ -119,8 +152,8 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
     q, c = params.q, params.c
     if b >= q ** t:
         raise ValueError("requires b < q^t")
-    c_num, c_den = Fraction(c).as_integer_ratio()
-    x_num, x_den = Fraction(x).as_integer_ratio()
+    c_num, c_den = c.as_integer_ratio()
+    x_num, x_den = x.as_integer_ratio()
     den = c_den * x_den
 
     def w(n: int) -> complex:
@@ -198,7 +231,7 @@ def polynomial_profile(params: PotentialParams, N: int,
 
     q, c = params.q, params.c
     xs = np.arange(grid_size) / grid_size
-    coeff = np.exp(2j * np.pi * c * _digit_sums_upto(q, N))
+    coeff = np.exp(2j * np.pi * c * np.fromiter(_digit_sums(q, N), float, N))
     acc = np.zeros(grid_size, dtype=complex)
     chunk = max(1, (1 << 22) // grid_size)
     for start in range(0, N, chunk):

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .potential import check_base
+
 # build_cycle keeps this many cycles; enough for every cycle of period <= 13
 # at q = 2, 3, 5 and 8 (58 per base digit, 812 in all), so the certificates
 # of a run share one cycle object each.
@@ -82,7 +84,8 @@ class LambdaWindow:
     hi: Fraction
 
 
-@functools.lru_cache(maxsize=CYCLE_CACHE_SIZE)
+# typed, so a float base equal to an int one misses the cache and is refused
+@functools.lru_cache(maxsize=CYCLE_CACHE_SIZE, typed=True)
 def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     """Construct the cycle for one (base digit, rotation) pair.
 
@@ -90,6 +93,7 @@ def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     lowest terms; the resulting orbit has exact period m.  Cycles are
     immutable and cached, so equal arguments return the same object.
     """
+    check_base(q)
     if not 0 <= base_digit <= q - 2:
         raise ValueError(f"base digit must be in 0..q-2, got {base_digit}")
     p, m = rotation.numerator, rotation.denominator
@@ -100,8 +104,6 @@ def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     for d in digits:
         num = num * q + d
     den = q ** m - 1
-    if den == 0:
-        raise ValueError("q must be >= 2")
     nums = [num]
     for _ in range(m - 1):
         nums.append((nums[-1] * q) % den)
@@ -120,6 +122,7 @@ def enumerate_cycles(q: int, max_period: int) -> list[SturmianCycle]:
 
     Period-1 entries are the fixed points k/(q-1) for k = 0..q-2.
     """
+    check_base(q)
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     out = []
@@ -174,6 +177,7 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
     and right of x, adjacent in the tree with denominators summing past
     max_denominator, so at most 1/max_denominator wide.
     """
+    check_base(q)
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     x = Fraction(lam) % 1

@@ -11,8 +11,9 @@ cycle, and the scalar potential by its earlier u - round(u) form.  The two
 batched shift grids are checked against their earlier one-t-at-a-time loops,
 and the probe's exact transfer function against a Gauss-Legendre quadrature
 of its derivative series.  The orbit product and the multiplicativity check
-are checked against their earlier Fraction-orbit forms.  Those take the
-potential kernels as arguments, so nothing here imports gelfond.
+are checked against their earlier Fraction-orbit forms, and the direct sum
+against its earlier two-list form.  Those take the potential kernels as
+arguments, so nothing here imports gelfond.
 """
 
 import cmath
@@ -299,6 +300,36 @@ def multiplicativity_fraction(digit_sum, q: int, c: float, a: int, t: int,
     lhs = w(a * q ** t + b)
     rhs = w(a * q ** t) * w(b)
     return abs(lhs - rhs) <= tol
+
+
+def polynomial_sum_lists(q: int, c: float, N: int, x: float) -> complex:
+    """The direct sum as polynomial_sum had it before it stored one float
+    per term: NumPy digit sums, and a list each of cosines and sines."""
+    arr = np.arange(N, dtype=np.int64)
+    digit_sums = np.zeros(N, dtype=np.int64)
+    while arr.any():
+        digit_sums += arr % q
+        arr //= q
+    xm = x % 1.0
+    phase_hi = 0.0
+    phase_lo = 0.0
+    re: list[float] = []
+    im: list[float] = []
+    two_pi = 2.0 * math.pi
+    for n in range(N):
+        theta = two_pi * ((phase_hi + phase_lo) + c * float(digit_sums[n]))
+        re.append(math.cos(theta))
+        im.append(math.sin(theta))
+        s = phase_hi + xm
+        z = s - phase_hi
+        err = (phase_hi - (s - z)) + (xm - z)
+        phase_lo += err
+        if s >= 1.0:
+            s -= 1.0
+        if phase_lo >= 1.0:
+            phase_lo -= 1.0
+        phase_hi = s
+    return complex(math.fsum(re), math.fsum(im))
 
 
 @pytest.fixture

@@ -32,9 +32,11 @@ ends with their balance values, not theta; no other line or file changed.
 verify_q2_c03_s7 and verify_q3_c03_s7 are the two verify sizes of the
 benchmark's crosscheck items, written before the orbit products moved from
 Fraction to integer numerators and the outer shift grid from scalar _f calls
-to one array pass.  A change that alters any certificate, CSV cell or JSON
-key fails this test, so refactors that claim byte-identical output can show
-it.  validity_q2 also
+to one array pass.  verify_q3_1_4_n10 (direct sums up to N = 3^10) and the
+--sigma-csv file verify_q3_1_4_sigma.csv were written before the direct sum
+moved to one float per term and digit sums by carry.  A change that alters
+any certificate, CSV cell or JSON key fails this test, so refactors that
+claim byte-identical output can show it.  validity_q2 also
 pins every bisection sign of the c-roots, since each one moves a printed
 digit.
 """
@@ -77,6 +79,8 @@ CASES = {
     "verify_q3_c03_s7": (["verify", "--q", "3", "--c", "0.3", "--seed", "7",
                           "--samples", "20", "--n-max", "5", "--grid", "256"],
                          0),
+    "verify_q3_1_4_n10": (["verify", "--q", "3", "--c", "1/4", "--n-max",
+                           "10"], 0),
 }
 FILES = Path(__file__).parent / "data" / "cli_files"
 
@@ -99,6 +103,16 @@ def test_verify_fit_csv_pinned(tmp_path, capsys):
                  "--n-max", "6", "--fit-csv", str(fit)]) == 0
     capsys.readouterr()
     assert fit.read_bytes() == (FILES / "verify_q2_1_3_fit.csv").read_bytes()
+
+
+def test_verify_sigma_csv_pinned(tmp_path, capsys):
+    sigma = tmp_path / "sigma.csv"
+    assert main(["verify", "--q", "3", "--c", "1/4", "--samples", "8",
+                 "--n-max", "6", "--grid", "128", "--sigma-csv",
+                 str(sigma)]) == 0
+    capsys.readouterr()
+    pinned = FILES / "verify_q3_1_4_sigma.csv"
+    assert sigma.read_bytes() == pinned.read_bytes()
 
 
 def test_checks_json_files_pinned(tmp_path, capsys):

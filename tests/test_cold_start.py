@@ -2,10 +2,12 @@
 
 NumPy is imported inside the array functions of potential, series and
 checks, and the process pool inside certify._pmap on the branch that forks,
-so ``import gelfond`` and the pure-math commands never pay for either.  Each
-case runs in a fresh interpreter, because conftest.py loads NumPy into this
-one.  The benchmark's set-up probe is guarded the same way: its set-up time
-is the import time of the package and the benchmark's own modules.
+so ``import gelfond`` and the pure-math commands never pay for either.  The
+direct sum, the orbit product and the multiplicativity check use neither;
+verify loads NumPy for its fit.  Each case runs in a fresh interpreter,
+because conftest.py loads NumPy into this one.  The benchmark's set-up probe
+is guarded the same way: its set-up time is the import time of the package
+and the benchmark's own modules.
 """
 
 import json
@@ -73,6 +75,30 @@ def test_pure_math_command_leaves_numpy_and_pool_unloaded(argv):
 ], ids=lambda argv: argv[0])
 def test_array_command_loads_numpy_on_first_use(argv):
     assert _probe(argv) == {"import": [], "code": 0, "run": ["numpy"]}
+
+
+# the verify command's direct sum and orbit products, called on their own
+SERIES_PROBE = """
+import json, sys
+from fractions import Fraction
+from gelfond import (PotentialParams, modulus_product, multiplicativity_check,
+                     polynomial_sum)
+params = PotentialParams(3, 0.25)
+polynomial_sum(params, 3 ** 6, 0.123)
+modulus_product(params, 6, 0.123)
+modulus_product(params, 6, 1 - Fraction(0.123))
+multiplicativity_check(params, 5, 3, 7, 0.123)
+print(json.dumps([m for m in %r if m in sys.modules]))
+""" % (WATCHED,)
+
+
+def test_series_functions_leave_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SERIES_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("workload", ["curve-q2", "curve-hiq", "validity-q2",

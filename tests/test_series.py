@@ -1,12 +1,15 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import gelfond.series as series
-from conftest import modulus_product_fraction, multiplicativity_fraction
+from conftest import (modulus_product_fraction, multiplicativity_fraction,
+                      polynomial_sum_lists)
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit)
@@ -14,6 +17,8 @@ from gelfond.potential import _amp, _f, potential_array
 from gelfond.series import polynomial_profile
 
 TM_SIGNS = [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
+# phases whose Fraction has a large denominator (up to 2**1074)
+WIDE_C = [5e-324, 1e-300, 0.3 + 2.0 ** -54, 1.0 - 2.0 ** -53]
 
 
 class TestDigitSum:
@@ -99,6 +104,48 @@ class TestPolynomialSum:
         with pytest.raises(ValueError):
             polynomial_sum(PotentialParams(2, 0.5), 2 ** 24 + 1, 0.1)
 
+    def test_one_float_per_term(self):
+        # 3^10 phases take 472 KB; two lists of cosines and sines and a
+        # NumPy array of digit sums took 4.3 MB
+        tracemalloc.start()
+        try:
+            polynomial_sum(PotentialParams(3, 0.25), 3 ** 10, 0.123)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 10])
+    def test_matches_two_list_form_bit_for_bit(self, q):
+        # lengths at and next to each power of q up to 3^9, and random ones;
+        # short sums run at every (c, x), long ones at every c with the x
+        # values taken in turn
+        rng = random.Random(1100 + q)
+        lengths = {1, rng.randint(2, 3 ** 9), rng.randint(2, 3 ** 9),
+                   rng.randint(2, 500)}
+        k = 1
+        while q ** k <= 3 ** 9:
+            lengths |= {q ** k - 1, q ** k, q ** k + 1}
+            k += 1
+        xs = [0.0, 0.5, 1.0 - 2.0 ** -53, -0.3, 1e-300, rng.random()]
+        cs = [0.0, 0.37] + WIDE_C
+        turn = 0
+        for N in sorted(lengths):
+            for c in cs:
+                for x in (xs if N <= 500 else [xs[turn % len(xs)]]):
+                    turn += 1
+                    got = polynomial_sum(PotentialParams(q, c), N, x)
+                    want = polynomial_sum_lists(q, c, N, x)
+                    assert (got.real.hex(), got.imag.hex()) == (
+                        want.real.hex(), want.imag.hex()), (N, c, x)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 10])
+    def test_carry_counter_digit_sums(self, q):
+        # past q^2 blocks of the table, so the counter carries twice over
+        N = series.LOW_BLOCK * q ** 2 + 3
+        assert list(series._digit_sums(q, N)) == [
+            float(digit_sum(q, n)) for n in range(N)]
+
 
 class TestMultiplicativity:
     def test_spec_example(self):
@@ -134,19 +181,18 @@ class TestMultiplicativity:
         assert abs(lhs - rhs) > 1e-12
 
 
-# phases whose Fraction has a large denominator (up to 2**1074)
-WIDE_C = [5e-324, 1e-300, 0.3 + 2.0 ** -54, 1.0 - 2.0 ** -53]
-
-
 def _orbit_inputs(rng, q):
-    """Seeded floats, dyadic floats, Fractions, verify's mirror points
-    1 - Fraction(x), zero and large-denominator floats."""
-    xs = [0.0, 0, F(0), 5e-324, 1e-300, 1.0 - 2.0 ** -53, -0.3]
+    """Seeded floats, dyadic floats, Fractions, ints, numpy.float64s,
+    verify's mirror points 1 - Fraction(x), zero and large-denominator
+    floats."""
+    xs = [0.0, 0, F(0), 5e-324, 1e-300, 1.0 - 2.0 ** -53, -0.3, 7, -3,
+          np.float64(0.3), np.float64(-1e-300), F(-5, 3)]
     for _ in range(20):
         x = rng.random()
         xs += [x, F(x), 1 - F(x), rng.randint(0, 2 ** 10) / 2 ** 10,
                F(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 6)),
-               F(rng.randint(0, q ** 12), q ** 12 - 1)]
+               F(rng.randint(0, q ** 12), q ** 12 - 1),
+               rng.randint(-10, 10), np.float64(rng.random())]
     return xs
 
 
