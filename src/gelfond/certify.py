@@ -233,6 +233,8 @@ def validity_interval(q: int, cycle: SturmianCycle) -> ValidityInterval:
     rather than assumed.
     """
     check_base(q)
+    if cycle.q != q:
+        raise ValueError(f"cycle has base {cycle.q}, not q={q}")
     win = lambda_window(cycle)
     r_from_hi = _c_root(q, float(win.hi))
     r_from_lo = _c_root(q, float(win.lo))

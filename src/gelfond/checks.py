@@ -3,14 +3,15 @@
 Three families: the centering bound on where the balanced arc sits, two
 negativity grids for composite bounds controlling points reached by 1/q
 shifts of the arc, and a direct probe that the transfer-corrected potential
-is constant on the certified arc and strictly smaller outside.  The probe's
-transfer function psi is exact up to its truncation depth: each series term
-integrates in closed form over the inverse-branch images of an arc.  The
+is constant on the certified arc and strictly smaller outside.  The grids
+evaluate f_c through potential._f_map, and the probe takes its transfer
+function psi, exact up to its truncation depth, from circle.  The
 centering bound is certified at each grid c by two balance signs, with the
 certificates' err_bound; the other three are numerical confirmations with
 explicit margins, not proofs.  The margins double as regression baselines.
 The probe's sample margin and pass thresholds are the PROBE_* constants,
-written into its report.
+written into its report; at q >= 50, 1/q <= 2 PROBE_MARGIN, no sample clears
+the margin and the probe raises GuardError.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import TYPE_CHECKING
 from . import certify
 # find_balance_point is unused here: the benchmark tracer wraps it
 from .certify import GelfondCertificate, find_balance_point
-from .circle import _tau_pairs
+from .circle import _psi_differences
 from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
-from .potential import (REMOVABLE_TOL, ZERO_TOL, PotentialParams, _f, _fp,
-                        check_base, potential_derivative_array, reduce_phase)
+from .potential import (PotentialParams, _f, _f_map, _fp, check_base,
+                        potential_derivative_array, reduce_phase)
 
 if TYPE_CHECKING:  # imported on first use by the grid functions
     import numpy as np
@@ -106,37 +107,6 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
     )
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn from math on every element of a 1-D x."""
-    import numpy as np
-
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _f_map(q: int, x: np.ndarray) -> np.ndarray:
-    """_f on every element of x, bit for bit _f, in one array pass.
-
-    x - rint(x) is math.remainder(x, 1.0) exactly, up to the sign of a zero,
-    which reaches the result only through abs.  sin and log are called
-    through math, so the bits are libm's: NumPy's own kernels may round
-    differently.
-    """
-    import numpy as np
-
-    ur = x - np.rint(x)
-    vr = q * ur
-    vr -= np.rint(vr)
-    out = np.full(x.shape, math.log(q))
-    live = np.abs(ur) > REMOVABLE_TOL
-    zero = np.abs(vr) <= q * ZERO_TOL
-    out[live & zero] = -math.inf
-    live &= ~zero
-    ratio = _libm(math.sin, np.pi * vr[live])
-    ratio /= _libm(math.sin, np.pi * ur[live])
-    out[live] = _libm(math.log, np.abs(ratio))
-    return out
-
-
 def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
                 quantity) -> GridReport:
     """Grid maximum over t in (3/8q, 5/8q) and s in linspace(*s_span(t));
@@ -207,28 +177,6 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
                - _f_map(q, one_q - t) - fp_t * (s - t) / (q - 1))))
 
 
-def _psi_differences(q: int, c: float, lam_mod: float, positions,
-                     depth: int) -> dict:
-    """psi(lam + p) - psi(lam) at each arc-length position p in [0, 1), in
-    one sweep over the sorted positions; psi' is the transfer series
-    sum_{n=1}^{depth} f_c'(tau^n y) / q^n.
-
-    On each image arc of tau^n the map is affine with slope q^-n, so the
-    n-th term integrates exactly to f_c(hi) - f_c(lo) there; _tau_pairs
-    splits each arc at the cut, as for the balance.
-    """
-    cum, total, prev = {0.0: 0.0}, 0.0, 0.0
-    for p in sorted(positions):
-        pairs, terms = [((lam_mod + prev) % 1.0, p - prev)], []
-        for _ in range(depth):
-            pairs = _tau_pairs(pairs, q, lam_mod)
-            terms.extend(_f(q, lo + ln + c) - _f(q, lo + c)
-                         for lo, ln in pairs)
-        total += math.fsum(terms)
-        cum[p], prev = total, p
-    return cum
-
-
 def sturmian_condition_probe(params: PotentialParams,
                              certificate: GelfondCertificate,
                              samples: int = 50, depth: int = 30) -> GridReport:
@@ -262,8 +210,11 @@ def sturmian_condition_probe(params: PotentialParams,
                for s in singulars):
             continue
         outside_x.append(x)
-    if not inside_x:
-        raise GuardError("no interior samples survive the boundary margin")
+    # at 1/q <= 2 PROBE_MARGIN the inside samples leave the arc and no
+    # outside sample clears the singularities, 1/q apart
+    if not inside_x or not outside_x or one_q <= 2 * PROBE_MARGIN:
+        raise GuardError(f"no probe samples {PROBE_MARGIN} clear of the arc "
+                         f"ends and the singularities at q={q}")
 
     # one cumulative sweep covers every psi difference needed: arcs of the
     # samples and of their forward images

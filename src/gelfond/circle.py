@@ -11,7 +11,9 @@ integral
 is evaluated exactly per truncation level as a telescoping sum of potential
 values at interval endpoints, with a rigorous tail bound from the monotone
 derivative on C'.  Its zero in lam certifies the maximizing arc.  Depth grows
-until the sign is certified or the bound meets DEFAULT_TARGET_ERR.
+until the sign is certified or the bound meets DEFAULT_TARGET_ERR.  The
+condition probe's transfer function psi telescopes the same way over the tau
+images of its sample arcs.  Arcs are (lo, len) pairs, read by no other module.
 """
 
 from __future__ import annotations
@@ -156,6 +158,28 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
                               or n >= 3 and abs(running) > 2.0 * err):
             break
     return BalanceValue(math.fsum(terms), err, n)
+
+
+def _psi_differences(q: int, c: float, lam_mod: float, positions,
+                     depth: int) -> dict:
+    """psi(lam + p) - psi(lam) at each arc-length position p in [0, 1), in
+    one sweep over the sorted positions; psi' is the transfer series
+    sum_{n=1}^{depth} f_c'(tau^n y) / q^n.
+
+    On each image arc of tau^n the map is affine with slope q^-n, so the
+    n-th term integrates exactly to f_c(hi) - f_c(lo) there; _tau_pairs
+    splits each arc at the cut, as for the balance.
+    """
+    cum, total, prev = {0.0: 0.0}, 0.0, 0.0
+    for p in sorted(positions):
+        pairs, terms = [((lam_mod + prev) % 1.0, p - prev)], []
+        for _ in range(depth):
+            pairs = _tau_pairs(pairs, q, lam_mod)
+            terms.extend(_f(q, lo + ln + c) - _f(q, lo + c)
+                         for lo, ln in pairs)
+        total += math.fsum(terms)
+        cum[p], prev = total, p
+    return cum
 
 
 def exit_time_profile(q: int, lam: float, depth: int,

@@ -8,8 +8,9 @@ for an integer base q >= 2 and a phase parameter c in [0,1).  Its logarithm
 (the potential) reaches log q at x = -c (mod 1), has q-1 logarithmic
 singularities at x = -c + k/q (k not divisible by q), and is strictly concave
 between adjacent singularities.  Everything downstream (balance integrals,
-certificates, sup-norm fits) evaluates through this module so that the
-parameter translation f_c(x) = f_0(x+c) holds bit for bit.
+certificates, grids, sup-norm fits) evaluates through this module, so that
+f_c(x) = f_0(x+c) holds bit for bit; one array kernel serves potential_array
+(NumPy's sin and log) and _f_map (libm's, so bit for bit the scalar _f).
 """
 
 from __future__ import annotations
@@ -117,32 +118,47 @@ def potential(params: PotentialParams, x: float) -> float:
     return _f(params.q, x + params.c)
 
 
-def amplitude_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized amplitude; no singularity guards, removable points
-    patched to q."""
-    check_base(q)
+def _log_amp(q: int, u: np.ndarray, sin, log) -> np.ndarray:
+    """_f's branches and tests on every element of the array u, so NaN stays
+    NaN, through the caller's elementwise sin and log.  u - rint(u) is
+    math.remainder(u, 1.0) up to the sign of a zero, which reaches the result
+    only through abs."""
     import numpy as np
 
-    u = np.asarray(x, dtype=float) + c
-    ur = u - np.round(u)
-    vr = q * ur - np.round(q * ur)
-    removable = np.abs(ur) <= REMOVABLE_TOL
-    den = np.abs(np.sin(np.pi * ur))
-    num = np.abs(np.sin(np.pi * vr))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    out = np.where(removable, float(q), out)
-    out = np.where(~removable & (np.abs(vr) <= q * ZERO_TOL), 0.0, out)
+    ur = u - np.rint(u)
+    vr = q * ur
+    vr -= np.rint(vr)
+    out = np.full(u.shape, log(q))
+    live = ~(np.abs(ur) <= REMOVABLE_TOL)
+    zero = np.abs(vr) <= q * ZERO_TOL
+    out[live & zero] = -math.inf
+    live &= ~zero
+    ratio = sin(np.pi * vr[live])
+    ratio /= sin(np.pi * ur[live])
+    out[live] = log(np.abs(ratio))
     return out
 
 
 def potential_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized log amplitude; returns -inf at the zeros (no exceptions)."""
+    """Vectorized log amplitude through NumPy's sin and log; -inf at the
+    zeros (no exceptions)."""
+    check_base(q)
     import numpy as np
 
-    a = amplitude_array(q, c, x)
-    with np.errstate(divide="ignore"):
-        return np.log(a)
+    return _log_amp(q, np.asarray(x, dtype=float) + c, np.sin, np.log)
+
+
+def _libm(fn):
+    """fn from math as an elementwise array function: libm's bits."""
+    import numpy as np
+
+    return lambda x: np.fromiter(map(fn, np.ravel(x).tolist()), float)
+
+
+def _f_map(q: int, x: np.ndarray) -> np.ndarray:
+    """_f on every element of x (at least 1-D) in one pass, bit for bit: sin
+    and log are libm's, where NumPy's kernels may round differently."""
+    return _log_amp(q, x, _libm(math.sin), _libm(math.log))
 
 
 def potential_derivative_array(q: int, c: float, x: np.ndarray) -> np.ndarray:

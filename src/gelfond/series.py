@@ -9,8 +9,7 @@ cross-checks; the sup-norm fit encloses log||sigma_{q^n}||_inf - n*beta on
 both sides, the paper's N^gamma growth measured against the certified beta.
 
 The direct sum stores one float per term, 8 bytes, so 128 MiB at
-DIRECT_SUM_CAP = 2^24 terms (it held about 73 bytes per term before the
-digit sums came from a carry counter).
+DIRECT_SUM_CAP = 2^24 terms.
 """
 
 from __future__ import annotations
@@ -225,6 +224,10 @@ def sup_exponent_fit(params: PotentialParams, n_max: int, grid_size: int,
 def polynomial_profile(params: PotentialParams, N: int,
                        grid_size: int) -> list[tuple[float, float]]:
     """(x, |partial sum of length N|) on a uniform grid, chunked by index."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     if N > DIRECT_SUM_CAP:
         raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
     import numpy as np

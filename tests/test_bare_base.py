@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gelfond as g
-from gelfond.potential import amplitude_array, potential_derivative_array
+from gelfond.potential import potential_array, potential_derivative_array
 
 CALLS = {
     "digit_sum": lambda q: g.digit_sum(q, 5),
@@ -31,7 +31,7 @@ CALLS = {
         lambda q: g.inner_shift_negativity_grid(q, 4, 4),
     "outer_shift_negativity_grid":
         lambda q: g.outer_shift_negativity_grid(q, 4, 4),
-    "amplitude_array": lambda q: amplitude_array(q, 0.3, np.zeros(2)),
+    "potential_array": lambda q: potential_array(q, 0.3, np.zeros(2)),
     "potential_derivative_array":
         lambda q: potential_derivative_array(q, 0.3, np.zeros(2)),
 }

@@ -181,6 +181,12 @@ class TestValidityIntervals:
         assert vi.c_hi == pytest.approx(row[5], abs=1e-9)
         assert period2_validity_q2() == (vi.c_lo, vi.c_hi)
 
+    def test_cycle_of_another_base_rejected(self):
+        # the q = 3 interval would be labelled with the q = 2 cycle
+        cyc = build_cycle(2, 0, F(1, 2))
+        with pytest.raises(ValueError, match="base 2, not q=3"):
+            validity_interval(3, cyc)
+
     def test_mirror_symmetry_of_endpoints(self):
         cycles = {(c.period, str(c.rotation)): c
                   for c in enumerate_cycles(2, 5)}

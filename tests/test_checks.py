@@ -12,8 +12,9 @@ from gelfond import (BalanceValue, GelfondCertificate, PotentialParams,
                      gelfond_exponent, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_balance,
                      sturmian_condition_probe)
-from gelfond.checks import _psi_differences
-from gelfond.potential import (REMOVABLE_TOL, ZERO_TOL, _f, _fp,
+from gelfond.circle import _psi_differences
+from gelfond.errors import GuardError
+from gelfond.potential import (REMOVABLE_TOL, ZERO_TOL, _f, _f_map, _fp,
                                potential_derivative_array)
 
 
@@ -241,6 +242,21 @@ class TestConditionProbe:
         assert v.value == pytest.approx(
             _f(q, lam + 1 / q + c) - _f(q, lam + c) + psi, abs=1e-15)
 
+    @pytest.mark.parametrize("q", [50, 64, 101])
+    def test_high_base_refused(self, q):
+        # at 1/q <= 2 PROBE_MARGIN every outside sample lies within the
+        # margin of a singularity, and past q = 100 the inside samples fall
+        # off the arc: the probe would pass, or fail, on nothing
+        params = PotentialParams(q, 0.3)
+        with pytest.raises(GuardError, match="no probe samples"):
+            sturmian_condition_probe(params, _certificate(q, 0.3))
+
+    def test_q49_still_probes(self):
+        params = PotentialParams(49, 0.3)
+        rep = sturmian_condition_probe(params, _certificate(49, 0.3))
+        assert rep.passed
+        assert rep.worst_point[0] is not None
+
     def test_params_must_match_certificate(self):
         # another c with this certificate would get a plausible FAIL report
         with pytest.raises(ValueError, match="differ"):
@@ -336,7 +352,7 @@ class TestFMap:
     def _assert_bits(q, x):
         x = np.asarray(x, dtype=float)
         want = np.array([_f(q, v) for v in x.ravel().tolist()])
-        got = checks._f_map(q, x)
+        got = _f_map(q, x)
         assert got.shape == x.shape
         assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
         return want

@@ -1,0 +1,34 @@
+"""One owner per computation, read from the source: only circle knows the
+(lo, len) arc format that _tau_pairs maps, and only potential knows the
+branch constants of f_c."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gelfond"
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name a module binds, reads, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+    return out
+
+
+MODULES = {p.stem: _identifiers(p) for p in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("name, owner", [("_tau_pairs", "circle"),
+                                         ("REMOVABLE_TOL", "potential"),
+                                         ("ZERO_TOL", "potential")])
+def test_single_owner(name, owner):
+    assert {m for m, names in MODULES.items() if name in names} == {owner}

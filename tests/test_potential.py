@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gelfond import PotentialParams, SingularityError, amplitude, potential
-from gelfond.potential import _amp, _f, _fp, amplitude_array, potential_array
+from gelfond.potential import _amp, _f, _f_map, _fp, potential_array
 
-from conftest import amp_round_form, central_diff, f_round_form
+from conftest import (amp_round_form, central_diff, f_map_masked,
+                      f_round_form, potential_array_two_pass)
 
 
 def kernel_arguments(q, rng):
@@ -85,7 +86,7 @@ class TestAmplitude:
 
     def test_cosine_identity_q2_grid(self):
         xs = np.arange(10_000) / 10_000
-        lhs = amplitude_array(2, 0.37, xs)
+        lhs = np.exp(potential_array(2, 0.37, xs))
         rhs = 2.0 * np.abs(np.cos(np.pi * (xs + 0.37)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
@@ -176,3 +177,38 @@ class TestDerivatives:
     def test_singularity_guard(self):
         with pytest.raises(SingularityError):
             _fp(2, 0.5 + 1e-12 + 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestArrayKernelOracles:
+    """potential_array and _f_map share one array kernel and keep the bits of
+    the two array forms they replaced: the fit's log of an amplitude array
+    and the grids' masked libm pass.  u = x + c sits on every branch edge:
+    the integers, the zeros k/q, 1e-13 inside and 1e-12 either side of them,
+    and seeded points, in 1-D and 2-D."""
+
+    @staticmethod
+    def _points(q, seed):
+        ks = np.arange(-3 * q, 3 * q + 1) / q
+        edges = [ks + d for d in (0.0, 1e-13, -1e-13, 1e-12, -1e-12)]
+        seeded = np.random.default_rng(seed).uniform(-3.0, 3.0, 20_000)
+        u = np.concatenate(edges + [np.arange(-3.0, 4.0), seeded])
+        return u[:u.size // 4 * 4]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 16, 64])
+    def test_zero_differing_bits(self, q):
+        for i, c in enumerate((0.0, 0.3, 1 / 3, 0.7071)):
+            u = self._points(q, 1000 * q + i)
+            for shape in (u.shape, (4, u.size // 4)):
+                uu = u.reshape(shape)
+                want = _bits(potential_array_two_pass(q, c, uu - c))
+                assert np.array_equal(_bits(potential_array(q, c, uu - c)),
+                                      want)
+                assert np.array_equal(_bits(_f_map(q, uu)),
+                                      _bits(f_map_masked(q, uu)))
+            # the branch edges are reached: maximum, zeros and live points
+            f = _f_map(q, u)
+            assert (f == math.log(q)).any() and np.isneginf(f).any()

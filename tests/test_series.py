@@ -393,6 +393,13 @@ class TestSupExponentFit:
 
 
 class TestProfileAndSample:
+    @pytest.mark.parametrize("N, grid_size, message", [
+        (0, 8, "N must be >= 1"), (-5, 8, "N must be >= 1"),
+        (4, 0, "grid_size must be >= 1"), (4, -1, "grid_size must be >= 1")])
+    def test_profile_arguments_checked(self, N, grid_size, message):
+        with pytest.raises(ValueError, match=message):
+            polynomial_profile(PotentialParams(2, 0.5), N, grid_size)
+
     def test_profile_matches_direct(self):
         params = PotentialParams(2, 0.5)
         prof = polynomial_profile(params, 64, 32)
