@@ -170,6 +170,8 @@ def find_balance_point(params: PotentialParams) -> float:
 
 def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float:
     """Mean of the potential over the exact cycle points (this is beta)."""
+    if cycle.q != params.q:
+        raise ValueError(f"cycle has base {cycle.q}, not q={params.q}")
     total = math.fsum(_f(params.q, float(s) + params.c) for s in cycle.points)
     return total / cycle.period
 

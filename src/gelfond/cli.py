@@ -32,7 +32,7 @@ from .circle import exit_time_profile
 from .errors import GelfondError, GuardError
 from .potential import PotentialParams, reduce_phase
 from .series import (DIRECT_SUM_CAP, modulus_product, multiplicativity_check,
-                     polynomial_profile, polynomial_sum, sup_exponent_fit)
+                     polynomial_sum, sup_exponent_fit)
 from .sturmian import (IrrationalRotation, RationalRotation, enumerate_cycles,
                        lambda_window, rotation_number)
 
@@ -364,10 +364,10 @@ def _print_verify(args, params: PotentialParams) -> int:
         print("exponent fit skipped: no certificate at this c")
 
     if args.sigma_csv:
-        prof = polynomial_profile(params, q ** min(args.n_max, 12),
-                                  args.grid_size)
+        xs = [i / args.grid_size for i in range(args.grid_size)]
         _emit_rows(args.sigma_csv, ["x", "abs_sigma"],
-                   [[fmt(x), fmt(v)] for x, v in prof])
+                   [[fmt(x), fmt(modulus_product(params, args.n_max, x))]
+                    for x in xs])
 
     print("verify:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -386,25 +386,12 @@ def cmd_checks(args) -> int:
 
 
 def _print_checks(args, probe: PotentialParams | None) -> int:
-    reports = {}
-    if args.q >= 3:
-        grid = [0.05 + 0.9 * i / (args.c_points - 1)
-                for i in range(args.c_points)]
-        reports["centering"] = centering_bound_check(args.q, grid)
-        reports["inner_shift"] = inner_shift_negativity_grid(
-            args.q, args.grid_size, args.grid_size)
-    if args.q >= 4:
-        reports["outer_shift"] = outer_shift_negativity_grid(
-            args.q, args.grid_size, args.grid_size)
-    if probe is not None:
-        cert = gelfond_exponent(probe, args.max_period)
-        if isinstance(cert, GelfondCertificate):
-            reports["condition_probe"] = sturmian_condition_probe(
-                probe, cert, samples=args.samples, depth=args.depth)
-        else:
-            print(f"probe skipped: no certificate at c={args.probe_c}")
+    """Each report is printed, and its JSON written, as soon as it is
+    computed, so a guard error in a later one keeps the earlier ones."""
     ok = True
-    for name, rep in reports.items():
+
+    def report(name, rep) -> None:
+        nonlocal ok
         ok &= rep.passed
         print(f"{name}: worst {fmt(rep.worst_value)} at {rep.worst_point} "
               f"[{'PASS' if rep.passed else 'FAIL'}]")
@@ -412,6 +399,24 @@ def _print_checks(args, probe: PotentialParams | None) -> int:
             with open(os.path.join(args.json_dir, f"{name}.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(rep.to_json_dict(), fh, sort_keys=True, indent=2)
+
+    # the probe's certificate comes first, so that a skipped probe is
+    # reported above the grids
+    cert = None if probe is None else gelfond_exponent(probe, args.max_period)
+    if cert is not None and not isinstance(cert, GelfondCertificate):
+        print(f"probe skipped: no certificate at c={args.probe_c}")
+    if args.q >= 3:
+        grid = [0.05 + 0.9 * i / (args.c_points - 1)
+                for i in range(args.c_points)]
+        report("centering", centering_bound_check(args.q, grid))
+        report("inner_shift", inner_shift_negativity_grid(
+            args.q, args.grid_size, args.grid_size))
+    if args.q >= 4:
+        report("outer_shift", outer_shift_negativity_grid(
+            args.q, args.grid_size, args.grid_size))
+    if isinstance(cert, GelfondCertificate):
+        report("condition_probe", sturmian_condition_probe(
+            probe, cert, samples=args.samples, depth=args.depth))
     return 0 if ok else 1
 
 

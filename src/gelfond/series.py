@@ -1,12 +1,14 @@
 """Digit-sum exponential sums and the independent verification layer.
 
-The coefficient of index n is exp(2*pi*i*c*S_q(n)) with S_q the base-q digit
-sum.  Partial sums of the associated trigonometric polynomial are computed
-two independent ways: a direct compensated complex sum, and (at lengths q^n)
-the product of amplitudes along the orbit of x under multiplication by q.
-Their agreement and the q-multiplicativity identity are empirical
-cross-checks; the sup-norm fit encloses log||sigma_{q^n}||_inf - n*beta on
-both sides, the paper's N^gamma growth measured against the certified beta.
+The coefficient of index n is t_n = exp(2*pi*i*c*S_q(n)) with S_q the
+base-q digit sum.  Since t_{aq^k+b} = t_a t_b for b < q^k, the partial sum
+of length q^n factors into the product of amplitudes along the orbit of x
+under multiplication by q; that product is how |sigma_{q^n}| is computed.
+The direct compensated complex sum is kept only as its independent check:
+their agreement and the q-multiplicativity identity are empirical
+cross-checks.
+The sup-norm fit encloses log||sigma_{q^n}||_inf - n*beta on both sides,
+the paper's N^gamma growth measured against the certified beta.
 
 The direct sum stores one float per term, 8 bytes, so 128 MiB at
 DIRECT_SUM_CAP = 2^24 terms.
@@ -19,12 +21,9 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .potential import PotentialParams, _amp, check_base, potential_array
-
-if TYPE_CHECKING:  # imported on first use by the array functions
-    import numpy as np
 
 DIRECT_SUM_CAP = 2 ** 24  # 8 B per term: 128 MiB of phases at the cap
 MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
@@ -219,26 +218,3 @@ def sup_exponent_fit(params: PotentialParams, n_max: int, grid_size: int,
     return [ExponentFitRow(n, top / (n * math.log(q)), top - n * beta,
                            i / size, his[n])
             for n, top, i in zip(range(1, n_max + 1), best, at)]
-
-
-def polynomial_profile(params: PotentialParams, N: int,
-                       grid_size: int) -> list[tuple[float, float]]:
-    """(x, |partial sum of length N|) on a uniform grid, chunked by index."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    if N > DIRECT_SUM_CAP:
-        raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
-    import numpy as np
-
-    q, c = params.q, params.c
-    xs = np.arange(grid_size) / grid_size
-    coeff = np.exp(2j * np.pi * c * np.fromiter(_digit_sums(q, N), float, N))
-    acc = np.zeros(grid_size, dtype=complex)
-    chunk = max(1, (1 << 22) // grid_size)
-    for start in range(0, N, chunk):
-        ns = np.arange(start, min(start + chunk, N))
-        phases = np.exp(2j * np.pi * ((ns[:, None] * xs[None, :]) % 1.0))
-        acc += (coeff[start:start + len(ns)][:, None] * phases).sum(axis=0)
-    return list(zip(xs.tolist(), np.abs(acc).tolist()))

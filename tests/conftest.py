@@ -13,7 +13,9 @@ and the probe's exact transfer function against a Gauss-Legendre quadrature
 of its derivative series.  The orbit product and the multiplicativity check
 are checked against their earlier Fraction-orbit forms, and the direct sum
 against its earlier two-list form.  Those take the potential kernels as
-arguments, so nothing here imports gelfond.
+arguments, so nothing here imports gelfond.  The --sigma-csv profile, which
+reads the orbit product, is checked against the chunked NumPy direct sum it
+replaced and against a 40-digit product of geometric sums.
 """
 
 import cmath
@@ -341,14 +343,20 @@ def multiplicativity_fraction(digit_sum, q: int, c: float, a: int, t: int,
     return abs(lhs - rhs) <= tol
 
 
-def polynomial_sum_lists(q: int, c: float, N: int, x: float) -> complex:
-    """The direct sum as polynomial_sum had it before it stored one float
-    per term: NumPy digit sums, and a list each of cosines and sines."""
+def digit_sums_array(q: int, N: int) -> np.ndarray:
+    """S_q(n) for n = 0..N-1 by repeated division."""
     arr = np.arange(N, dtype=np.int64)
     digit_sums = np.zeros(N, dtype=np.int64)
     while arr.any():
         digit_sums += arr % q
         arr //= q
+    return digit_sums
+
+
+def polynomial_sum_lists(q: int, c: float, N: int, x: float) -> complex:
+    """The direct sum as polynomial_sum had it before it stored one float
+    per term: NumPy digit sums, and a list each of cosines and sines."""
+    digit_sums = digit_sums_array(q, N)
     xm = x % 1.0
     phase_hi = 0.0
     phase_lo = 0.0
@@ -369,6 +377,38 @@ def polynomial_sum_lists(q: int, c: float, N: int, x: float) -> complex:
             phase_lo -= 1.0
         phase_hi = s
     return complex(math.fsum(re), math.fsum(im))
+
+
+def direct_profile(q: int, c: float, N: int,
+                   grid_size: int) -> list[tuple[float, float]]:
+    """(x, |partial sum of length N|) on the grid i/grid_size, by a direct
+    NumPy sum chunked by index: the --sigma-csv profile before it read the
+    orbit product."""
+    xs = np.arange(grid_size) / grid_size
+    coeff = np.exp(2j * np.pi * c * digit_sums_array(q, N))
+    acc = np.zeros(grid_size, dtype=complex)
+    chunk = max(1, (1 << 22) // grid_size)
+    for start in range(0, N, chunk):
+        ns = np.arange(start, min(start + chunk, N))
+        phases = np.exp(2j * np.pi * ((ns[:, None] * xs[None, :]) % 1.0))
+        acc += (coeff[start:start + len(ns)][:, None] * phases).sum(axis=0)
+    return list(zip(xs.tolist(), np.abs(acc).tolist()))
+
+
+def sigma_modulus_40(q: int, c: float, n: int, x: float) -> float:
+    """|partial sum of length q^n| at x in 40-digit mpmath, as the product
+    over k < n of |sum_{d<q} e(d(c + q^k x))|, each a geometric sum of
+    exponentials (no sine ratio); c, x and the orbit are taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        acc = mpmath.mpf(1)
+        xk = Fraction(x) % 1
+        for _ in range(n):
+            u = Fraction(c) + xk
+            e = mpmath.expjpi(2 * mpmath.mpf(u.numerator) / u.denominator)
+            acc *= abs(mpmath.fsum(e ** d for d in range(q)))
+            xk = q * xk % 1
+        return float(acc)
 
 
 @pytest.fixture

@@ -148,6 +148,17 @@ class TestCertificateContract:
                 y = (2 * y) % 1
             assert total == pytest.approx(k * m * res.beta, abs=1e-12)
 
+    def test_orbit_mean_is_beta(self):
+        res = cert(2, 0.25)
+        assert orbit_potential_mean(PotentialParams(2, 0.25),
+                                    res.cycle) == res.beta
+
+    def test_orbit_mean_cycle_of_another_base_rejected(self):
+        # the q = 3 potential would be averaged over the q = 2 cycle
+        cyc = build_cycle(2, 0, F(1, 2))
+        with pytest.raises(ValueError, match="base 2, not q=3"):
+            orbit_potential_mean(PotentialParams(3, 0.3), cyc)
+
     def test_json_dict(self):
         d = cert(2, 0.5).to_json_dict()
         assert d["schema_version"] == 1

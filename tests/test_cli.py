@@ -1,12 +1,14 @@
 import argparse
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import gelfond.certify as certify
 import gelfond.cli as cli
-from gelfond import DepthError, GuardError
+from conftest import sigma_modulus_40
+from gelfond import DepthError, GuardError, PotentialParams, polynomial_sum
 from gelfond.cli import build_parser, fmt, main, parse_c
 
 
@@ -414,6 +416,29 @@ class TestVerifyAndChecks:
             "n,gamma_n,excess_n,argmax_x,excess_hi\n")
         assert sigma_csv.read_text().startswith("x,abs_sigma")
 
+    @pytest.mark.parametrize("q, n_max", [(2, 10), (3, 7), (5, 5)])
+    def test_sigma_csv_rows(self, capsys, tmp_path, q, n_max):
+        # the rows are |sigma_N| at N = q^n_max: the direct sum at a few
+        # rows, a 40-digit product of geometric sums at seeded rows
+        sigma_csv = tmp_path / "sigma.csv"
+        grid = 256
+        code, _, _ = run_cli(capsys, "verify", "--q", str(q), "--c", "0.3",
+                             "--samples", "1", "--n-max", str(n_max),
+                             "--grid", str(grid), "--sigma-csv",
+                             str(sigma_csv))
+        assert code == 0
+        lines = sigma_csv.read_text().splitlines()
+        assert lines[0] == "x,abs_sigma" and len(lines) == grid + 1
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [x for x, _ in rows] == [i / grid for i in range(grid)]
+        params = PotentialParams(q, 0.3)
+        for x, v in rows[::37]:
+            assert v == pytest.approx(abs(polynomial_sum(params, q ** n_max,
+                                                         x)), abs=1e-9)
+        for x, v in random.Random(q).sample(rows, 20):
+            ref = sigma_modulus_40(q, 0.3, n_max, x)
+            assert abs(v - ref) <= 1e-13 * max(1.0, ref)
+
     def test_verify_exact_orbits(self, capsys):
         # a float orbit iterated mod 1 drifted by q^n times its rounding
         # here: worst rel err 1.059e-10, over the 1e-10 bound
@@ -431,6 +456,30 @@ class TestVerifyAndChecks:
         assert "centering" in out and "PASS" in out
         doc = json.loads((jdir / "inner_shift.json").read_text())
         assert doc["passed"] is True
+
+    def test_checks_guard_error_keeps_earlier_reports(self, capsys,
+                                                      tmp_path):
+        # at q = 50 the probe finds no sample clear of the arc ends
+        jdir = tmp_path / "reports"
+        code, out, err = run_cli(capsys, "checks", "--q", "50", "--probe-c",
+                                 "0.3", "--grid", "20", "--c-points", "2",
+                                 "--json-dir", str(jdir))
+        assert code == 3
+        assert err.startswith("guard error: no probe samples")
+        names = ["centering", "inner_shift", "outer_shift"]
+        assert [line.split(":")[0] for line in out.splitlines()] == names
+        assert all(line.endswith("[PASS]") for line in out.splitlines())
+        assert sorted(p.name for p in jdir.iterdir()) == sorted(
+            f"{name}.json" for name in names)
+
+    def test_checks_probe_skipped_above_grids(self, capsys):
+        code, out, _ = run_cli(capsys, "checks", "--q", "3", "--probe-c",
+                               "0.3", "--max-period", "1", "--grid", "20",
+                               "--c-points", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "probe skipped: no certificate at c=0.3"
+        assert [line.split(":")[0] for line in out.splitlines()[1:]] == [
+            "centering", "inner_shift"]
 
 
 class TestSharedParser:

@@ -32,13 +32,16 @@ ends with their balance values, not theta; no other line or file changed.
 verify_q2_c03_s7 and verify_q3_c03_s7 are the two verify sizes of the
 benchmark's crosscheck items, written before the orbit products moved from
 Fraction to integer numerators and the outer shift grid from scalar _f calls
-to one array pass.  verify_q3_1_4_n10 (direct sums up to N = 3^10) and the
---sigma-csv file verify_q3_1_4_sigma.csv were written before the direct sum
-moved to one float per term and digit sums by carry.  A change that alters
-any certificate, CSV cell or JSON key fails this test, so refactors that
-claim byte-identical output can show it.  validity_q2 also
-pins every bisection sign of the c-roots, since each one moves a printed
-digit.
+to one array pass.  verify_q3_1_4_n10 (direct sums up to N = 3^10) was
+written before the direct sum moved to one float per term and digit sums by
+carry.  The --sigma-csv file verify_q3_1_4_sigma.csv was rewritten by the
+commit that made the profile read the orbit product at N = q^n_max instead
+of a direct sum: its x column is unchanged, and each abs_sigma cell is
+within 3.8e-15 of a 40-digit product (the direct-sum cells were within
+2.0e-14; at x = 0 the exact 1 printed as 1.00000000000001).  A change that
+alters any certificate, CSV cell or JSON key fails this test, so refactors
+that claim byte-identical output can show it.  validity_q2 also pins every
+bisection sign of the c-roots, since each one moves a printed digit.
 """
 
 from pathlib import Path

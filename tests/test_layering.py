@@ -1,6 +1,7 @@
 """One owner per computation, read from the source: only circle knows the
-(lo, len) arc format that _tau_pairs maps, and only potential knows the
-branch constants of f_c."""
+(lo, len) arc format that _tau_pairs maps, only potential knows the branch
+constants of f_c, and only series sums over the digit sums, in its one
+direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,13 @@ MODULES = {p.stem: _identifiers(p) for p in sorted(SRC.glob("*.py"))}
 
 @pytest.mark.parametrize("name, owner", [("_tau_pairs", "circle"),
                                          ("REMOVABLE_TOL", "potential"),
-                                         ("ZERO_TOL", "potential")])
+                                         ("ZERO_TOL", "potential"),
+                                         ("_digit_sums", "series")])
 def test_single_owner(name, owner):
     assert {m for m, names in MODULES.items() if name in names} == {owner}
+
+
+def test_no_second_direct_sum():
+    # the profile of sigma reads the orbit product, not a direct sum
+    assert {m for m, names in MODULES.items()
+            if "polynomial_profile" in names} == set()

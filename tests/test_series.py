@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import gelfond.series as series
-from conftest import (modulus_product_fraction, multiplicativity_fraction,
-                      polynomial_sum_lists)
+from conftest import (direct_profile, modulus_product_fraction,
+                      multiplicativity_fraction, polynomial_sum_lists)
 from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
                      modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit)
 from gelfond.potential import _amp, _f, potential_array
-from gelfond.series import polynomial_profile
 
 TM_SIGNS = [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
 # phases whose Fraction has a large denominator (up to 2**1074)
@@ -349,8 +348,8 @@ class TestSupExponentFit:
         rows = sup_exponent_fit(params, n_max, 64, beta)
         dense = 4 * series.FIT_OVERSAMPLE * q ** n_max
         for r in rows:
-            peak = max(v for _, v in polynomial_profile(params, q ** r.n,
-                                                        dense))
+            peak = max(v for _, v in direct_profile(q, params.c, q ** r.n,
+                                                    dense))
             excess = math.log(peak) - r.n * beta
             assert r.excess_n - 1e-9 <= excess <= r.excess_hi
 
@@ -390,19 +389,3 @@ class TestSupExponentFit:
         sup_exponent_fit(PotentialParams(q, 0.3), n_max, 256, 0.5)
         assert sum(sizes) == size
         assert sizes == [series.FIT_CHUNK] * (size // series.FIT_CHUNK)
-
-
-class TestProfileAndSample:
-    @pytest.mark.parametrize("N, grid_size, message", [
-        (0, 8, "N must be >= 1"), (-5, 8, "N must be >= 1"),
-        (4, 0, "grid_size must be >= 1"), (4, -1, "grid_size must be >= 1")])
-    def test_profile_arguments_checked(self, N, grid_size, message):
-        with pytest.raises(ValueError, match=message):
-            polynomial_profile(PotentialParams(2, 0.5), N, grid_size)
-
-    def test_profile_matches_direct(self):
-        params = PotentialParams(2, 0.5)
-        prof = polynomial_profile(params, 64, 32)
-        for x, v in prof[::5]:
-            assert v == pytest.approx(abs(polynomial_sum(params, 64, x)),
-                                      abs=1e-9)
