@@ -4,7 +4,7 @@ Three families: the centering bound on where the balanced arc sits, two
 negativity grids for composite bounds controlling points reached by 1/q
 shifts of the arc, and a direct probe that the transfer-corrected potential
 is constant on the certified arc and strictly smaller outside.  The grids
-evaluate f_c through potential._f_map, and the probe takes its transfer
+evaluate f_c through potential_array, and the probe takes its transfer
 function psi, exact up to its truncation depth, from circle.  The
 centering bound is certified at each grid c by two balance signs, with the
 certificates' err_bound; the other three are numerical confirmations with
@@ -26,8 +26,9 @@ from .certify import GelfondCertificate, find_balance_point
 from .circle import _psi_differences
 from .errors import GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
-from .potential import (PotentialParams, _f, _f_map, _fp, check_base,
-                        potential_derivative_array, reduce_phase)
+from .potential import (PotentialParams, _f, _fp, check_base,
+                        potential_array, potential_derivative_array,
+                        reduce_phase)
 
 if TYPE_CHECKING:  # imported on first use by the grid functions
     import numpy as np
@@ -122,7 +123,7 @@ def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
     ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
     s = np.linspace(*s_span(ts), s_steps, axis=1)
     t = ts[:, None]
-    g = quantity(t, s, _f_map(q, t),
+    g = quantity(t, s, potential_array(q, 0.0, t),
                  np.array([[_fp(q, v)] for v in ts.tolist()]))
     at = (np.arange(t_steps), np.argmax(g, axis=1))
     worst, worst_point = -math.inf, None
@@ -173,8 +174,10 @@ def outer_shift_negativity_grid(q: int, t_steps: int = 200,
         q, t_steps, s_steps, lambda t: (t, one_q - BOUNDARY_OFFSET),
         lambda t, s, f_t, fp_t: (
             np.log(np.sin(np.pi * (one_q - s)) / np.sin(np.pi * (one_q + s)))
-            + (log_q - f_t + _f_map(q, one_q - t - (s - t) / (q - 1))
-               - _f_map(q, one_q - t) - fp_t * (s - t) / (q - 1))))
+            + (log_q - f_t
+               + potential_array(q, 0.0, one_q - t - (s - t) / (q - 1))
+               - potential_array(q, 0.0, one_q - t)
+               - fp_t * (s - t) / (q - 1))))
 
 
 def sturmian_condition_probe(params: PotentialParams,

@@ -207,6 +207,8 @@ def cmd_table2(args) -> int:
         with open(args.c_list, encoding="utf-8") as fh:
             c_list = [_parse_fraction(line.strip()) for line in fh
                       if line.strip()]
+    elif args.q != 2:
+        raise ValueError(f"q={args.q} has no reference c list; give --c-list")
     answers = exponent_table(args.q, args.max_period, c_list=c_list,
                              threads=_threads(args))
     return _emit_answers(args.output,

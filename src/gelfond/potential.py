@@ -9,8 +9,8 @@ for an integer base q >= 2 and a phase parameter c in [0,1).  Its logarithm
 singularities at x = -c + k/q (k not divisible by q), and is strictly concave
 between adjacent singularities.  Everything downstream (balance integrals,
 certificates, grids, sup-norm fits) evaluates through this module, so that
-f_c(x) = f_0(x+c) holds bit for bit; one array kernel serves potential_array
-(NumPy's sin and log) and _f_map (libm's, so bit for bit the scalar _f).
+f_c(x) = f_0(x+c) holds bit for bit; potential_array, through NumPy's sin and
+log, is the one array evaluation, for the fit and the grids alike.
 """
 
 from __future__ import annotations
@@ -118,47 +118,27 @@ def potential(params: PotentialParams, x: float) -> float:
     return _f(params.q, x + params.c)
 
 
-def _log_amp(q: int, u: np.ndarray, sin, log) -> np.ndarray:
-    """_f's branches and tests on every element of the array u, so NaN stays
-    NaN, through the caller's elementwise sin and log.  u - rint(u) is
-    math.remainder(u, 1.0) up to the sign of a zero, which reaches the result
-    only through abs."""
+def potential_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
+    """Vectorized log amplitude through NumPy's sin and log: _f's branches
+    and tests on every element of u = x + c, -inf at the zeros, NaN kept.
+    u - rint(u) is math.remainder(u, 1.0) up to the sign of a zero, which
+    reaches the result only through abs."""
+    check_base(q)
     import numpy as np
 
+    u = np.asarray(x, dtype=float) + c
     ur = u - np.rint(u)
     vr = q * ur
     vr -= np.rint(vr)
-    out = np.full(u.shape, log(q))
+    out = np.full(u.shape, np.log(q))
     live = ~(np.abs(ur) <= REMOVABLE_TOL)
     zero = np.abs(vr) <= q * ZERO_TOL
     out[live & zero] = -math.inf
     live &= ~zero
-    ratio = sin(np.pi * vr[live])
-    ratio /= sin(np.pi * ur[live])
-    out[live] = log(np.abs(ratio))
+    ratio = np.sin(np.pi * vr[live])
+    ratio /= np.sin(np.pi * ur[live])
+    out[live] = np.log(np.abs(ratio))
     return out
-
-
-def potential_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized log amplitude through NumPy's sin and log; -inf at the
-    zeros (no exceptions)."""
-    check_base(q)
-    import numpy as np
-
-    return _log_amp(q, np.asarray(x, dtype=float) + c, np.sin, np.log)
-
-
-def _libm(fn):
-    """fn from math as an elementwise array function: libm's bits."""
-    import numpy as np
-
-    return lambda x: np.fromiter(map(fn, np.ravel(x).tolist()), float)
-
-
-def _f_map(q: int, x: np.ndarray) -> np.ndarray:
-    """_f on every element of x (at least 1-D) in one pass, bit for bit: sin
-    and log are libm's, where NumPy's kernels may round differently."""
-    return _log_amp(q, x, _libm(math.sin), _libm(math.log))
 
 
 def potential_derivative_array(q: int, c: float, x: np.ndarray) -> np.ndarray:

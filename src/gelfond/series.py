@@ -104,15 +104,14 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
     two_pi = 2.0 * math.pi
     for s_n in _digit_sums(q, N):
         append(two_pi * ((phase_hi + phase_lo) + c * s_n))
-        # exact two-sum of the phase increment, then exact wrap into [0,1)
+        # exact two-sum of the phase increment, then exact wrap into [0,1);
+        # each error is <= 2**-53, so |phase_lo| <= 2**-29 at the cap
         s = phase_hi + xm
         z = s - phase_hi
         err = (phase_hi - (s - z)) + (xm - z)
         phase_lo += err
         if s >= 1.0:
             s -= 1.0
-        if phase_lo >= 1.0:
-            phase_lo -= 1.0
         phase_hi = s
     return complex(math.fsum(map(math.cos, thetas)),
                    math.fsum(map(math.sin, thetas)))

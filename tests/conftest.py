@@ -198,28 +198,6 @@ def potential_array_two_pass(q: int, c: float, x) -> np.ndarray:
         return np.log(out)
 
 
-def f_map_masked(q: int, x: np.ndarray) -> np.ndarray:
-    """The scalar log amplitude on every element of x through libm, written
-    with its own masks: the grids' array form before f_c had one array
-    kernel (tolerances 1e-12)."""
-
-    def libm(fn, a):
-        return np.fromiter(map(fn, a.tolist()), float, a.size)
-
-    ur = x - np.rint(x)
-    vr = q * ur
-    vr -= np.rint(vr)
-    out = np.full(x.shape, math.log(q))
-    live = np.abs(ur) > 1e-12
-    zero = np.abs(vr) <= q * 1e-12
-    out[live & zero] = -math.inf
-    live &= ~zero
-    ratio = libm(math.sin, np.pi * vr[live])
-    ratio /= libm(math.sin, np.pi * ur[live])
-    out[live] = libm(math.log, np.abs(ratio))
-    return out
-
-
 def transfer_integral_loop(derivative_array, nodes, weights, q: int, c: float,
                            lam_mod: float, positions, depth: int, breaks,
                            max_panel: float = 0.005) -> dict:

@@ -694,6 +694,14 @@ class TestCertifiedSigns:
                                      "x") == (0.0, 1.0)
         assert seen == [0.0, 1.0, 0.5]
 
+    def test_zero_tolerance_stops_at_adjacent_floats(self):
+        # every sign is certified, so only the float spacing ends the search
+        a, b = certify._sign_bracket(
+            lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1),
+            0.0, 1.0, 0.0, "x")
+        assert math.nextafter(a, math.inf) == b
+        assert a < 0.3 <= b
+
     def test_search_stops_at_the_uncertain_midpoint(self):
         # the sign of 0.3 - x is certified only farther than 0.01 from 0.3
         seen = []

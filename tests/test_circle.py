@@ -441,3 +441,14 @@ class TestExitLevelCache:
         assert len(results) == 6 * len(calls)
         for (k, i), out in results.items():
             assert out == expected[i], (k, i)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exit_sets(2, 0.3, 0), "depth must be >= 1"),
+    (lambda: sturmian_balance(PotentialParams(2, 0.3), 0.3, depth=0),
+     "depth must be >= 1"),
+    (lambda: exit_time_profile(2, 0.3, 2, 1), "grid_size must be >= 2"),
+], ids=["exit_sets", "sturmian_balance", "exit_time_profile"])
+def test_rejects_out_of_range_sizes(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

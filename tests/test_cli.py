@@ -8,7 +8,8 @@ import pytest
 import gelfond.certify as certify
 import gelfond.cli as cli
 from conftest import sigma_modulus_40
-from gelfond import DepthError, GuardError, PotentialParams, polynomial_sum
+from gelfond import (DepthError, GuardError, IrrationalRotation,
+                     PotentialParams, polynomial_sum)
 from gelfond.cli import build_parser, fmt, main, parse_c
 
 
@@ -75,6 +76,19 @@ class TestGelfondCommand:
                                "--c", "0.18208148")
         assert code == 2
         assert "rotation = 15/17" in out.splitlines()
+
+    def test_irrational_rotation_estimate(self, capsys, monkeypatch):
+        # no float c at q = 2 reaches a rotation past the denominators that
+        # rotation_number tries, so the report is built by hand
+        report = certify.NonPeriodicReport(
+            PotentialParams(2, 0.25), -0.6, IrrationalRotation(0.618, 1e-6),
+            "no cycle")
+        monkeypatch.setattr(cli, "gelfond_exponent", lambda *args: report)
+        code, out, _ = run_cli(capsys, "gelfond", "--q", "2", "--c", "1/4")
+        assert code == 2
+        assert out.splitlines() == ["nonperiodic: no cycle",
+                                    "lambda_star = 0.4",
+                                    "rotation estimate = 0.618 +- 1e-06"]
 
     def test_json_nonperiodic(self, capsys):
         code, out, _ = run_cli(capsys, "gelfond", "--q", "2", "--c", "8/21",
@@ -181,6 +195,13 @@ class TestBadInput:
     def test_checks_q2_needs_probe(self, capsys):
         self.assert_error(capsys, ["checks", "--q", "2"],
                           "q=2 has no inequality grid; give --probe-c")
+
+    @pytest.mark.parametrize("q", ["3", "5"])
+    def test_table2_off_q2_needs_c_list(self, capsys, tmp_path, q):
+        out = tmp_path / "t.csv"
+        self.assert_error(capsys, ["table2", "--q", q, "--output", str(out)],
+                          f"q={q} has no reference c list; give --c-list")
+        assert not out.exists()
 
     def test_c_overflowing_a_float(self, capsys):
         text = "1" + "0" * 400 + "/3"
@@ -439,6 +460,15 @@ class TestVerifyAndChecks:
             ref = sigma_modulus_40(q, 0.3, n_max, x)
             assert abs(v - ref) <= 1e-13 * max(1.0, ref)
 
+    def test_verify_without_certificate(self, capsys):
+        # a nonperiodic report at q = 2 (rotation 15/17): no fit, no failure
+        code, out, _ = run_cli(capsys, "verify", "--q", "2", "--c",
+                               "0.18208128", "--n-max", "3", "--samples", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == ["exponent fit skipped: no certificate at this c",
+                              "verify: PASS"]
+
     def test_verify_exact_orbits(self, capsys):
         # a float orbit iterated mod 1 drifted by q^n times its rounding
         # here: worst rel err 1.059e-10, over the 1e-10 bound
@@ -527,6 +557,17 @@ class TestBetaCurveCommand:
         assert len(lines) == 17
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_skips_one_point_runs(self, tmp_path):
+        # runs of certificates split at a gap; a lone certificate draws no
+        # line
+        svg = tmp_path / "curve.svg"
+        cert = certify.gelfond_exponent(PotentialParams(2, 0.5))
+        gap = DepthError("depth cap reached")
+        cli._svg_curve([(0.1, cert), (0.2, gap), (0.3, cert), (0.4, cert)],
+                       str(svg))
+        [line] = [s for s in svg.read_text().splitlines() if "polyline" in s]
+        assert line.count(",") == 2
 
 
 

@@ -1,7 +1,8 @@
 """One owner per computation, read from the source: only circle knows the
 (lo, len) arc format that _tau_pairs maps, only potential knows the branch
 constants of f_c, and only series sums over the digit sums, in its one
-direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product."""
+direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product, and f_c
+on an array is potential_array alone."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,8 @@ def _identifiers(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             out.add(node.asname or node.name)
             out.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
     return out
 
 
@@ -40,3 +43,9 @@ def test_no_second_direct_sum():
     # the profile of sigma reads the orbit product, not a direct sum
     assert {m for m, names in MODULES.items()
             if "polynomial_profile" in names} == set()
+
+
+@pytest.mark.parametrize("name", ["_f_map", "_libm", "_log_amp"])
+def test_no_second_array_potential(name):
+    # the grids and the fit both read f_c through potential_array
+    assert {m for m, names in MODULES.items() if name in names} == set()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gelfond import PotentialParams, SingularityError, amplitude, potential
-from gelfond.potential import _amp, _f, _f_map, _fp, potential_array
+from gelfond.potential import _amp, _f, _fp, potential_array
 
-from conftest import (amp_round_form, central_diff, f_map_masked,
-                      f_round_form, potential_array_two_pass)
+from conftest import (amp_round_form, central_diff, f_round_form,
+                      potential_array_two_pass)
 
 
 def kernel_arguments(q, rng):
@@ -184,11 +184,10 @@ def _bits(a):
 
 
 class TestArrayKernelOracles:
-    """potential_array and _f_map share one array kernel and keep the bits of
-    the two array forms they replaced: the fit's log of an amplitude array
-    and the grids' masked libm pass.  u = x + c sits on every branch edge:
-    the integers, the zeros k/q, 1e-13 inside and 1e-12 either side of them,
-    and seeded points, in 1-D and 2-D."""
+    """potential_array, the one array kernel, keeps the bits of the fit's
+    log of an amplitude array that it replaced.  u = x + c sits on every
+    branch edge: the integers, the zeros k/q, 1e-13 inside and 1e-12 either
+    side of them, and seeded points, in 1-D and 2-D."""
 
     @staticmethod
     def _points(q, seed):
@@ -207,8 +206,6 @@ class TestArrayKernelOracles:
                 want = _bits(potential_array_two_pass(q, c, uu - c))
                 assert np.array_equal(_bits(potential_array(q, c, uu - c)),
                                       want)
-                assert np.array_equal(_bits(_f_map(q, uu)),
-                                      _bits(f_map_masked(q, uu)))
             # the branch edges are reached: maximum, zeros and live points
-            f = _f_map(q, u)
+            f = potential_array(q, 0.0, u)
             assert (f == math.log(q)).any() and np.isneginf(f).any()

@@ -389,3 +389,17 @@ class TestSupExponentFit:
         sup_exponent_fit(PotentialParams(q, 0.3), n_max, 256, 0.5)
         assert sum(sizes) == size
         assert sizes == [series.FIT_CHUNK] * (size // series.FIT_CHUNK)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: digit_sum(2, -1), "n must be >= 0"),
+    (lambda: polynomial_sum(PotentialParams(2, 0.5), 0, 0.1),
+     "N must be >= 1"),
+    (lambda: modulus_product(PotentialParams(2, 0.5), 0, 0.1),
+     "n_levels must be >= 1"),
+    (lambda: sup_exponent_fit(PotentialParams(2, 0.5), 1, 64, 0.5),
+     "n_max must be >= 2"),
+], ids=["digit_sum", "polynomial_sum", "modulus_product", "sup_exponent_fit"])
+def test_rejects_out_of_range_sizes(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -344,3 +344,13 @@ class TestStaircase:
             lam, est, num, den = line.split(",")
             if num:
                 assert est == fmt(float(F(int(num), int(den))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_cycles(2, 0), r"max_period must be >= 1"),
+    (lambda: build_cycle(2, 0, F(3, 2)),
+     r"rotation must lie in \[0,1\), got 3/2"),
+], ids=["enumerate_cycles", "build_cycle"])
+def test_rejects_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
