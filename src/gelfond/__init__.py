@@ -11,7 +11,7 @@ independently verifies the growth on the polynomial side.
 from .circle import (BalanceValue, exit_sets, exit_time_profile,
                      sturmian_balance)
 from .certify import (GelfondCertificate, NonPeriodicReport, ValidityInterval,
-                      beta_curve, beta_period2_closed_form, exponent_table,
+                      beta_period2_closed_form, exponent_table,
                       find_balance_point, gelfond_exponent,
                       orbit_potential_mean, validity_interval, validity_table)
 from .checks import (GridReport, centering_bound_check,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BalanceValue", "exit_sets", "exit_time_profile", "sturmian_balance",
     "GelfondCertificate", "NonPeriodicReport", "ValidityInterval",
-    "beta_curve", "beta_period2_closed_form", "exponent_table",
+    "beta_period2_closed_form", "exponent_table",
     "find_balance_point", "gelfond_exponent", "orbit_potential_mean",
     "validity_interval", "validity_table",
     "GridReport", "centering_bound_check", "inner_shift_negativity_grid",

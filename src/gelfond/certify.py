@@ -337,33 +337,15 @@ def validity_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
     return _pmap(_validity_row, [(q, cy) for cy in cycles], threads)
 
 
-def _exponent_rows(q, c_values, max_period, threads):
+def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
+                   c_list, threads: int | None = None
+                   ) -> list[tuple[Fraction | float, GelfondCertificate
+                                   | NonPeriodicReport | Exception]]:
+    """(c, gelfond_exponent's answer or the exception it raised) for each c
+    of c_list, in its order: the reference list makes table 2, a grid of c
+    the beta curve."""
+    check_base(q)
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    return _pmap(_exponent_row, [(q, cv, max_period) for cv in c_values],
+    return _pmap(_exponent_row, [(q, cv, max_period) for cv in c_list],
                  threads)
-
-
-def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
-                   c_list=None, *, threads: int | None = None
-                   ) -> list[tuple[Fraction, GelfondCertificate
-                                   | NonPeriodicReport | Exception]]:
-    """(c, gelfond_exponent's answer or the exception it raised) for each
-    requested c, as given; the reference list of c by default at q = 2."""
-    check_base(q)
-    if c_list is None:
-        c_list = DEFAULT_TABLE2_FRACTIONS if q == 2 else []
-    return _exponent_rows(q, c_list, max_period, threads)
-
-
-def beta_curve(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD,
-               resolution: int = 256, *, threads: int | None = None
-               ) -> list[tuple[float, GelfondCertificate
-                               | NonPeriodicReport | Exception]]:
-    """(c, gelfond_exponent's answer or the exception it raised) for each c
-    of the grid i / resolution."""
-    check_base(q)
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    return _exponent_rows(q, [i / resolution for i in range(resolution)],
-                          max_period, threads)

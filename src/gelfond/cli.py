@@ -23,8 +23,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .certify import (DEFAULT_MAX_PERIOD, GelfondCertificate,
-                      NonPeriodicReport, beta_curve, exponent_table,
+from .certify import (DEFAULT_MAX_PERIOD, DEFAULT_TABLE2_FRACTIONS,
+                      GelfondCertificate, NonPeriodicReport, exponent_table,
                       gelfond_exponent, validity_table)
 from .checks import (centering_bound_check, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_condition_probe)
@@ -202,7 +202,7 @@ def cmd_validity(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    c_list = None
+    c_list = DEFAULT_TABLE2_FRACTIONS
     if args.c_list:
         with open(args.c_list, encoding="utf-8") as fh:
             c_list = [_parse_fraction(line.strip()) for line in fh
@@ -264,8 +264,12 @@ def _svg_curve(answers, path: str) -> None:
 
 
 def cmd_beta_curve(args) -> int:
-    answers = beta_curve(args.q, args.max_period, args.resolution,
-                         threads=_threads(args))
+    threads = _threads(args)
+    _require(args, resolution=2)
+    answers = exponent_table(
+        args.q, args.max_period,
+        c_list=[i / args.resolution for i in range(args.resolution)],
+        threads=threads)
     code = _emit_answers(args.output,
                          ["c", "beta", "gamma", "period", "status"], answers,
                          lambda c: [fmt(c)], _exponent_cells, "GAP")
@@ -299,7 +303,8 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     _require(args, n_max=2, grid_size=1, samples=1)
-    if args.q ** args.n_max > DIRECT_SUM_CAP:
+    # q >= 2, so q^n_max exceeds the cap once n_max reaches its bit length
+    if args.q ** min(args.n_max, DIRECT_SUM_CAP.bit_length()) > DIRECT_SUM_CAP:
         raise ValueError(f"q^n_max = {args.q}^{args.n_max} exceeds the "
                          f"direct-sum cap {DIRECT_SUM_CAP}")
     params = PotentialParams(args.q, parse_c(args.c))

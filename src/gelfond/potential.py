@@ -130,7 +130,7 @@ def potential_array(q: int, c: float, x: np.ndarray) -> np.ndarray:
     ur = u - np.rint(u)
     vr = q * ur
     vr -= np.rint(vr)
-    out = np.full(u.shape, np.log(q))
+    out = np.full(u.shape, math.log(q))  # _f's bits; np.log's may differ
     live = ~(np.abs(ur) <= REMOVABLE_TOL)
     zero = np.abs(vr) <= q * ZERO_TOL
     out[live & zero] = -math.inf

@@ -71,10 +71,6 @@ class SturmianCycle:
         if self.s_max - self.s_min > Fraction(1, q):
             raise ValueError("support wider than 1/q")
 
-    def __str__(self):
-        pts = ",".join(str(p) for p in self.points)
-        return f"period-{self.period} cycle {{{pts}}} (rotation {self.rotation})"
-
 
 @dataclass(frozen=True)
 class LambdaWindow:

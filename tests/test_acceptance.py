@@ -48,7 +48,7 @@ from gelfond import (GelfondCertificate, NonPeriodicReport, PotentialParams,
                      polynomial_sum, rotation_number, sturmian_balance,
                      sturmian_condition_probe, sup_exponent_fit,
                      validity_table)
-from gelfond.certify import period2_validity_q2
+from gelfond.certify import DEFAULT_TABLE2_FRACTIONS, period2_validity_q2
 from gelfond.potential import _f
 
 from conftest import (SturmianTournament, balance_quadrature_oracle,
@@ -200,7 +200,8 @@ def test_criterion_2b_printed_validity_endpoints():
 
 def test_criterion_3a_table2_skip_and_runtime():
     t0 = time.perf_counter()
-    rows2 = exponent_table(2, 13, threads=1)
+    rows2 = exponent_table(2, 13, c_list=DEFAULT_TABLE2_FRACTIONS,
+                           threads=1)
     elapsed = time.perf_counter() - t0
     TABLE1_CACHE["rows2"] = rows2
     by_label = {str(c): a for c, a in rows2}
@@ -213,7 +214,8 @@ def test_criterion_3a_table2_skip_and_runtime():
 
 def test_criterion_3b_printed_table2_values():
     if "rows2" not in TABLE1_CACHE:
-        TABLE1_CACHE["rows2"] = exponent_table(2, 13, threads=1)
+        TABLE1_CACHE["rows2"] = exponent_table(
+            2, 13, c_list=DEFAULT_TABLE2_FRACTIONS, threads=1)
     by_label = {str(c): (float(c), a) for c, a in TABLE1_CACHE["rows2"]}
     tour = SturmianTournament(TOURNAMENT_PERIOD_T2)
     deviating, oracle_gap, margins = set(), 0.0, []
@@ -303,7 +305,8 @@ def test_criterion_5_product_identity_and_multiplicativity():
 
 def test_criterion_6_symmetry():
     if "rows2" not in TABLE1_CACHE:
-        TABLE1_CACHE["rows2"] = exponent_table(2, 13, threads=1)
+        TABLE1_CACHE["rows2"] = exponent_table(
+            2, 13, c_list=DEFAULT_TABLE2_FRACTIONS, threads=1)
     worst_gamma = 0.0
     for c, r in TABLE1_CACHE["rows2"]:
         if not isinstance(r, GelfondCertificate):

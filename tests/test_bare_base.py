@@ -24,8 +24,8 @@ CALLS = {
     "validity_interval": lambda q: g.validity_interval(
         q, g.build_cycle(2, 0, Fraction(1, 2))),
     "validity_table": lambda q: g.validity_table(q, 3, threads=1),
-    "exponent_table": lambda q: g.exponent_table(q, 3, threads=1),
-    "beta_curve": lambda q: g.beta_curve(q, 3, 4, threads=1),
+    "exponent_table": lambda q: g.exponent_table(q, 3, c_list=[0.3],
+                                                 threads=1),
     "centering_bound_check": lambda q: g.centering_bound_check(q, [0.3]),
     "inner_shift_negativity_grid":
         lambda q: g.inner_shift_negativity_grid(q, 4, 4),

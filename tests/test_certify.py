@@ -15,7 +15,7 @@ import gelfond.certify as certify
 from gelfond import (BalanceValue, DomainError,
                      GelfondCertificate, GelfondError, GuardError,
                      NonPeriodicReport, PotentialParams, ValidityInterval,
-                     beta_curve, beta_period2_closed_form, build_cycle,
+                     beta_period2_closed_form, build_cycle,
                      enumerate_cycles, exponent_table, find_balance_point,
                      gelfond_exponent, lambda_window, orbit_potential_mean,
                      rotation_number, validity_interval, validity_table)
@@ -27,6 +27,11 @@ from conftest import exact_window_holds, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
+
+
+def curve(q, max_period, resolution):
+    grid = [i / resolution for i in range(resolution)]
+    return exponent_table(q, max_period, c_list=grid)
 
 
 def cert(q, c):
@@ -351,8 +356,10 @@ class TestTables:
 
 
 class TestBetaCurve:
+    """The beta curve is exponent_table on the grid i / resolution."""
+
     def test_symmetry_and_bounds(self):
-        points = beta_curve(2, 13, resolution=64)
+        points = curve(2, 13, resolution=64)
         by_c = {round(c, 12): p for c, p in points}
         for c, p in points:
             if not isinstance(p, GelfondCertificate):
@@ -364,13 +371,13 @@ class TestBetaCurve:
                 assert p.beta == pytest.approx(mirror.beta, abs=1e-10)
 
     def test_gaps_flagged_not_fatal(self):
-        points = beta_curve(2, 4, resolution=32)
+        points = curve(2, 4, resolution=32)
         kinds = {type(p) for _, p in points}
         assert GelfondCertificate in kinds
         assert all(k in (GelfondCertificate, NonPeriodicReport) for k in kinds)
 
     def test_maximum_near_c_zero(self):
-        points = [(c, p) for c, p in beta_curve(2, 13, resolution=64)
+        points = [(c, p) for c, p in curve(2, 13, resolution=64)
                   if isinstance(p, GelfondCertificate)]
         best_c, _ = max(points, key=lambda cp: cp[1].beta)
         assert min(best_c, 1.0 - best_c) <= 2.0 / 64

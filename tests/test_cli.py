@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,13 +234,17 @@ class TestBadInput:
                                    "--n-max", "3", "--grid", "8", *argv],
                           message)
 
-    @pytest.mark.parametrize("q, n_max", [(2, 25), (3, 16), (8, 9)])
+    @pytest.mark.parametrize("q, n_max", [(2, 25), (3, 16), (8, 9),
+                                          (3, 100_000_000)])
     def test_verify_direct_sum_cap(self, capsys, q, n_max):
-        # rejected whichever n the seed would sample
+        # rejected whichever n the seed would sample, and at once: q^n_max
+        # is never built in full
+        t0 = time.perf_counter()
         self.assert_error(capsys, ["verify", "--q", str(q), "--c", "1/4",
                                    "--n-max", str(n_max), "--samples", "5"],
                           f"q^n_max = {q}^{n_max} exceeds the direct-sum "
                           f"cap 16777216")
+        assert time.perf_counter() - t0 < 2.0
 
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "grid_size must be >= 1"),

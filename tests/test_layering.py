@@ -1,8 +1,9 @@
 """One owner per computation, read from the source: only circle knows the
 (lo, len) arc format that _tau_pairs maps, only potential knows the branch
 constants of f_c, and only series sums over the digit sums, in its one
-direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product, and f_c
-on an array is potential_array alone."""
+direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product, f_c
+on an array is potential_array alone, and every row of beta and gamma
+comes from exponent_table."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,12 @@ def test_no_second_direct_sum():
     # the profile of sigma reads the orbit product, not a direct sum
     assert {m for m, names in MODULES.items()
             if "polynomial_profile" in names} == set()
+
+
+def test_no_second_exponent_driver():
+    # table2 and the beta curve both hand exponent_table their c values
+    assert {m for m, names in MODULES.items()
+            if names & {"beta_curve", "_exponent_rows"}} == set()
 
 
 @pytest.mark.parametrize("name", ["_f_map", "_libm", "_log_amp"])

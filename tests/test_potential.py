@@ -209,3 +209,9 @@ class TestArrayKernelOracles:
             # the branch edges are reached: maximum, zeros and live points
             f = potential_array(q, 0.0, u)
             assert (f == math.log(q)).any() and np.isneginf(f).any()
+
+    @pytest.mark.parametrize("q", [9170, 19143, 94869])
+    def test_maximum_has_scalar_bits(self, q):
+        # np.log(q) and math.log(q) differ in the last bit at these q
+        f = potential_array(q, 0.0, [0.0, 1.0, -2.0])
+        assert np.array_equal(_bits(f), _bits([_f(q, 0.0)] * 3))
