@@ -37,6 +37,7 @@ BOUNDARY_OFFSET = 1e-6  # pull grids off the open-domain edges
 PROBE_MARGIN = 0.01     # probe samples' distance from arc ends, singularities
 PROBE_INSIDE_TOL = 1e-4      # the probe needs |F - beta| <= this on the arc
 PROBE_OUTSIDE_MARGIN = 1e-3  # and F < beta - this off the arc
+SCAN_BLOCK = 2 ** 16    # shift-grid points per array pass, bounding temporaries
 
 
 @dataclass(frozen=True)
@@ -111,25 +112,30 @@ def centering_bound_check(q: int, c_grid) -> GridReport:
 def _shift_scan(q: int, t_steps: int, s_steps: int, s_span,
                 quantity) -> GridReport:
     """Grid maximum over t in (3/8q, 5/8q) and s in linspace(*s_span(t));
-    s_span takes the array of t and returns each row's two ends.
+    s_span takes an array of t and returns each row's two ends.
 
-    quantity(t, s, f_t, fp_t) is evaluated once on the whole (t_steps,
-    s_steps) grid, t and its f, f' as columns; each row's maximum then
-    updates the running worst in t order.
+    quantity(t, s, f_t, fp_t) is evaluated on blocks of whole rows of the
+    (t_steps, s_steps) grid, at most SCAN_BLOCK points each unless one row
+    is longer, t and its f, f' as columns; each row's maximum then updates
+    the running worst in t order.
     """
     import numpy as np
 
     off = BOUNDARY_OFFSET
     ts = np.linspace(3.0 / (8 * q) + off, 5.0 / (8 * q) - off, t_steps)
-    s = np.linspace(*s_span(ts), s_steps, axis=1)
-    t = ts[:, None]
-    g = quantity(t, s, potential_array(q, 0.0, t),
-                 np.array([[_fp(q, v)] for v in ts.tolist()]))
-    at = (np.arange(t_steps), np.argmax(g, axis=1))
+    rows = max(1, SCAN_BLOCK // s_steps)
     worst, worst_point = -math.inf, None
-    for t_i, s_j, g_j in zip(ts.tolist(), s[at].tolist(), g[at].tolist()):
-        if g_j > worst:
-            worst, worst_point = g_j, (t_i, s_j)
+    for a in range(0, t_steps, rows):
+        tb = ts[a:a + rows]
+        s = np.linspace(*s_span(tb), s_steps, axis=1)
+        t = tb[:, None]
+        g = quantity(t, s, potential_array(q, 0.0, t),
+                     np.array([[_fp(q, v)] for v in tb.tolist()]))
+        at = (np.arange(len(tb)), np.argmax(g, axis=1))
+        for t_i, s_j, g_j in zip(tb.tolist(), s[at].tolist(),
+                                 g[at].tolist()):
+            if g_j > worst:
+                worst, worst_point = g_j, (t_i, s_j)
     return GridReport({"q": q, "t_steps": t_steps, "s_steps": s_steps,
                        "offset": off}, worst, worst_point, worst < 0.0)
 

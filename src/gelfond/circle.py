@@ -11,7 +11,12 @@ integral
 is evaluated exactly per truncation level as a telescoping sum of potential
 values at interval endpoints, with a rigorous tail bound from the monotone
 derivative on C'.  Its zero in lam certifies the maximizing arc.  Depth grows
-until the sign is certified or the bound meets DEFAULT_TARGET_ERR.  The
+until the sign is certified or the bound meets DEFAULT_TARGET_ERR.  The exit
+levels depend on q and lam mod 1 only, and the last lam's are cached with a
+table of their distinct endpoints.  A call at a lam whose levels an earlier
+call cached past A_1 (a c-root bisection step) reads the table and evaluates
+f_c once per endpoint; any other call (a certificate's lam bisection, the
+first call at a window end) evaluates it once per distinct argument.  The
 condition probe's transfer function psi telescopes the same way over the tau
 images of its sample arcs.  Arcs are (lo, len) pairs, read by no other module.
 """
@@ -53,12 +58,17 @@ def _tau_pairs(pairs, q: int, lam_mod: float):
 
 @functools.lru_cache(maxsize=1)
 def _exit_levels(q: int, lam_mod: float):
-    """Exit levels at one lambda, shared by the balance calls there (the
-    c-root bisection holds lambda fixed) and by exit_sets: entry n-1 is
-    A_n's arcs as _tau_pairs returns them, with A_1 = the base arc.  The
-    list grows lazily and depends on nothing but the key, so a cache hit
-    gives the same arcs as computing them afresh."""
-    return [[(lam_mod, 1.0 / q)]]
+    """Exit levels at one lambda and their endpoint table, shared by the
+    balance calls there (the c-root bisection holds lambda fixed) and by
+    exit_sets.  levels[n-1] is A_n's arcs as _tau_pairs returns them, with
+    A_1 = the base arc; table[n-1] is (the endpoints lo + ln and lo that
+    A_n adds to those of A_1..A_{n-1}, each A_n arc's (hi, lo) positions in
+    the endpoints of A_1..A_n in first-seen order).  A balance call reads
+    the table once an earlier call has cached a level past A_1, and builds
+    the entries it lacks.  Both lists grow lazily by slice stores of whole
+    entries that depend on nothing but the key, so a cache hit gives the
+    same arcs as computing them afresh."""
+    return [[(lam_mod, 1.0 / q)]], []
 
 
 def exit_sets(q: int, lam: float,
@@ -66,15 +76,35 @@ def exit_sets(q: int, lam: float,
     """Exit sets A_1..A_depth as (lo, len) arcs; A_1 is the base arc,
     A_{n+1} its tau image.  The arcs of one level are pairwise disjoint."""
     check_base(q)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:
         raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     lam_mod = reduce_phase(lam)
-    levels = _exit_levels(q, lam_mod)
+    levels, _ = _exit_levels(q, lam_mod)
     for n in range(len(levels), depth):
         levels[n:n + 1] = [_tau_pairs(levels[n - 1], q, lam_mod)]
     return [list(pairs) for pairs in levels[:depth]]
+
+
+def _endpoint_entry(arcs, index: dict[float, int]):
+    """One level's endpoint-table entry: the endpoints lo + ln and lo of
+    the arcs that index lacks, in first-seen order, and each arc's (hi, lo)
+    positions; index gains the new endpoints at the next positions."""
+    adds, pairs = [], []
+    for lo, ln in arcs:
+        hi = index.get(e := lo + ln)
+        if hi is None:
+            hi = index[e] = len(index)
+            adds.append(e)
+        i = index.get(lo)
+        if i is None:
+            i = index[lo] = len(index)
+            adds.append(lo)
+        pairs.append((hi, i))
+    return adds, pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,9 +157,14 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
     m_edge = max(abs(_fp(q, r)), abs(_fp(q, r + one_q)))
 
     lam_mod = reduce_phase(lam)
-    levels = _exit_levels(q, lam_mod)
+    levels, table = _exit_levels(q, lam_mod)
     f = _f  # bound per call, so a patched circle._f still applies
-    fs: dict[float, float] = {}  # f is pure; nested levels share endpoints
+    # a first read at this lambda memoizes f by argument; a later one reads
+    # the endpoint table and evaluates f once per endpoint, fs[i] at the i-th
+    table_read = len(levels) > 1
+    fs: dict[float, float] | list[float] = [] if table_read else {}
+    index: dict[float, int] = {}  # the table's endpoints of levels 1..known
+    known = 0
     terms: list[float] = []
     running = 0.0
     comp = 0.0  # Kahan carry for the running sign check
@@ -139,19 +174,39 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
             # a slice store, not append: if another thread added level n
             # first, this rewrites it with the same value
             levels[n - 1:n] = [_tau_pairs(levels[n - 2], q, lam_mod)]
-        for lo, ln in levels[n - 1]:
-            fu = fs.get(u := lo + ln + c)
-            if fu is None:
-                fu = fs[u] = f(q, u)
-            fl = fs.get(u := lo + c)
-            if fl is None:
-                fl = fs[u] = f(q, u)
-            t = fu - fl
-            terms.append(t)
-            y = t - comp
-            s = running + y
-            comp = (s - running) - y
-            running = s
+        if table_read:
+            if n > len(table):
+                # index takes the endpoints of the entries read, not built,
+                # here; then a slice store of the new entry, as for levels
+                for adds, _ in table[known:n - 1]:
+                    for e in adds:
+                        index[e] = len(index)
+                table[n - 1:n] = [_endpoint_entry(levels[n - 1], index)]
+                known = n
+            adds, pairs = table[n - 1]
+            for e in adds:
+                fs.append(f(q, e + c))
+            for hi, lo in pairs:
+                t = fs[hi] - fs[lo]
+                terms.append(t)
+                y = t - comp
+                s = running + y
+                comp = (s - running) - y
+                running = s
+        else:
+            for lo, ln in levels[n - 1]:
+                fu = fs.get(u := lo + ln + c)
+                if fu is None:
+                    fu = fs[u] = f(q, u)
+                fl = fs.get(u := lo + c)
+                if fl is None:
+                    fl = fs[u] = f(q, u)
+                t = fu - fl
+                terms.append(t)
+                y = t - comp
+                s = running + y
+                comp = (s - running) - y
+                running = s
         tail_mass /= q
         err = m_edge * tail_mass
         if depth is None and (err <= DEFAULT_TARGET_ERR

@@ -95,6 +95,8 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
         raise ValueError("N must be >= 1")
     if N > DIRECT_SUM_CAP:
         raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     q, c = params.q, params.c
     xm = x % 1.0
     phase_hi = 0.0
@@ -117,6 +119,14 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
                    math.fsum(map(math.sin, thetas)))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x.as_integer_ratio(), a ValueError naming x where x is not finite."""
+    try:
+        return x.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"x must be finite, got {x!r}") from None
+
+
 def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
     """|partial sum of length q^n| via the amplitude product along the orbit.
 
@@ -130,7 +140,7 @@ def modulus_product(params: PotentialParams, n_levels: int, x) -> float:
         raise ValueError("n_levels must be >= 1")
     q, c = params.q, params.c
     acc = 1.0
-    num, den = x.as_integer_ratio()
+    num, den = _ratio(x)
     num %= den
     for _ in range(n_levels):
         acc *= _amp(q, num / den + c)
@@ -150,7 +160,7 @@ def multiplicativity_check(params: PotentialParams, a: int, t: int, b: int,
     if b >= q ** t:
         raise ValueError("requires b < q^t")
     c_num, c_den = c.as_integer_ratio()
-    x_num, x_den = x.as_integer_ratio()
+    x_num, x_den = _ratio(x)
     den = c_den * x_den
 
     def w(n: int) -> complex:

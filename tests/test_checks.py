@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,13 +291,14 @@ def _f_array(q, u):
 
 
 class TestBatchedScans:
-    """The shift grids evaluate every t row in one array and must equal the
-    earlier one-row loops bit for bit, at every grid point and not only the
-    worst one, where the f'(t) term vanishes; the probe's exact psi sweep
-    must agree with a Gauss-Legendre quadrature of its derivative series."""
+    """The shift grids evaluate blocks of whole t rows, one array each, and
+    must equal the earlier one-row loops bit for bit, at every grid point
+    and not only the worst one, where the f'(t) term vanishes; the probe's
+    exact psi sweep must agree with a Gauss-Legendre quadrature of its
+    derivative series."""
 
-    @pytest.mark.parametrize("q", [3, 4, 5, 8])
-    def test_shift_grids_match_row_loops(self, q, monkeypatch):
+    @staticmethod
+    def check_against_row_loops(q, t_steps, s_steps, n_blocks, monkeypatch):
         scanned = []
         scan = checks._shift_scan
 
@@ -307,23 +309,44 @@ class TestBatchedScans:
             return scan(q, t_steps, s_steps, s_span, recorded)
 
         monkeypatch.setattr(checks, "_shift_scan", capturing)
+        grids = [(inner_shift_negativity_grid, inner_shift_loop)]
+        if q >= 4:
+            grids.append((outer_shift_negativity_grid, outer_shift_loop))
+        for grid, loop in grids:
+            scanned.clear()
+            rep = grid(q, t_steps, s_steps)
+            worst, point, rows = loop(_f_array, _fp, q, t_steps, s_steps)
+            assert _hex(rep.worst_value) == _hex(worst)
+            assert [_hex(v) for v in rep.worst_point] == \
+                [_hex(v) for v in point]
+            assert rep.passed == (worst < 0.0)
+            assert len(scanned) == n_blocks
+            assert all(v.size <= checks.SCAN_BLOCK for v in scanned)
+            values = np.concatenate(scanned)
+            assert values.shape == (t_steps, s_steps)
+            assert np.array_equal(values, np.array(rows))
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 8])
+    def test_shift_grids_match_row_loops(self, q, monkeypatch):
+        # grids up to 256 x 256 are one block
         rng = random.Random(300 + q)
         for _ in range(3):
             t_steps, s_steps = rng.randint(10, 150), rng.randint(10, 150)
-            grids = [(inner_shift_negativity_grid, inner_shift_loop)]
-            if q >= 4:
-                grids.append((outer_shift_negativity_grid, outer_shift_loop))
-            for grid, loop in grids:
-                scanned.clear()
-                rep = grid(q, t_steps, s_steps)
-                worst, point, rows = loop(_f_array, _fp, q, t_steps, s_steps)
-                assert _hex(rep.worst_value) == _hex(worst)
-                assert [_hex(v) for v in rep.worst_point] == \
-                    [_hex(v) for v in point]
-                assert rep.passed == (worst < 0.0)
-                [values] = scanned
-                assert values.shape == (t_steps, s_steps)
-                assert np.array_equal(values, np.array(rows))
+            self.check_against_row_loops(q, t_steps, s_steps, 1, monkeypatch)
+
+    def test_blocks_above_block_size(self, monkeypatch):
+        # 65536 // 300 = 218 rows a block: 218 and 82
+        self.check_against_row_loops(4, 300, 300, 2, monkeypatch)
+
+    def test_peak_memory_bounded(self):
+        # 1.44 million points took about 100 MB of temporaries in one block
+        tracemalloc.start()
+        try:
+            outer_shift_negativity_grid(4, 1200, 1200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_transfer_integral_matches_interval_loop(self, q):

@@ -343,8 +343,9 @@ def balance_per_level(q, c, lam, kwargs):
 
 
 class TestExitLevelCache:
-    """sturmian_balance keeps the last lambda's exit levels; a value read
-    through the cache is the value computed without it, bit for bit."""
+    """sturmian_balance keeps the last lambda's exit levels and their
+    endpoint table; a value read through either is the value computed
+    without them, bit for bit."""
 
     def test_warm_equals_cold(self, rng, monkeypatch):
         tau_calls = []
@@ -386,7 +387,30 @@ class TestExitLevelCache:
             fixed = {"depth": out[2]}
             assert balance_outcome(q, c, lam, fixed) == out, (q, c, lam)
 
+    @pytest.mark.parametrize("q, lam", [(2, 0.3), (2, -1.23), (3, 0.61),
+                                        (3, 0.05), (5, 0.77), (8, -0.4)])
+    def test_c_sweep_on_one_entry(self, q, lam, rng):
+        # 40 calls as in a c-root bisection: one first read, then reads of
+        # the endpoint table at other c, the shallow fixed depth building
+        # it and the deeper one extending it past the cached levels
+        _exit_levels.cache_clear()
+        kwargs = [{}, {"depth": 4}, {"depth": 60}]
+        kwargs += [{"depth": rng.randint(1, 60)} if rng.random() < 0.3
+                   else {} for _ in range(37)]
+        cached, built = [], []
+        for kw in kwargs:
+            call = (q, in_window_c(q, lam, rng.uniform(0.01, 0.99)), lam, kw)
+            assert balance_outcome(*call) == balance_per_level(*call), call
+            levels, table = _exit_levels(q, lam % 1.0)
+            cached.append(len(levels))
+            built.append(len(table))
+        assert 1 < cached[0] < 60 and built[:3] == [0, 4, 60]
+        assert len(table) == len(levels) >= 60
+
     def test_f_once_per_distinct_argument(self, rng, monkeypatch):
+        # a first read at a lambda calls f once per distinct argument; a
+        # later read, through the endpoint table, once per distinct
+        # endpoint lo + ln or lo of the levels it reads
         args = []
 
         def recording_f(q, u):
@@ -395,42 +419,58 @@ class TestExitLevelCache:
 
         monkeypatch.setattr(circle, "_f", recording_f)
         _exit_levels.cache_clear()
-        repeats = 0
-        for q, c, lam, kwargs in interleaved_calls(rng):
+        calls = interleaved_calls(rng)
+        repeats = table_reads = 0
+        for q, c, lam, kwargs in calls:
             args.clear()
+            table_read = len(_exit_levels(q, lam % 1.0)[0]) > 1
             out = balance_outcome(q, c, lam, kwargs)
-            levels = _exit_levels(q, lam % 1.0)[:out[2]]
+            levels = _exit_levels(q, lam % 1.0)[0][:out[2]]
+            ends = {e for pairs in levels for lo, ln in pairs
+                    for e in (lo + ln, lo)}
             endpoints = [u for pairs in levels for lo, ln in pairs
                          for u in (lo + ln + c, lo + c)]
-            assert len(args) == len(set(args)) == len(set(endpoints))
             assert set(args) == set(endpoints)
+            if table_read:
+                assert len(args) == len(ends)
+                table_reads += 1
+            else:
+                assert len(args) == len(set(args)) == len(set(endpoints))
             repeats += len(endpoints) - len(args)
         assert repeats > 0
+        assert 0 < table_reads < len(calls)
 
     def test_threads_share_one_entry(self):
-        lam = 0.3
-        calls = [(2, in_window_c(2, lam, t), lam, kwargs)
-                 for t in (0.1, 0.35, 0.6, 0.85)
-                 for kwargs in ({"depth": 12}, {"depth": 40}, {})]
-        expected = []
-        for call in calls:
-            _exit_levels.cache_clear()
-            expected.append(balance_outcome(*call))
+        lams = (0.3, 0.77, -0.45, 0.12, 1.6, -0.9)
+        calls = {lam: [(2, in_window_c(2, lam, t), lam, kwargs)
+                       for t in (0.1, 0.35, 0.6, 0.85)
+                       for kwargs in ({"depth": 12}, {"depth": 40}, {})]
+                 for lam in lams}
+        expected = {}
+        for lam in lams:
+            for i, call in enumerate(calls[lam]):
+                _exit_levels.cache_clear()
+                expected[lam, i] = balance_outcome(*call)
         _exit_levels.cache_clear()
         results = {}
+        n_threads = 6
+        start = threading.Barrier(n_threads, timeout=60)
 
         def work(k):
-            # each thread starts at its own call, so the lazy level
-            # extension is raced from different depths
-            for j in range(len(calls)):
-                i = (j + 2 * k) % len(calls)
-                results[k, i] = balance_outcome(*calls[i])
+            # all threads meet at a lambda that none has read yet, each at
+            # its own call: their first reads race the lazy level extension
+            # from different depths, their second the endpoint table's build
+            for lam in lams:
+                start.wait()
+                for j in range(len(calls[lam])):
+                    i = (j + 2 * k) % len(calls[lam])
+                    results[k, lam, i] = balance_outcome(*calls[lam][i])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=work, args=(k,))
-                       for k in range(6)]
+                       for k in range(n_threads)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -438,9 +478,9 @@ class TestExitLevelCache:
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
-        assert len(results) == 6 * len(calls)
-        for (k, i), out in results.items():
-            assert out == expected[i], (k, i)
+        assert len(results) == n_threads * len(expected)
+        for (k, lam, i), out in results.items():
+            assert out == expected[lam, i], (k, lam, i)
 
 
 @pytest.mark.parametrize("call, message", [

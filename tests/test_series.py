@@ -10,8 +10,8 @@ import pytest
 import gelfond.series as series
 from conftest import (direct_profile, modulus_product_fraction,
                       multiplicativity_fraction, polynomial_sum_lists)
-from gelfond import (PotentialParams, digit_sum, gelfond_exponent,
-                     modulus_product, multiplicativity_check, polynomial_sum,
+from gelfond import (PotentialParams, digit_sum, exit_sets, exit_time_profile,
+                     gelfond_exponent, modulus_product, multiplicativity_check, polynomial_sum,
                      sup_exponent_fit)
 from gelfond.potential import _amp, _f, potential_array
 
@@ -403,3 +403,22 @@ class TestSupExponentFit:
 def test_rejects_out_of_range_sizes(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+P2 = PotentialParams(2, 0.3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: exit_sets(2, v, 3), "lam"),
+    (lambda v: exit_time_profile(2, v, 3, 8), "lam"),
+    (lambda v: polynomial_sum(P2, 8, v), "x"),
+    (lambda v: modulus_product(P2, 3, v), "x"),
+    (lambda v: multiplicativity_check(P2, 1, 2, 1, v), "x"),
+], ids=["exit_sets", "exit_time_profile", "polynomial_sum", "modulus_product",
+        "multiplicativity_check"])
+def test_rejects_non_finite_points(call, name, value):
+    # NaN arcs and sums came back before, and OverflowError from inf
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        call(value)
