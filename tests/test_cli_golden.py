@@ -41,7 +41,10 @@ within 3.8e-15 of a 40-digit product (the direct-sum cells were within
 2.0e-14; at x = 0 the exact 1 printed as 1.00000000000001).  A change that
 alters any certificate, CSV cell or JSON key fails this test, so refactors
 that claim byte-identical output can show it.  validity_q2 also pins every
-bisection sign of the c-roots, since each one moves a printed digit.
+bisection sign of the c-roots, since each one moves a printed digit;
+validity_q3 and validity_q5 (114 and 228 rows of period 2..13) pin them at
+q = 3 and 5, written before the c-roots skipped the calls whose sign a
+secant search had already settled.
 """
 
 from pathlib import Path
@@ -73,6 +76,8 @@ CASES = {
     "validity_q2": (["validity", "--q", "2", "--threads", "1"], 0),
     "validity_q2_p5": (["validity", "--q", "2", "--period", "5",
                         "--threads", "1"], 0),
+    "validity_q3": (["validity", "--q", "3", "--threads", "1"], 0),
+    "validity_q5": (["validity", "--q", "5", "--threads", "1"], 0),
     "checks_q4_g64": (["checks", "--q", "4", "--grid", "64", "--c-points", "3",
                        "--probe-c", "0.3", "--samples", "8", "--depth", "12"],
                       0),
