@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING
 from . import certify
 # find_balance_point is unused here: the benchmark tracer wraps it
 from .certify import GelfondCertificate, find_balance_point
-from .circle import _psi_differences
-from .errors import GuardError
+from .circle import DEPTH_CAP, _psi_differences
+from .errors import DepthError, GuardError
 # potential_derivative_array is unused here: the benchmark tracer wraps it
 from .potential import (PotentialParams, _f, _fp, check_base,
                         potential_array, potential_derivative_array,
@@ -195,12 +195,15 @@ def sturmian_condition_probe(params: PotentialParams,
     series from the arc base (psi itself is only defined up to a constant).
     F should be constant (= beta) on the arc and strictly below beta outside;
     samples keep PROBE_MARGIN away from the arc endpoints and from the
-    potential singularities.
+    potential singularities.  A depth past circle.DEPTH_CAP raises
+    DepthError, as the balance and the exit sets do.
     """
     if params != certificate.params:
         raise ValueError(f"params {params} differ from {certificate.params}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > DEPTH_CAP:
+        raise DepthError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     import numpy as np
 
     q, c = params.q, params.c

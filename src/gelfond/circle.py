@@ -29,7 +29,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DepthError, GuardError
-from .potential import PotentialParams, _f, _fp, check_base, reduce_phase
+from .potential import (PotentialParams, _f, _fp, check_base, check_finite,
+                        reduce_phase)
 
 WINDOW_GUARD = 1e-6       # least distance of lambda from the window's ends
 DEPTH_CAP = 400           # truncation-depth cap
@@ -76,8 +77,7 @@ def exit_sets(q: int, lam: float,
     """Exit sets A_1..A_depth as (lo, len) arcs; A_1 is the base arc,
     A_{n+1} its tau image.  The arcs of one level are pairwise disjoint."""
     check_base(q)
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
+    check_finite("lam", lam)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEPTH_CAP:

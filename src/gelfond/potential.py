@@ -39,6 +39,17 @@ def check_base(q) -> None:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
 
 
+def check_finite(name: str, x) -> None:
+    """Reject, naming the argument, a point that is not a finite float or
+    an int beyond the float range."""
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # math.isfinite converts an int to float
+        raise ValueError(f"{name} is beyond the float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class PotentialParams:
     """Base q >= 2 and phase c in [0,1)."""

@@ -23,7 +23,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
-from .potential import PotentialParams, _amp, check_base, potential_array
+from .potential import (PotentialParams, _amp, check_base, check_finite,
+                        potential_array)
 
 DIRECT_SUM_CAP = 2 ** 24  # 8 B per term: 128 MiB of phases at the cap
 MULTIPLICATIVITY_TOL = 1e-12  # largest |lhs - rhs| the identity check passes
@@ -95,8 +96,7 @@ def polynomial_sum(params: PotentialParams, N: int, x: float) -> complex:
         raise ValueError("N must be >= 1")
     if N > DIRECT_SUM_CAP:
         raise ValueError(f"N={N} exceeds the direct-sum cap {DIRECT_SUM_CAP}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    check_finite("x", x)
     q, c = params.q, params.c
     xm = x % 1.0
     phase_hi = 0.0
