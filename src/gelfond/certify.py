@@ -24,8 +24,8 @@ is then the bracket's midpoint.  Each sign is one adaptive balance call.
 A c-root first runs a secant search (_settled) for the nearest points on
 either side of the root whose balance clears its bound by SETTLED_MARGIN,
 then replays the bisection, which takes the sign of a midpoint beyond them
-without a call: the same signs, so the same root, from about 15 calls
-instead of 38.
+without a call: the same signs, so the same root, from about 14 calls
+instead of 36 to 38.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -281,6 +281,7 @@ def _settled(balance_at, a: float, b: float,
         if hi - lo <= tol:
             break
         x = a + (b - a) * (wa / (wa - wb))
+        # any factor from 3 to 100 gives the same calls within 1% at q = 2
         if near is None and min(ya, -yb) > 30.0 * SETTLE_AIM:
             if not a < x < b:
                 x = 0.5 * (a + b)

@@ -7,7 +7,8 @@ time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
-cycle, and the scalar potential by its earlier u - round(u) form.  The two
+cycle, the scalar potential by its earlier u - round(u) form, and the
+c-roots by the sign bisection that calls every midpoint.  The two
 batched shift grids are checked against their earlier one-t-at-a-time loops,
 and the probe's exact transfer function against a Gauss-Legendre quadrature
 of its derivative series.  The orbit product and the multiplicativity check
@@ -149,6 +150,35 @@ def linear_scan_select(cycles, bra: float, brb: float):
         if lo_f + k <= bra and brb <= hi_f + k:
             return cyc, k
     return None
+
+
+def full_bisection(balance_at, a: float, b: float,
+                   tol: float) -> tuple[float, float, int]:
+    """The sign bisection as it stood before the c-roots skipped calls:
+    balance_at (a value with .value and .err_bound) certified + at a and -
+    at b, then [a, b] halved with a call at every midpoint, an end moving
+    only on a certified sign, until b - a <= tol, no float lies between a
+    and b, or a midpoint's sign is uncertain.  Returns the bracket and the
+    number of calls."""
+    def sign(x):
+        v = balance_at(x)
+        return (v.value > v.err_bound) - (v.value < -v.err_bound)
+
+    assert sign(a) > 0 > sign(b), (a, b)
+    calls = 2
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        s = sign(mid)
+        calls += 1
+        if s == 0:
+            break
+        if s > 0:
+            a = mid
+        else:
+            b = mid
+    return a, b, calls
 
 
 def exact_window_holds(cycle, lam: float) -> bool:

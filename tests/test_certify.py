@@ -1,10 +1,12 @@
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import pickle
 import random
+import statistics
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -23,7 +25,7 @@ from gelfond.certify import DEFAULT_LAMBDA_TOL, period2_validity_q2
 from gelfond.circle import sturmian_balance
 from gelfond.potential import _f
 
-from conftest import exact_window_holds, linear_scan_select
+from conftest import exact_window_holds, full_bisection, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -500,8 +502,9 @@ def test_max_period_rejected_before_any_balance_call(monkeypatch):
 
 # Bisects to tolerance 0 from a certified sign bracket: the lambda bracket at
 # q = 2, c = 1/3, or the c-root at the upper window end of the q = 2
-# period-2 cycle.  The bisection must stop at two adjacent floats or at a
-# midpoint whose sign is uncertain.
+# period-2 cycle, also from the points _settled finds at tolerance 0.  The
+# bisection must stop at two adjacent floats or at a midpoint whose sign is
+# uncertain.
 ZERO_TOL_BISECTION = """
 import math, sys
 from fractions import Fraction
@@ -522,14 +525,17 @@ else:
 
     def balance_at(c):
         return sturmian_balance(PotentialParams(2, c % 1.0), lam_e)
-lo, hi = certify._sign_bracket(balance_at, a, b, 0.0, sys.argv[1])
+settled = (certify._settled(balance_at, a, b, 0.0)
+           if sys.argv[1] == "c_root_settled" else (-math.inf, math.inf))
+lo, hi = certify._sign_bracket(balance_at, a, b, 0.0, sys.argv[1], settled)
 assert a <= lo < hi <= b, (lo, hi)
 assert (math.nextafter(lo, math.inf) == hi or certify._certified_sign(
     balance_at(0.5 * (lo + hi))) == 0), (lo, hi)
 """
 
 
-@pytest.mark.parametrize("bracket", ["lambda_bracket", "c_root"])
+@pytest.mark.parametrize("bracket", ["lambda_bracket", "c_root",
+                                     "c_root_settled"])
 def test_zero_tolerance_terminates(bracket):
     # run in a child process so that a regression fails on the timeout
     # instead of hanging
@@ -735,6 +741,131 @@ class TestCertifiedSigns:
         assert res.beta == float.fromhex(beta)
         glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
         assert res.lambda_star == 0.5 * (glo + ghi)
+
+
+def c_root_cases(q, max_period):
+    """(lambda, balance_at) at both window ends of every cycle of period
+    2..max_period."""
+    for cy in enumerate_cycles(q, max_period):
+        if cy.period < 2:
+            continue
+        win = lambda_window(cy)
+        for lam in (float(win.hi), float(win.lo)):
+            yield lam, functools.partial(balance_in_c, q, lam)
+
+
+def balance_in_c(q, lam, c):
+    return sturmian_balance(PotentialParams(q, c % 1.0), lam)
+
+
+def count_balance_calls(monkeypatch):
+    """The argument tuples of the balance calls made through certify."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sturmian_balance(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "sturmian_balance", counting)
+    return calls
+
+
+class TestSettledReplay:
+    """_c_root replays the c bisection from the points _settled finds,
+    taking the sign of a midpoint beyond them without a call: the same
+    root, bit for bit, from fewer calls."""
+
+    @pytest.mark.parametrize("q, max_period", [(2, 13), (5, 8)])
+    def test_c_root_is_the_full_bisection(self, monkeypatch, q, max_period):
+        calls = count_balance_calls(monkeypatch)
+        for lam, balance_at in c_root_cases(q, max_period):
+            a, b, n_full = full_bisection(
+                balance_at, *certify._guarded_window(-lam - 1.0 / q, -lam),
+                certify.DEFAULT_VALIDITY_TOL)
+            calls.clear()
+            root = certify._c_root(q, lam)
+            assert root.hex() == (0.5 * (a + b)).hex(), (q, lam)
+            # each c is called once, and the search adds at most its cap
+            assert len(set(calls)) == len(calls)
+            assert len(calls) <= n_full + certify.SETTLE_CALLS
+
+    def test_median_calls_per_root(self, monkeypatch):
+        calls = count_balance_calls(monkeypatch)
+        per_root = []
+        for lam, _ in c_root_cases(2, 13):
+            calls.clear()
+            certify._c_root(2, lam)
+            per_root.append(len(calls))
+        # the full bisection makes 38 calls at every q = 2 root
+        assert statistics.median(per_root) <= 20
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_settled_points_fix_farther_signs(self, q):
+        # the premise of the replay: past a point whose balance clears twice
+        # its bound by SETTLED_MARGIN, every adaptive call certifies the
+        # same sign, down to one float beyond the point
+        rng = random.Random(31 + q)
+        cycles = [cy for cy in enumerate_cycles(q, 8) if cy.period >= 2]
+        for cy in rng.sample(cycles, 3):
+            win = lambda_window(cy)
+            lam = float(rng.choice((win.lo, win.hi)))
+            seen = {}
+
+            def balance_at(c):
+                seen[c] = balance_in_c(q, lam, c)
+                return seen[c]
+
+            a, b = certify._guarded_window(-lam - 1.0 / q, -lam)
+            lo, hi = certify._settled(balance_at, a, b,
+                                      certify.DEFAULT_VALIDITY_TOL)
+            assert a <= lo < hi <= b
+            m = certify.SETTLED_MARGIN
+            assert seen[lo].value - 2.0 * seen[lo].err_bound >= m
+            assert -seen[hi].value - 2.0 * seen[hi].err_bound >= m
+            for end, sign, edge in ((lo, 1, a), (hi, -1, b)):
+                points = [math.nextafter(end, edge)] + [
+                    end + (edge - end) * 10.0 ** rng.uniform(-14, 0)
+                    for _ in range(6)]
+                for c in points:
+                    v = balance_in_c(q, lam, c)
+                    assert certify._certified_sign(v) == sign, (q, lam, c)
+
+    @pytest.mark.parametrize("balance, tol, settled, called", [
+        # the sign of 0.3 - x certified only farther than 0.01 from 0.3:
+        # the midpoints 0.5, 0.25 and 0.375 lie past the settled points
+        (lambda x: BalanceValue(0.3 - x, 0.01, 1), 1e-12, (0.26, 0.33),
+         [0.3125, 0.28125, 0.296875]),
+        # every sign certified, down to adjacent floats
+        (lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1), 0.0,
+         (0.25, 0.3125), None),
+    ], ids=["uncertain_stop", "adjacent_floats"])
+    def test_sign_bracket_skips_settled_midpoints(self, balance, tol,
+                                                  settled, called):
+        seen = []
+
+        def balance_at(x):
+            seen.append(x)
+            return balance(x)
+
+        plain = certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x")
+        plain_seen = list(seen)
+        seen.clear()
+        lo, hi = settled
+        assert certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x",
+                                     settled) == plain
+        assert seen[:2] == [0.0, 1.0]
+        # the midpoints called are the plain ones strictly inside (lo, hi)
+        assert seen[2:] == [x for x in plain_seen[2:] if lo < x < hi]
+        assert len(seen) < len(plain_seen)
+        if called is not None:
+            assert seen[2:] == called
+
+    def test_uncertified_ends_settle_nothing(self):
+        def balance_at(x):
+            return BalanceValue(0.3 - x, 1.0, 1)
+
+        assert certify._settled(balance_at, 0.0, 1.0, 1e-12) == (
+            -math.inf, math.inf)
 
 
 class TestCompactRecords:

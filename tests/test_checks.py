@@ -13,8 +13,8 @@ from gelfond import (BalanceValue, GelfondCertificate, PotentialParams,
                      gelfond_exponent, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_balance,
                      sturmian_condition_probe)
-from gelfond.circle import _psi_differences
-from gelfond.errors import GuardError
+from gelfond.circle import DEPTH_CAP, _psi_differences
+from gelfond.errors import DepthError, GuardError
 from gelfond.potential import (REMOVABLE_TOL, ZERO_TOL, _f, _fp,
                                potential_array, potential_derivative_array)
 
@@ -269,6 +269,15 @@ class TestConditionProbe:
         with pytest.raises(ValueError, match="depth"):
             sturmian_condition_probe(PotentialParams(2, 0.5),
                                      _certificate(2, 0.5), depth=0)
+
+    def test_depth_past_cap_rejected(self):
+        # psi's sweep costs depth tau-steps per sample: at depth 100000 it
+        # ran for minutes before the cap
+        with pytest.raises(DepthError, match=f"^depth {DEPTH_CAP + 1} "
+                                             f"exceeds cap {DEPTH_CAP}$"):
+            sturmian_condition_probe(PotentialParams(2, 0.5),
+                                     _certificate(2, 0.5),
+                                     depth=DEPTH_CAP + 1)
 
     def test_residual_decreases_with_depth(self):
         params = PotentialParams(2, 0.5)

@@ -684,6 +684,14 @@ class TestOutputFile:
         assert out == ""
         assert path.read_text() == stdout
 
+    def test_probe_depth_past_cap(self, capsys):
+        # the probe's sweep had not finished after 20 s at this depth
+        code, out, err = run_cli(capsys, "checks", "--q", "2", "--probe-c",
+                                 "0.3", "--depth", "100000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: depth 100000 exceeds cap 400\n"
+
     def test_checks_bad_json_dir_before_output(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

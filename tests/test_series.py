@@ -422,3 +422,17 @@ def test_rejects_non_finite_points(call, name, value):
     # NaN arcs and sums came back before, and OverflowError from inf
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         call(value)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400],
+                         ids=["huge", "-huge"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: exit_sets(2, v, 3), "lam"),
+    (lambda v: exit_time_profile(2, v, 3, 8), "lam"),
+    (lambda v: polynomial_sum(P2, 8, v), "x"),
+], ids=["exit_sets", "exit_time_profile", "polynomial_sum"])
+def test_rejects_ints_beyond_float_range(call, name, value):
+    # OverflowError came back before, from the conversion to float
+    with pytest.raises(ValueError, match=f"^{name} is beyond the float "
+                                         f"range$"):
+        call(value)
