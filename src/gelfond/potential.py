@@ -40,7 +40,7 @@ def check_base(q) -> None:
 
 
 def check_finite(name: str, x) -> None:
-    """Reject, naming the argument, a point that is not a finite float or
+    """Reject with a ValueError naming the argument a NaN, an infinity, or
     an int beyond the float range."""
     try:
         finite = math.isfinite(x)
