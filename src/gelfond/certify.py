@@ -15,17 +15,18 @@ The certificate carries the signed balance values with their rigorous error
 bounds, so the cycle identification is machine-checkable.  Validity
 intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
-gives clean brackets.  The lambda zero and the c-roots share one routine,
-_sign_bracket: certify the sign + at the start of the guarded window and -
-at its end (GuardError if either is uncertified), then bisect on certified
-signs only, to a fixed width (DEFAULT_LAMBDA_TOL in lambda,
-DEFAULT_VALIDITY_TOL in c) or until a midpoint's sign is uncertain, which
-is then the bracket's midpoint.  Each sign is one adaptive balance call.
-A c-root first runs a secant search (_settled) for the nearest points on
-either side of the root whose balance clears its bound by SETTLED_MARGIN,
-then replays the bisection, which takes the sign of a midpoint beyond them
-without a call: the same signs, so the same root, from about 14 calls
-instead of 36 to 38.
+gives clean brackets.  The lambda zero and the c-roots share one root
+routine, _root, whose answer is _sign_bracket's: certify the sign + at the
+start of the guarded window and - at its end (GuardError if either is
+uncertified), then bisect on certified signs only, to a fixed width
+(DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c) or until a
+midpoint's sign is uncertain, which is then the bracket's midpoint.  Each
+sign is one adaptive balance call.  _root first runs a secant search
+(_settled) for the nearest points on either side of the root whose balance
+clears its bound by SETTLED_MARGIN, then replays the bisection, which takes
+the sign of a midpoint beyond them without a call: the same signs, so the
+same root, from about 14 calls instead of 36 to 38 per c-root and 17 to
+19 instead of 39 to 41 per lambda zero (medians at q = 2 to 8).
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -50,7 +51,7 @@ from .sturmian import (IrrationalRotation, RationalRotation, SturmianCycle,
 DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12    # width of the certificate's lambda bracket
 DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
-SETTLED_MARGIN = 1e-12  # value - 2 * err_bound past which a c-side is settled
+SETTLED_MARGIN = 1e-12  # value - 2 * err_bound past which a side is settled
 SETTLE_AIM = 3e-11      # |balance| at which _settled steps off the root
 SETTLE_CALLS = 20       # cap on _settled's calls past the bracket's ends
 assert SETTLED_MARGIN >= 10 * DEFAULT_TARGET_ERR
@@ -145,8 +146,7 @@ def _certified_sign(v: BalanceValue) -> int:
 
 
 def _sign_bracket(balance_at, a: float, b: float, tol: float, what: str,
-                  settled: tuple[float, float] = (-math.inf, math.inf)
-                  ) -> tuple[float, float]:
+                  settled: tuple[float, float]) -> tuple[float, float]:
     """Certify balance_at positive at a and negative at b (GuardError, naming
     what, when either sign is uncertified), then halve [a, b], moving an end
     only on a certified sign at the midpoint, until b - a <= tol, no float
@@ -178,13 +178,12 @@ def _sign_bracket(balance_at, a: float, b: float, tol: float, what: str,
 
 def find_balance_point(params: PotentialParams) -> float:
     """The lambda in W_c where the balance integral vanishes (lifted): the
-    midpoint of _sign_bracket on the guarded W_c."""
+    root of the balance in lambda on the guarded W_c."""
     q, c = params.q, params.c
-    # a partial of the current binding, so a patched one sees every call
-    a, b = _sign_bracket(functools.partial(sturmian_balance, params),
-                         *_guarded_window(-1.0 / q - c, -c),
-                         DEFAULT_LAMBDA_TOL, f"lambda for q={q}, c={c!r}")
-    return 0.5 * (a + b)
+    # the binding is read at each call, so a patched one sees every call
+    return _root(lambda lam: sturmian_balance(params, lam),
+                 *_guarded_window(-1.0 / q - c, -c), DEFAULT_LAMBDA_TOL,
+                 f"lambda for q={q}, c={c!r}")
 
 
 def orbit_potential_mean(params: PotentialParams, cycle: SturmianCycle) -> float:
@@ -251,9 +250,11 @@ def _settled(balance_at, a: float, b: float,
     ends' signs are certified + and -.
 
     Why _sign_bracket(..., settled=(lo, hi)) returns the bisection's
-    bracket, bit for bit, when balance_at(c) is the adaptive
-    sturmian_balance in c at a fixed lambda:
-    - The true balance B is strictly decreasing in c.
+    bracket, bit for bit, when balance_at(x) is the adaptive
+    sturmian_balance in x = lambda at a fixed c, or in x = c at a fixed
+    lambda:
+    - The true balance B is strictly decreasing in x: in lambda, as the
+      centering bound (checks.centering_bound_check) uses, and in c.
     - An adaptive call certifies B's sign whenever |B| > 2.31
       DEFAULT_TARGET_ERR: a 50-digit replay put its float error at up to
       31% of err_bound, so |value - B| <= 1.31 err_bound.  If the call
@@ -262,8 +263,8 @@ def _settled(balance_at, a: float, b: float,
       > err_bound.  Either way the sign is B's.
     - At lo, B >= value - 1.31 err_bound >= SETTLED_MARGIN, which is at
       least 10 DEFAULT_TARGET_ERR; so B > 2.31 DEFAULT_TARGET_ERR at every
-      c <= lo, and the call the bisection would make there is certified +.
-      Likewise - at every c >= hi.
+      x <= lo, and the call the bisection would make there is certified +.
+      Likewise - at every x >= hi.
     So every sign taken without a call is the one the call would certify:
     the signs, the bracket and its midpoint are the bisection's.  A
     midpoint whose sign is uncertain lies strictly inside (lo, hi), where
@@ -316,24 +317,28 @@ def _settled(balance_at, a: float, b: float,
     return lo, hi
 
 
-def _c_root(q: int, lam_e: float) -> float:
-    """Solve balance = 0 in c at a fixed lambda (strictly decreasing in c):
-    the midpoint of _sign_bracket's bracket, replayed from _settled's
-    points, each c called at most once."""
+def _root(balance_at, a: float, b: float, tol: float, what: str) -> float:
+    """The root of the decreasing balance_at in [a, b]: the midpoint of
+    _sign_bracket's bracket, replayed from _settled's points, each point
+    called at most once."""
     calls: dict[float, BalanceValue] = {}
 
-    def balance_at(c):
-        v = calls.get(c)
+    def once(x):
+        v = calls.get(x)
         if v is None:
-            v = calls[c] = sturmian_balance(PotentialParams(q, c % 1.0),
-                                            lam_e)
+            v = calls[x] = balance_at(x)
         return v
 
-    a, b = _guarded_window(-lam_e - 1.0 / q, -lam_e)
-    a, b = _sign_bracket(balance_at, a, b, DEFAULT_VALIDITY_TOL,
-                         f"c for lambda={lam_e!r}",
-                         _settled(balance_at, a, b, DEFAULT_VALIDITY_TOL))
+    a, b = _sign_bracket(once, a, b, tol, what, _settled(once, a, b, tol))
     return 0.5 * (a + b)
+
+
+def _c_root(q: int, lam_e: float) -> float:
+    """Solve balance = 0 in c at a fixed lambda."""
+    return _root(
+        lambda c: sturmian_balance(PotentialParams(q, c % 1.0), lam_e),
+        *_guarded_window(-lam_e - 1.0 / q, -lam_e), DEFAULT_VALIDITY_TOL,
+        f"c for lambda={lam_e!r}")
 
 
 def validity_interval(q: int, cycle: SturmianCycle) -> ValidityInterval:

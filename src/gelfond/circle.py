@@ -13,12 +13,10 @@ values at interval endpoints, with a rigorous tail bound from the monotone
 derivative on C'.  Its zero in lam certifies the maximizing arc.  Depth grows
 until the sign is certified or the bound meets DEFAULT_TARGET_ERR.  The exit
 levels depend on q and lam mod 1 only, and the last lam's are cached with a
-table of their distinct endpoints.  A call at a lam whose levels an earlier
-call cached past A_1 (a c-root bisection step) reads the table and evaluates
-f_c once per endpoint; any other call (a certificate's lam bisection, the
-first call at a window end) evaluates it once per distinct argument.  The
-condition probe's transfer function psi telescopes the same way over the tau
-images of its sample arcs.  Arcs are (lo, len) pairs, read by no other module.
+table of their distinct endpoints; every call reads that table, building
+the entries it lacks, and evaluates f_c once per endpoint.  The condition
+probe's transfer function psi telescopes the same way over the tau images
+of its sample arcs.  Arcs are (lo, len) pairs, read by no other module.
 """
 
 from __future__ import annotations
@@ -65,10 +63,9 @@ def _exit_levels(q: int, lam_mod: float):
     A_1 = the base arc; table[n-1] is (the endpoints lo + ln and lo that
     A_n adds to those of A_1..A_{n-1}, each A_n arc's (hi, lo) positions in
     the endpoints of A_1..A_n in first-seen order).  A balance call reads
-    the table once an earlier call has cached a level past A_1, and builds
-    the entries it lacks.  Both lists grow lazily by slice stores of whole
-    entries that depend on nothing but the key, so a cache hit gives the
-    same arcs as computing them afresh."""
+    the table and builds the entries it lacks.  Both lists grow lazily by
+    slice stores of whole entries that depend on nothing but the key, so a
+    cache hit gives the same arcs as computing them afresh."""
     return [[(lam_mod, 1.0 / q)]], []
 
 
@@ -125,10 +122,11 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
     """Certified evaluation of the exit-weighted derivative integral.
 
     Each truncation level adds the exact integral of f_c' over A_n as a sum
-    of potential differences at the arc endpoints; the tail after depth N is
-    bounded by M * q^-N / (q-1) with M the larger endpoint |f_c'| on the base
-    arc (f_c' is monotone there); every image arc is kept, so that tail is
-    the whole bound.  Without `depth` the call stops at the first level N >= 3
+    of potential differences at the arc endpoints, with f_c evaluated once
+    per endpoint of _exit_levels' table; the tail after depth N is bounded
+    by M * q^-N / (q-1) with M the larger endpoint |f_c'| on the base arc
+    (f_c' is monotone there); every image arc is kept, so that tail is the
+    whole bound.  Without `depth` the call stops at the first level N >= 3
     where the running sum exceeds twice the bound (a certified sign), or where
     the bound meets DEFAULT_TARGET_ERR: by depth 64 at q = 2, as the window
     guard keeps M below about 1e6.  A fixed `depth` integrates that many
@@ -159,10 +157,8 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
     lam_mod = reduce_phase(lam)
     levels, table = _exit_levels(q, lam_mod)
     f = _f  # bound per call, so a patched circle._f still applies
-    # a first read at this lambda memoizes f by argument; a later one reads
-    # the endpoint table and evaluates f once per endpoint, fs[i] at the i-th
-    table_read = len(levels) > 1
-    fs: dict[float, float] | list[float] = [] if table_read else {}
+    # f at the endpoint table's endpoints, fs[i] at the i-th
+    fs: list[float] = []
     index: dict[float, int] = {}  # the table's endpoints of levels 1..known
     known = 0
     terms: list[float] = []
@@ -174,39 +170,24 @@ def sturmian_balance(params: PotentialParams, lam: float, *,
             # a slice store, not append: if another thread added level n
             # first, this rewrites it with the same value
             levels[n - 1:n] = [_tau_pairs(levels[n - 2], q, lam_mod)]
-        if table_read:
-            if n > len(table):
-                # index takes the endpoints of the entries read, not built,
-                # here; then a slice store of the new entry, as for levels
-                for adds, _ in table[known:n - 1]:
-                    for e in adds:
-                        index[e] = len(index)
-                table[n - 1:n] = [_endpoint_entry(levels[n - 1], index)]
-                known = n
-            adds, pairs = table[n - 1]
-            for e in adds:
-                fs.append(f(q, e + c))
-            for hi, lo in pairs:
-                t = fs[hi] - fs[lo]
-                terms.append(t)
-                y = t - comp
-                s = running + y
-                comp = (s - running) - y
-                running = s
-        else:
-            for lo, ln in levels[n - 1]:
-                fu = fs.get(u := lo + ln + c)
-                if fu is None:
-                    fu = fs[u] = f(q, u)
-                fl = fs.get(u := lo + c)
-                if fl is None:
-                    fl = fs[u] = f(q, u)
-                t = fu - fl
-                terms.append(t)
-                y = t - comp
-                s = running + y
-                comp = (s - running) - y
-                running = s
+        if n > len(table):
+            # index takes the endpoints of the entries read, not built,
+            # here; then a slice store of the new entry, as for levels
+            for adds, _ in table[known:n - 1]:
+                for e in adds:
+                    index[e] = len(index)
+            table[n - 1:n] = [_endpoint_entry(levels[n - 1], index)]
+            known = n
+        adds, pairs = table[n - 1]
+        for e in adds:
+            fs.append(f(q, e + c))
+        for hi, lo in pairs:
+            t = fs[hi] - fs[lo]
+            terms.append(t)
+            y = t - comp
+            s = running + y
+            comp = (s - running) - y
+            running = s
         tail_mass /= q
         err = m_edge * tail_mass
         if depth is None and (err <= DEFAULT_TARGET_ERR

@@ -28,8 +28,8 @@ from .certify import (DEFAULT_MAX_PERIOD, DEFAULT_TABLE2_FRACTIONS,
                       gelfond_exponent, validity_table)
 from .checks import (centering_bound_check, inner_shift_negativity_grid,
                      outer_shift_negativity_grid, sturmian_condition_probe)
-from .circle import exit_time_profile
-from .errors import GelfondError, GuardError
+from .circle import DEPTH_CAP, exit_time_profile
+from .errors import DepthError, GelfondError, GuardError
 from .potential import PotentialParams, reduce_phase
 from .series import (DIRECT_SUM_CAP, modulus_product, multiplicativity_check,
                      polynomial_sum, sup_exponent_fit)
@@ -386,6 +386,9 @@ def cmd_checks(args) -> int:
         raise ValueError(f"q={args.q} has no inequality grid; give --probe-c")
     probe = (None if args.probe_c is None
              else PotentialParams(args.q, parse_c(args.probe_c)))
+    # the probe runs after the grids, so its depth is refused here
+    if probe is not None and args.depth > DEPTH_CAP:
+        raise DepthError(f"depth {args.depth} exceeds cap {DEPTH_CAP}")
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
     with _writer(args.output) as fh, contextlib.redirect_stdout(fh):

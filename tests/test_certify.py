@@ -29,6 +29,7 @@ from conftest import exact_window_holds, full_bisection, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
+UNSETTLED = (-math.inf, math.inf)  # _sign_bracket's settled: call every midpoint
 
 
 def curve(q, max_period, resolution):
@@ -547,20 +548,21 @@ def test_zero_tolerance_terminates(bracket):
     assert proc.returncode == 0, proc.stderr
 
 
-# Balance calls per certificate: the two ends of the guarded window,
-# ceil(log2(width / DEFAULT_LAMBDA_TOL)) bisection steps for the window
-# width 1/q - 4 * WINDOW_GUARD, and the two window-endpoint checks; fewer
-# when the bisection stops at a midpoint whose sign is uncertain.
-CALLS_PER_CERTIFICATE = {2: 43, 3: 43, 5: 42, 8: 41}
+# Median balance calls per certificate over test_balance_calls_per_certificate's
+# c: the lambda root, replayed from _settled's points, and the two
+# window-endpoint checks.  The full bisection makes 43 / 43 / 42 / 41: the
+# two ends of the guarded window, ceil(log2(width / DEFAULT_LAMBDA_TOL))
+# steps for the width 1/q - 4 * WINDOW_GUARD, and the two checks.
+MEDIAN_CALLS_PER_CERTIFICATE = {2: 19, 3: 19.5, 5: 18, 8: 14.5}
 
 
 def lambda_bracket(params):
-    """The bracket whose midpoint find_balance_point returns."""
+    """The full bisection's lambda bracket and its number of calls: the
+    bracket whose midpoint find_balance_point returns."""
     q, c = params.q, params.c
-    return certify._sign_bracket(
+    return full_bisection(
         lambda lam: sturmian_balance(params, lam),
-        *certify._guarded_window(-1.0 / q - c, -c), DEFAULT_LAMBDA_TOL,
-        "lambda")
+        *certify._guarded_window(-1.0 / q - c, -c), DEFAULT_LAMBDA_TOL)
 
 
 def bracket_done(params, bra, brb):
@@ -584,7 +586,7 @@ class TestBracketMatchesLinearScan:
         for lam, sign in ((glo, 1), (ghi, -1)):
             v = sturmian_balance(params, lam)
             assert certify._certified_sign(v) == sign, (q, c, lam)
-        bra, brb = lambda_bracket(params)
+        bra, brb, _ = lambda_bracket(params)
         assert glo <= bra < brb <= ghi
         assert bracket_done(params, bra, brb)
         res = gelfond_exponent(params)
@@ -626,30 +628,27 @@ class TestBracketMatchesLinearScan:
                     assert off != (1e-9 if c == c_lo else -1e-9), (row, c)
         assert certified > 2 * len(VALIDITY_BASELINE[::4])
 
-    @pytest.mark.parametrize("q", sorted(CALLS_PER_CERTIFICATE))
+    @pytest.mark.parametrize("q", sorted(MEDIAN_CALLS_PER_CERTIFICATE))
     def test_balance_calls_per_certificate(self, monkeypatch, q):
-        calls = []
-
-        def counting_balance(*args, **kwargs):
-            calls.append(1)
-            return sturmian_balance(*args, **kwargs)
-
-        monkeypatch.setattr(certify, "sturmian_balance", counting_balance)
+        calls = count_balance_calls(monkeypatch)
         rng = random.Random(17 + q)
-        certified = 0
+        per_certificate = []
         for c in [0.0, 0.5] + [rng.random() for _ in range(6)]:
             calls.clear()
             res = gelfond_exponent(PotentialParams(q, c))
             if isinstance(res, GelfondCertificate):
-                certified += 1
                 n = len(calls)
-                bra, brb = lambda_bracket(res.params)
+                per_certificate.append(n)
+                bra, brb, n_full = lambda_bracket(res.params)
+                assert res.lambda_star == 0.5 * (bra + brb), (q, c)
                 if brb - bra <= DEFAULT_LAMBDA_TOL:
-                    assert n == CALLS_PER_CERTIFICATE[q], (q, c)
+                    assert n <= n_full + 2, (q, c)
                 else:  # stopped at an uncertain midpoint
                     assert bracket_done(res.params, bra, brb), (q, c)
-                    assert n < CALLS_PER_CERTIFICATE[q], (q, c)
-        assert certified >= 2
+                    assert n <= n_full + 2 + certify.SETTLE_CALLS, (q, c)
+        assert len(per_certificate) >= 2
+        assert statistics.median(per_certificate) == (
+            MEDIAN_CALLS_PER_CERTIFICATE[q])
 
     def test_former_depth_errors_are_gaps(self):
         # while image arcs shorter than 1e-15 were dropped, a bisection
@@ -703,15 +702,15 @@ class TestCertifiedSigns:
                 return BalanceValue(1.0 - 2.0 * x, 0.0, 1)
             return BalanceValue(value, 1.0, 1)
 
-        assert certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12,
-                                     "x") == (0.0, 1.0)
+        assert certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
+                                     UNSETTLED) == (0.0, 1.0)
         assert seen == [0.0, 1.0, 0.5]
 
     def test_zero_tolerance_stops_at_adjacent_floats(self):
         # every sign is certified, so only the float spacing ends the search
         a, b = certify._sign_bracket(
             lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1),
-            0.0, 1.0, 0.0, "x")
+            0.0, 1.0, 0.0, "x", UNSETTLED)
         assert math.nextafter(a, math.inf) == b
         assert a < 0.3 <= b
 
@@ -723,7 +722,8 @@ class TestCertifiedSigns:
             seen.append(x)
             return BalanceValue(0.3 - x, 0.01, 1)
 
-        a, b = certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x")
+        a, b = certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
+                                     UNSETTLED)
         assert seen[:2] == [0.0, 1.0]  # the certified ends
         assert seen[2:] == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
         assert (a, b) == (0.28125, 0.3125)
@@ -770,10 +770,35 @@ def count_balance_calls(monkeypatch):
     return calls
 
 
+def check_settled_premise(balance_at, a, b, tol, rng, where):
+    """Past a point _settled finds in [a, b], whose balance clears twice
+    its bound by SETTLED_MARGIN, every adaptive call certifies that point's
+    sign, down to one float beyond it."""
+    seen = {}
+
+    def recording(x):
+        seen[x] = balance_at(x)
+        return seen[x]
+
+    lo, hi = certify._settled(recording, a, b, tol)
+    assert a <= lo < hi <= b, where
+    m = certify.SETTLED_MARGIN
+    assert seen[lo].value - 2.0 * seen[lo].err_bound >= m, where
+    assert -seen[hi].value - 2.0 * seen[hi].err_bound >= m, where
+    for end, sign, edge in ((lo, 1, a), (hi, -1, b)):
+        points = [math.nextafter(end, edge)] + [
+            end + (edge - end) * 10.0 ** rng.uniform(-14, 0)
+            for _ in range(6)]
+        for x in points:
+            v = balance_at(x)
+            assert certify._certified_sign(v) == sign, (where, x)
+
+
 class TestSettledReplay:
-    """_c_root replays the c bisection from the points _settled finds,
-    taking the sign of a midpoint beyond them without a call: the same
-    root, bit for bit, from fewer calls."""
+    """_root replays the bisection, in c for _c_root and in lambda for
+    find_balance_point, from the points _settled finds, taking the sign of
+    a midpoint beyond them without a call: the same root, bit for bit, from
+    fewer calls."""
 
     @pytest.mark.parametrize("q, max_period", [(2, 13), (5, 8)])
     def test_c_root_is_the_full_bisection(self, monkeypatch, q, max_period):
@@ -799,36 +824,53 @@ class TestSettledReplay:
         # the full bisection makes 38 calls at every q = 2 root
         assert statistics.median(per_root) <= 20
 
+    @staticmethod
+    def check_lambda_root(calls, q, c):
+        params = PotentialParams(q, c)
+        a, b, n_full = lambda_bracket(params)
+        calls.clear()
+        lam = find_balance_point(params)
+        assert lam.hex() == (0.5 * (a + b)).hex(), (q, c)
+        # each lambda is called once, and no more often than the bisection
+        assert len(set(calls)) == len(calls) <= n_full, (q, c)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_lambda_root_is_the_full_bisection(self, monkeypatch, q):
+        calls = count_balance_calls(monkeypatch)
+        rng = random.Random(900 + q)
+        for _ in range(50):
+            self.check_lambda_root(calls, q, rng.random())
+
+    def test_lambda_root_near_validity_endpoints(self, monkeypatch):
+        # lambda* within about 1e-12 of a cycle's window edge
+        calls = count_balance_calls(monkeypatch)
+        for row in VALIDITY_BASELINE:
+            for c, off in itertools.product(row[4:6], (1e-12, -1e-12)):
+                self.check_lambda_root(calls, 2, (c + off) % 1.0)
+
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     def test_settled_points_fix_farther_signs(self, q):
-        # the premise of the replay: past a point whose balance clears twice
-        # its bound by SETTLED_MARGIN, every adaptive call certifies the
-        # same sign, down to one float beyond the point
+        # the premise of the replay in c at a fixed lambda
         rng = random.Random(31 + q)
         cycles = [cy for cy in enumerate_cycles(q, 8) if cy.period >= 2]
         for cy in rng.sample(cycles, 3):
             win = lambda_window(cy)
             lam = float(rng.choice((win.lo, win.hi)))
-            seen = {}
+            check_settled_premise(
+                functools.partial(balance_in_c, q, lam),
+                *certify._guarded_window(-lam - 1.0 / q, -lam),
+                certify.DEFAULT_VALIDITY_TOL, rng, (q, lam))
 
-            def balance_at(c):
-                seen[c] = balance_in_c(q, lam, c)
-                return seen[c]
-
-            a, b = certify._guarded_window(-lam - 1.0 / q, -lam)
-            lo, hi = certify._settled(balance_at, a, b,
-                                      certify.DEFAULT_VALIDITY_TOL)
-            assert a <= lo < hi <= b
-            m = certify.SETTLED_MARGIN
-            assert seen[lo].value - 2.0 * seen[lo].err_bound >= m
-            assert -seen[hi].value - 2.0 * seen[hi].err_bound >= m
-            for end, sign, edge in ((lo, 1, a), (hi, -1, b)):
-                points = [math.nextafter(end, edge)] + [
-                    end + (edge - end) * 10.0 ** rng.uniform(-14, 0)
-                    for _ in range(6)]
-                for c in points:
-                    v = balance_in_c(q, lam, c)
-                    assert certify._certified_sign(v) == sign, (q, lam, c)
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_settled_lambda_points_fix_farther_signs(self, q):
+        # the premise of the replay in lambda at a fixed c
+        rng = random.Random(41 + q)
+        for c in [rng.random() for _ in range(3)]:
+            params = PotentialParams(q, c)
+            check_settled_premise(
+                functools.partial(sturmian_balance, params),
+                *certify._guarded_window(-1.0 / q - c, -c),
+                DEFAULT_LAMBDA_TOL, rng, (q, c))
 
     @pytest.mark.parametrize("balance, tol, settled, called", [
         # the sign of 0.3 - x certified only farther than 0.01 from 0.3:
@@ -847,7 +889,8 @@ class TestSettledReplay:
             seen.append(x)
             return balance(x)
 
-        plain = certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x")
+        plain = certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x",
+                                      UNSETTLED)
         plain_seen = list(seen)
         seen.clear()
         lo, hi = settled

@@ -344,8 +344,8 @@ def balance_per_level(q, c, lam, kwargs):
 
 class TestExitLevelCache:
     """sturmian_balance keeps the last lambda's exit levels and their
-    endpoint table; a value read through either is the value computed
-    without them, bit for bit."""
+    endpoint table, and every call reads that table; a value read through
+    them is the value computed without them, bit for bit."""
 
     def test_warm_equals_cold(self, rng, monkeypatch):
         tau_calls = []
@@ -390,9 +390,10 @@ class TestExitLevelCache:
     @pytest.mark.parametrize("q, lam", [(2, 0.3), (2, -1.23), (3, 0.61),
                                         (3, 0.05), (5, 0.77), (8, -0.4)])
     def test_c_sweep_on_one_entry(self, q, lam, rng):
-        # 40 calls as in a c-root bisection: one first read, then reads of
-        # the endpoint table at other c, the shallow fixed depth building
-        # it and the deeper one extending it past the cached levels
+        # 40 calls as in a c-root bisection, each reading the endpoint table
+        # and building the entries it lacks: the first to its adaptive
+        # depth, the shallow fixed depth to 4 at most, the deeper one past
+        # the cached levels
         _exit_levels.cache_clear()
         kwargs = [{}, {"depth": 4}, {"depth": 60}]
         kwargs += [{"depth": rng.randint(1, 60)} if rng.random() < 0.3
@@ -404,13 +405,13 @@ class TestExitLevelCache:
             levels, table = _exit_levels(q, lam % 1.0)
             cached.append(len(levels))
             built.append(len(table))
-        assert 1 < cached[0] < 60 and built[:3] == [0, 4, 60]
-        assert len(table) == len(levels) >= 60
+        assert 1 < cached[0] < 60
+        assert built[:3] == [cached[0], max(cached[0], 4), 60]
+        assert built == cached
 
-    def test_f_once_per_distinct_argument(self, rng, monkeypatch):
-        # a first read at a lambda calls f once per distinct argument; a
-        # later read, through the endpoint table, once per distinct
-        # endpoint lo + ln or lo of the levels it reads
+    def test_f_once_per_distinct_endpoint(self, rng, monkeypatch):
+        # every call, at a new lambda or a cached one, calls f once per
+        # distinct endpoint lo + ln or lo of the levels it reads
         args = []
 
         def recording_f(q, u):
@@ -420,25 +421,22 @@ class TestExitLevelCache:
         monkeypatch.setattr(circle, "_f", recording_f)
         _exit_levels.cache_clear()
         calls = interleaved_calls(rng)
-        repeats = table_reads = 0
-        for q, c, lam, kwargs in calls:
+        repeats = 0
+        for call in calls:
+            q, c, lam, kwargs = call
             args.clear()
-            table_read = len(_exit_levels(q, lam % 1.0)[0]) > 1
-            out = balance_outcome(q, c, lam, kwargs)
+            out = balance_outcome(*call)
+            n_args = len(args)
+            assert out == balance_per_level(*call), call
             levels = _exit_levels(q, lam % 1.0)[0][:out[2]]
             ends = {e for pairs in levels for lo, ln in pairs
                     for e in (lo + ln, lo)}
             endpoints = [u for pairs in levels for lo, ln in pairs
                          for u in (lo + ln + c, lo + c)]
-            assert set(args) == set(endpoints)
-            if table_read:
-                assert len(args) == len(ends)
-                table_reads += 1
-            else:
-                assert len(args) == len(set(args)) == len(set(endpoints))
+            assert set(args) == set(endpoints), call
+            assert n_args == len(args) == len(ends), call
             repeats += len(endpoints) - len(args)
         assert repeats > 0
-        assert 0 < table_reads < len(calls)
 
     def test_threads_share_one_entry(self):
         lams = (0.3, 0.77, -0.45, 0.12, 1.6, -0.9)

@@ -685,12 +685,18 @@ class TestOutputFile:
         assert path.read_text() == stdout
 
     def test_probe_depth_past_cap(self, capsys):
-        # the probe's sweep had not finished after 20 s at this depth
+        # the probe's sweep had not finished after 20 s at this depth; at
+        # q = 4 the refusal comes before the grids' reports
         code, out, err = run_cli(capsys, "checks", "--q", "2", "--probe-c",
                                  "0.3", "--depth", "100000")
         assert code == 1
         assert out == ""
         assert err == "error: depth 100000 exceeds cap 400\n"
+        code, out, err = run_cli(capsys, "checks", "--q", "4", "--grid", "20",
+                                 "--probe-c", "0.3", "--depth", "500")
+        assert code == 1
+        assert out == ""
+        assert err == "error: depth 500 exceeds cap 400\n"
 
     def test_checks_bad_json_dir_before_output(self, tmp_path, capsys):
         blocker = tmp_path / "file"
