@@ -29,7 +29,7 @@ from conftest import exact_window_holds, full_bisection, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
-UNSETTLED = (-math.inf, math.inf)  # _sign_bracket's settled: call every midpoint
+UNSETTLED = (-math.inf, math.inf)  # _sign_bracket calls every midpoint
 
 
 def curve(q, max_period, resolution):
@@ -548,11 +548,12 @@ def test_zero_tolerance_terminates(bracket):
     assert proc.returncode == 0, proc.stderr
 
 
-# Median balance calls per certificate over test_balance_calls_per_certificate's
-# c: the lambda root, replayed from _settled's points, and the two
-# window-endpoint checks.  The full bisection makes 43 / 43 / 42 / 41: the
-# two ends of the guarded window, ceil(log2(width / DEFAULT_LAMBDA_TOL))
-# steps for the width 1/q - 4 * WINDOW_GUARD, and the two checks.
+# Median balance calls per certificate over the c of
+# test_balance_calls_per_certificate: the lambda root, replayed from
+# _settled's points, and the two window-endpoint checks.  The full
+# bisection makes 43 / 43 / 42 / 41: the two ends of the guarded window,
+# ceil(log2(width / DEFAULT_LAMBDA_TOL)) steps for the width
+# 1/q - 4 * WINDOW_GUARD, and the two checks.
 MEDIAN_CALLS_PER_CERTIFICATE = {2: 19, 3: 19.5, 5: 18, 8: 14.5}
 
 

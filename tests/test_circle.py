@@ -426,7 +426,6 @@ class TestExitLevelCache:
             q, c, lam, kwargs = call
             args.clear()
             out = balance_outcome(*call)
-            n_args = len(args)
             assert out == balance_per_level(*call), call
             levels = _exit_levels(q, lam % 1.0)[0][:out[2]]
             ends = {e for pairs in levels for lo, ln in pairs
@@ -434,7 +433,7 @@ class TestExitLevelCache:
             endpoints = [u for pairs in levels for lo, ln in pairs
                          for u in (lo + ln + c, lo + c)]
             assert set(args) == set(endpoints), call
-            assert n_args == len(args) == len(ends), call
+            assert len(args) == len(ends), call
             repeats += len(endpoints) - len(args)
         assert repeats > 0
 
