@@ -21,12 +21,13 @@ start of the guarded window and - at its end (GuardError if either is
 uncertified), then bisect on certified signs only, to a fixed width
 (DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c) or until a
 midpoint's sign is uncertain, which is then the bracket's midpoint.  Each
-sign is one adaptive balance call.  _root first runs a secant search
-(_settled) for the nearest points on either side of the root whose balance
-clears its bound by SETTLED_MARGIN, then replays the bisection, which takes
-the sign of a midpoint beyond them without a call: the same signs, so the
-same root, from about 14 calls instead of 36 to 38 per c-root and 17 to
-19 instead of 39 to 41 per lambda zero (medians at q = 2 to 8).
+sign is one adaptive balance call.  _root first runs a search (_settled)
+on the bisection's own points for the nearest points on either side of
+the root whose balance clears its bound by SETTLED_MARGIN, then replays
+the bisection, which takes the sign of an end or midpoint beyond them
+without a call: the same signs, so the same root, from 11 to 13 calls
+instead of 36 to 38 per c-root and 12 to 14 instead of 39 to 41 per lambda
+zero (medians at q = 2 to 8).
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -53,7 +54,7 @@ DEFAULT_LAMBDA_TOL = 1e-12    # width of the certificate's lambda bracket
 DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
 SETTLED_MARGIN = 1e-12  # value - 2 * err_bound past which a side is settled
 SETTLE_AIM = 3e-11      # |balance| at which _settled steps off the root
-SETTLE_CALLS = 20       # cap on _settled's calls past the bracket's ends
+SETTLE_CALLS = 20       # cap on _settled's calls past its opening
 assert SETTLED_MARGIN >= 10 * DEFAULT_TARGET_ERR
 
 
@@ -151,25 +152,25 @@ def _sign_bracket(balance_at, a: float, b: float, tol: float, what: str,
     what, when either sign is uncertified), then halve [a, b], moving an end
     only on a certified sign at the midpoint, until b - a <= tol, no float
     lies strictly between a and b, or the midpoint's sign is uncertain (that
-    midpoint is then the midpoint of the returned bracket).  A midpoint at or
-    left of settled[0] is taken as +, and one at or right of settled[1] as
-    -, without a call."""
+    midpoint is then the midpoint of the returned bracket).  An end or
+    midpoint at or left of settled[0] is taken as +, and one at or right of
+    settled[1] as -, without a call."""
     lo, hi = settled
-    if not _certified_sign(balance_at(a)) > 0 > _certified_sign(balance_at(b)):
+
+    def sign(x):
+        return (1 if x <= lo else -1 if x >= hi else
+                _certified_sign(balance_at(x)))
+
+    if not sign(a) > 0 > sign(b):
         raise GuardError(f"no certified sign bracket in {what}")
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
-        if mid <= lo:
-            sign = 1
-        elif mid >= hi:
-            sign = -1
-        else:
-            sign = _certified_sign(balance_at(mid))
-        if sign == 0:
+        s = sign(mid)
+        if s == 0:
             break
-        if sign > 0:
+        if s > 0:
             a = mid
         else:
             b = mid
@@ -236,18 +237,23 @@ def gelfond_exponent(params: PotentialParams,
 
 def _settled(balance_at, a: float, b: float,
              tol: float) -> tuple[float, float]:
-    """(lo, hi): of the points a secant search calls in [a, b], the nearest
-    to balance_at's root on its + side where value - 2 * err_bound >=
+    """(lo, hi): of the points a search calls in [a, b], the nearest to
+    balance_at's root on its + side where value - 2 * err_bound >=
     SETTLED_MARGIN, and on its - side where -value - 2 * err_bound >=
     SETTLED_MARGIN; -inf and inf where it finds none.
 
-    The search is false position (Anderson-Bjorck weights) from the
-    certified ends a and b; once a certified value is within 30 SETTLE_AIM
-    of 0, or a sign is uncertain, it steps off the root estimate to where
-    the balance is about +-SETTLE_AIM, on the side whose point is farther.
-    It stops when hi - lo <= tol, on a step outside (lo, hi), or after
-    SETTLE_CALLS calls past the ends; it returns (-inf, inf) unless the
-    ends' signs are certified + and -.
+    The search opens on _sign_bracket's path: it calls the bisection's
+    midpoints of [a, b], toward the root, until a certified + and a
+    certified - bracket it, and stops at once on an uncertain sign.  From
+    there it runs false position (Anderson-Bjorck weights); once a
+    certified value is within 30 SETTLE_AIM of 0, or a sign is uncertain,
+    it steps off the root estimate to where the balance is about
+    +-SETTLE_AIM, on the side whose point is farther, and moves that step
+    to the nearest point on the same side of the bisection's path toward
+    the estimate (_on_path), so that its deep calls near the root are the
+    replay's own.  It stops when hi - lo <= tol, on a step outside (lo, hi)
+    or to a point it has called, or after SETTLE_CALLS calls past the
+    opening.
 
     Why _sign_bracket(..., settled=(lo, hi)) returns the bisection's
     bracket, bit for bit, when balance_at(x) is the adaptive
@@ -263,21 +269,42 @@ def _settled(balance_at, a: float, b: float,
       > err_bound.  Either way the sign is B's.
     - At lo, B >= value - 1.31 err_bound >= SETTLED_MARGIN, which is at
       least 10 DEFAULT_TARGET_ERR; so B > 2.31 DEFAULT_TARGET_ERR at every
-      x <= lo, and the call the bisection would make there is certified +.
-      Likewise - at every x >= hi.
+      x <= lo, and the call the bisection would make there, at a midpoint
+      or at the end a, is certified +.  Likewise - at every x >= hi.
     So every sign taken without a call is the one the call would certify:
     the signs, the bracket and its midpoint are the bisection's.  A
     midpoint whose sign is uncertain lies strictly inside (lo, hi), where
-    it is still called.
+    it is still called; so does an end with no settled point between it
+    and the root, so GuardError is raised where the bisection raises it.
     """
     lo, hi = -math.inf, math.inf
-    va, vb = balance_at(a), balance_at(b)
-    if not _certified_sign(va) > 0 > _certified_sign(vb):
-        return lo, hi
-    ya, yb = va.value, vb.value  # the certified values nearest the root
-    wa, wb = ya, yb              # their false-position weights
-    side = 0                     # the sign of the last certified point
-    near = None                  # a point whose sign is uncertain
+    ends, called = (a, b), set()
+
+    def call(x):
+        nonlocal lo, hi
+        called.add(x)
+        v = balance_at(x)
+        if v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
+            lo = x
+        elif -v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
+            hi = x
+        return v.value, _certified_sign(v)
+
+    ya = yb = None  # the certified values nearest the root
+    while ya is None or yb is None:
+        x = 0.5 * (a + b)
+        if not (b - a > tol and a < x < b):
+            return lo, hi
+        y, sign = call(x)
+        if sign == 0:
+            return lo, hi
+        if sign > 0:
+            a, ya = x, y
+        else:
+            b, yb = x, y
+    wa, wb = ya, yb  # their false-position weights
+    side = 0         # the sign of the last certified point
+    near = None      # a point whose sign is uncertain
     for _ in range(SETTLE_CALLS):
         if hi - lo <= tol:
             break
@@ -289,16 +316,11 @@ def _settled(balance_at, a: float, b: float,
         else:
             step = SETTLE_AIM * (b - a) / (wa - wb)
             r = x if near is None else near
-            x = r - step if r - lo >= hi - r else r + step
-        if not lo < x < hi:
+            x = _on_path(*ends, tol, r,
+                         r - step if r - lo >= hi - r else r + step)
+        if not lo < x < hi or x in called:
             break
-        v = balance_at(x)
-        y = v.value
-        if y - 2.0 * v.err_bound >= SETTLED_MARGIN:
-            lo = x
-        elif -y - 2.0 * v.err_bound >= SETTLED_MARGIN:
-            hi = x
-        sign = _certified_sign(v)
+        y, sign = call(x)
         if sign == 0:
             near = x
         elif a < x < b:
@@ -315,6 +337,17 @@ def _settled(balance_at, a: float, b: float,
                 b, yb, wb = x, y, y
             side = sign
     return lo, hi
+
+
+def _on_path(a: float, b: float, tol: float, r: float, x: float) -> float:
+    """The point nearest x, on x's side of r, of _sign_bracket's path from
+    [a, b] toward r: its ends and the midpoints it takes halving toward r."""
+    path = [a, b]
+    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        path.append(mid)
+        a, b = (mid, b) if mid < r else (a, mid)
+    return min((p for p in path if (p - r) * (x - r) > 0),
+               key=lambda p: abs(p - x), default=x)
 
 
 def _root(balance_at, a: float, b: float, tol: float, what: str) -> float:
