@@ -347,7 +347,7 @@ def _on_path(a: float, b: float, tol: float, r: float, x: float) -> float:
         path.append(mid)
         a, b = (mid, b) if mid < r else (a, mid)
     return min((p for p in path if (p - r) * (x - r) > 0),
-               key=lambda p: abs(p - x), default=x)
+               key=lambda p: abs(p - x))
 
 
 def _root(balance_at, a: float, b: float, tol: float, what: str) -> float:

@@ -554,7 +554,11 @@ def test_zero_tolerance_terminates(bracket):
 # bisection makes 43 / 43 / 42 / 41: the two ends of the guarded window,
 # ceil(log2(width / DEFAULT_LAMBDA_TOL)) steps for the width
 # 1/q - 4 * WINDOW_GUARD, and the two checks.
-MEDIAN_CALLS_PER_CERTIFICATE = {2: 19, 3: 19.5, 5: 18, 8: 14.5}
+MEDIAN_CALLS_PER_CERTIFICATE = {2: 14, 3: 14.5, 5: 12.5, 8: 11.5}
+# The work behind those calls: median levels integrated per certificate,
+# the sum of BalanceValue.depth over its calls, over the same c.  A search
+# that calls the same number of points deeper shows here, without timing.
+MEDIAN_LEVELS_PER_CERTIFICATE = {2: 287.5, 3: 193.5, 5: 123, 8: 84}
 
 
 def lambda_bracket(params):
@@ -631,15 +635,16 @@ class TestBracketMatchesLinearScan:
 
     @pytest.mark.parametrize("q", sorted(MEDIAN_CALLS_PER_CERTIFICATE))
     def test_balance_calls_per_certificate(self, monkeypatch, q):
-        calls = count_balance_calls(monkeypatch)
+        depths = record_balance_depths(monkeypatch)
         rng = random.Random(17 + q)
-        per_certificate = []
+        per_certificate, levels = [], []
         for c in [0.0, 0.5] + [rng.random() for _ in range(6)]:
-            calls.clear()
+            depths.clear()
             res = gelfond_exponent(PotentialParams(q, c))
             if isinstance(res, GelfondCertificate):
-                n = len(calls)
+                n = len(depths)
                 per_certificate.append(n)
+                levels.append(sum(depths))
                 bra, brb, n_full = lambda_bracket(res.params)
                 assert res.lambda_star == 0.5 * (bra + brb), (q, c)
                 if brb - bra <= DEFAULT_LAMBDA_TOL:
@@ -650,6 +655,7 @@ class TestBracketMatchesLinearScan:
         assert len(per_certificate) >= 2
         assert statistics.median(per_certificate) == (
             MEDIAN_CALLS_PER_CERTIFICATE[q])
+        assert statistics.median(levels) == MEDIAN_LEVELS_PER_CERTIFICATE[q]
 
     def test_former_depth_errors_are_gaps(self):
         # while image arcs shorter than 1e-15 were dropped, a bisection
@@ -743,6 +749,17 @@ class TestCertifiedSigns:
         glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
         assert res.lambda_star == 0.5 * (glo + ghi)
 
+    @pytest.mark.parametrize("q, c", sorted(SYMMETRIC_C))
+    def test_symmetric_c_makes_five_calls(self, monkeypatch, q, c):
+        # the full bisection's three (its ends and the uncertain guarded
+        # midpoint) and the two window-endpoint checks
+        calls = count_balance_calls(monkeypatch)
+        res = cert(q, c)
+        assert len(calls) == 5
+        bra, brb, n_full = lambda_bracket(res.params)
+        assert n_full == 3
+        assert res.lambda_star.hex() == (0.5 * (bra + brb)).hex()
+
 
 def c_root_cases(q, max_period):
     """(lambda, balance_at) at both window ends of every cycle of period
@@ -769,6 +786,19 @@ def count_balance_calls(monkeypatch):
 
     monkeypatch.setattr(certify, "sturmian_balance", counting)
     return calls
+
+
+def record_balance_depths(monkeypatch):
+    """The BalanceValue.depth of each balance call made through certify."""
+    depths = []
+
+    def recording(*args, **kwargs):
+        v = sturmian_balance(*args, **kwargs)
+        depths.append(v.depth)
+        return v
+
+    monkeypatch.setattr(certify, "sturmian_balance", recording)
+    return depths
 
 
 def check_settled_premise(balance_at, a, b, tol, rng, where):
@@ -897,12 +927,35 @@ class TestSettledReplay:
         lo, hi = settled
         assert certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x",
                                      settled) == plain
-        assert seen[:2] == [0.0, 1.0]
-        # the midpoints called are the plain ones strictly inside (lo, hi)
-        assert seen[2:] == [x for x in plain_seen[2:] if lo < x < hi]
+        assert plain_seen[:2] == [0.0, 1.0]
+        # the settled points lie between the ends and the root, so the
+        # points called are the plain midpoints strictly inside (lo, hi)
+        assert seen == [x for x in plain_seen[2:] if lo < x < hi]
         assert len(seen) < len(plain_seen)
         if called is not None:
-            assert seen[2:] == called
+            assert seen == called
+
+    def test_end_past_no_settled_point_is_called(self):
+        # certified + left of 0.75 and uncertain from there on: the search
+        # settles 0.5 and stops at the uncertain 0.75, so the end 0 is
+        # taken as + without a call, while nothing settled lies between
+        # the end 1 and the root, which is called and fails the bracket
+        seen = []
+
+        def balance_at(x):
+            seen.append(x)
+            return BalanceValue(0.8 - x, 0.0 if x < 0.75 else 1.0, 1)
+
+        assert certify._settled(balance_at, 0.0, 1.0, 1e-12) == (
+            0.5, math.inf)
+        seen.clear()
+        with pytest.raises(GuardError,
+                           match=r"^no certified sign bracket in x$"):
+            certify._root(balance_at, 0.0, 1.0, 1e-12, "x")
+        assert seen == [0.5, 0.75, 1.0]
+        with pytest.raises(GuardError):  # as the plain bisection does
+            certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
+                                  UNSETTLED)
 
     def test_uncertified_ends_settle_nothing(self):
         def balance_at(x):
