@@ -16,18 +16,12 @@ bounds, so the cycle identification is machine-checkable.  Validity
 intervals in c (one per cycle) come from root-finding the balance integral
 in c at the two window endpoints; c -> balance is strictly decreasing, which
 gives clean brackets.  The lambda zero and the c-roots share one root
-routine, _root, whose answer is _sign_bracket's: certify the sign + at the
-start of the guarded window and - at its end (GuardError if either is
-uncertified), then bisect on certified signs only, to a fixed width
-(DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c) or until a
-midpoint's sign is uncertain, which is then the bracket's midpoint.  Each
-sign is one adaptive balance call.  _root first runs a search (_settled)
-on the bisection's own points for the nearest points on either side of
-the root whose balance clears its bound by SETTLED_MARGIN, then replays
-the bisection, which takes the sign of an end or midpoint beyond them
-without a call: the same signs, so the same root, from 11 to 13 calls
-instead of 36 to 38 per c-root and 12 to 14 instead of 39 to 41 per lambda
-zero (medians at q = 2 to 8).
+routine, _root: a sign bisection on certified signs, to a fixed width
+(DEFAULT_LAMBDA_TOL in lambda, DEFAULT_VALIDITY_TOL in c), replayed after a
+false-position search that settles the signs far from the root, so that
+those points cost no call; its docstring gives the argument that the
+answer is the bisection's, bit for bit.  From 11 to 13 calls per c-root
+and 12 to 14 per lambda zero instead of 36 to 41 (medians at q = 2 to 8).
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -53,8 +47,8 @@ DEFAULT_MAX_PERIOD = 13
 DEFAULT_LAMBDA_TOL = 1e-12    # width of the certificate's lambda bracket
 DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
 SETTLED_MARGIN = 1e-12  # value - 2 * err_bound past which a side is settled
-SETTLE_AIM = 3e-11      # |balance| at which _settled steps off the root
-SETTLE_CALLS = 20       # cap on _settled's calls past its opening
+SETTLE_AIM = 3e-11      # |balance| at which _root's search steps off the root
+SETTLE_CALLS = 20       # cap on that search's calls past its opening
 assert SETTLED_MARGIN >= 10 * DEFAULT_TARGET_ERR
 
 
@@ -146,37 +140,6 @@ def _certified_sign(v: BalanceValue) -> int:
     return 0
 
 
-def _sign_bracket(balance_at, a: float, b: float, tol: float, what: str,
-                  settled: tuple[float, float]) -> tuple[float, float]:
-    """Certify balance_at positive at a and negative at b (GuardError, naming
-    what, when either sign is uncertified), then halve [a, b], moving an end
-    only on a certified sign at the midpoint, until b - a <= tol, no float
-    lies strictly between a and b, or the midpoint's sign is uncertain (that
-    midpoint is then the midpoint of the returned bracket).  An end or
-    midpoint at or left of settled[0] is taken as +, and one at or right of
-    settled[1] as -, without a call."""
-    lo, hi = settled
-
-    def sign(x):
-        return (1 if x <= lo else -1 if x >= hi else
-                _certified_sign(balance_at(x)))
-
-    if not sign(a) > 0 > sign(b):
-        raise GuardError(f"no certified sign bracket in {what}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        s = sign(mid)
-        if s == 0:
-            break
-        if s > 0:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
 def find_balance_point(params: PotentialParams) -> float:
     """The lambda in W_c where the balance integral vanishes (lifted): the
     root of the balance in lambda on the guarded W_c."""
@@ -235,30 +198,47 @@ def gelfond_exponent(params: PotentialParams,
                               beta, gamma)
 
 
-def _settled(balance_at, a: float, b: float,
-             tol: float) -> tuple[float, float]:
-    """(lo, hi): of the points a search calls in [a, b], the nearest to
-    balance_at's root on its + side where value - 2 * err_bound >=
-    SETTLED_MARGIN, and on its - side where -value - 2 * err_bound >=
-    SETTLED_MARGIN; -inf and inf where it finds none.
+def _on_path(a: float, b: float, tol: float, r: float, x: float) -> float:
+    """The point nearest x, on x's side of r, of _root's bisection path from
+    [a, b] toward r: its ends and the midpoints it takes halving toward r."""
+    path = [a, b]
+    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        path.append(mid)
+        a, b = (mid, b) if mid < r else (a, mid)
+    return min((p for p in path if (p - r) * (x - r) > 0),
+               key=lambda p: abs(p - x))
 
-    The search opens on _sign_bracket's path: it calls the bisection's
-    midpoints of [a, b], toward the root, until a certified + and a
-    certified - bracket it, and stops at once on an uncertain sign.  From
-    there it runs false position (Anderson-Bjorck weights); once a
-    certified value is within 30 SETTLE_AIM of 0, or a sign is uncertain,
-    it steps off the root estimate to where the balance is about
-    +-SETTLE_AIM, on the side whose point is farther, and moves that step
-    to the nearest point on the same side of the bisection's path toward
-    the estimate (_on_path), so that its deep calls near the root are the
-    replay's own.  It stops when hi - lo <= tol, on a step outside (lo, hi)
-    or to a point it has called, or after SETTLE_CALLS calls past the
-    opening.
 
-    Why _sign_bracket(..., settled=(lo, hi)) returns the bisection's
-    bracket, bit for bit, when balance_at(x) is the adaptive
-    sturmian_balance in x = lambda at a fixed c, or in x = c at a fixed
-    lambda:
+def _root(balance_at, a: float, b: float, tol: float, what: str) -> float:
+    """The root of the decreasing balance_at in [a, b]: the midpoint of the
+    sign bisection's bracket, each point called at most once.
+
+    The bisection certifies balance_at + at a and - at b (GuardError, naming
+    what, when either sign is uncertified), then halves [a, b], moving an
+    end only on a certified sign at the midpoint, until b - a <= tol, no
+    float lies strictly between a and b, or the midpoint's sign is
+    uncertain (that midpoint is then the bracket's midpoint).
+
+    A search runs first, and every call records the settled points lo and
+    hi: of the points called, the nearest to the root on its + side where
+    value - 2 * err_bound >= SETTLED_MARGIN, and on its - side where
+    -value - 2 * err_bound >= SETTLED_MARGIN (-inf and inf until one is
+    called).  The search calls the bisection's midpoints toward the root
+    until a certified + and a certified - bracket it, then runs false
+    position (Anderson-Bjorck weights) from that bracket.  Once a certified
+    value is within 30 SETTLE_AIM of 0, it steps off the root estimate to
+    where the balance is about +-SETTLE_AIM, on the side whose settled
+    point is farther, and moves that step to the nearest point on the same
+    side of the bisection's path toward the estimate (_on_path), so that
+    its deep calls near the root are the bisection's own.  It stops on an
+    uncertain sign, when hi - lo <= tol, on a step outside (lo, hi) or to a
+    point already called, or after SETTLE_CALLS calls past the opening.
+    The bisection then runs on the same calls, taking an end or midpoint
+    at or left of lo as + and one at or right of hi as -, without a call.
+
+    Why that is the bracket of the bisection that calls every point, bit
+    for bit, when balance_at(x) is the adaptive sturmian_balance in
+    x = lambda at a fixed c, or in x = c at a fixed lambda:
     - The true balance B is strictly decreasing in x: in lambda, as the
       centering bound (checks.centering_bound_check) uses, and in c.
     - An adaptive call certifies B's sign whenever |B| > 2.31
@@ -277,92 +257,74 @@ def _settled(balance_at, a: float, b: float,
     it is still called; so does an end with no settled point between it
     and the root, so GuardError is raised where the bisection raises it.
     """
+    calls: dict[float, BalanceValue] = {}
     lo, hi = -math.inf, math.inf
-    ends, called = (a, b), set()
 
     def call(x):
         nonlocal lo, hi
-        called.add(x)
-        v = balance_at(x)
-        if v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
-            lo = x
-        elif -v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
-            hi = x
-        return v.value, _certified_sign(v)
-
-    ya = yb = None  # the certified values nearest the root
-    while ya is None or yb is None:
-        x = 0.5 * (a + b)
-        if not (b - a > tol and a < x < b):
-            return lo, hi
-        y, sign = call(x)
-        if sign == 0:
-            return lo, hi
-        if sign > 0:
-            a, ya = x, y
-        else:
-            b, yb = x, y
-    wa, wb = ya, yb  # their false-position weights
-    side = 0         # the sign of the last certified point
-    near = None      # a point whose sign is uncertain
-    for _ in range(SETTLE_CALLS):
-        if hi - lo <= tol:
-            break
-        x = a + (b - a) * (wa / (wa - wb))
-        # any factor from 3 to 100 gives the same calls within 1% at q = 2
-        if near is None and min(ya, -yb) > 30.0 * SETTLE_AIM:
-            if not a < x < b:
-                x = 0.5 * (a + b)
-        else:
-            step = SETTLE_AIM * (b - a) / (wa - wb)
-            r = x if near is None else near
-            x = _on_path(*ends, tol, r,
-                         r - step if r - lo >= hi - r else r + step)
-        if not lo < x < hi or x in called:
-            break
-        y, sign = call(x)
-        if sign == 0:
-            near = x
-        elif a < x < b:
-            # a second step to the same side scales the other end's weight
-            if sign > 0:
-                if side > 0:
-                    m = 1.0 - y / ya
-                    wb *= m if m > 0.0 else 0.5
-                a, ya, wa = x, y, y
-            else:
-                if side < 0:
-                    m = 1.0 - y / yb
-                    wa *= m if m > 0.0 else 0.5
-                b, yb, wb = x, y, y
-            side = sign
-    return lo, hi
-
-
-def _on_path(a: float, b: float, tol: float, r: float, x: float) -> float:
-    """The point nearest x, on x's side of r, of _sign_bracket's path from
-    [a, b] toward r: its ends and the midpoints it takes halving toward r."""
-    path = [a, b]
-    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
-        path.append(mid)
-        a, b = (mid, b) if mid < r else (a, mid)
-    return min((p for p in path if (p - r) * (x - r) > 0),
-               key=lambda p: abs(p - x))
-
-
-def _root(balance_at, a: float, b: float, tol: float, what: str) -> float:
-    """The root of the decreasing balance_at in [a, b]: the midpoint of
-    _sign_bracket's bracket, replayed from _settled's points, each point
-    called at most once."""
-    calls: dict[float, BalanceValue] = {}
-
-    def once(x):
         v = calls.get(x)
         if v is None:
             v = calls[x] = balance_at(x)
+            if v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
+                lo = x
+            elif -v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
+                hi = x
         return v
 
-    a, b = _sign_bracket(once, a, b, tol, what, _settled(once, a, b, tol))
+    u, w, ya, yb = a, b, None, None  # the certified points nearest the root
+    while ya is None or yb is None:
+        x = 0.5 * (u + w)
+        if not (w - u > tol and u < x < w):
+            break
+        v = call(x)
+        if (sign := _certified_sign(v)) == 0:
+            break
+        if sign > 0:
+            u, ya = x, v.value
+        else:
+            w, yb = x, v.value
+    else:  # a certified + and - bracket the root
+        wa, wb = ya, yb  # their false-position weights
+        side = 0         # the sign of the last certified point
+        for _ in range(SETTLE_CALLS):
+            if hi - lo <= tol:
+                break
+            x = u + (w - u) * (wa / (wa - wb))
+            # any factor from 3 to 100 gives the same calls within 1% at q = 2
+            if min(ya, -yb) <= 30.0 * SETTLE_AIM:
+                step = SETTLE_AIM * (w - u) / (wa - wb)
+                x = _on_path(a, b, tol, x,
+                             x - step if x - lo >= hi - x else x + step)
+            if not lo < x < hi or x in calls:
+                break
+            v = call(x)
+            if (sign := _certified_sign(v)) == 0:
+                break
+            if u < x < w:
+                # a second step to the same side scales the other end's weight
+                y = v.value
+                if sign > 0:
+                    if side > 0:
+                        m = 1.0 - y / ya
+                        wb *= m if m > 0.0 else 0.5
+                    u, ya, wa = x, y, y
+                else:
+                    if side < 0:
+                        m = 1.0 - y / yb
+                        wa *= m if m > 0.0 else 0.5
+                    w, yb, wb = x, y, y
+                side = sign
+
+    def sign_at(x):
+        return (1 if x <= lo else -1 if x >= hi else
+                _certified_sign(call(x)))
+
+    if not sign_at(a) > 0 > sign_at(b):
+        raise GuardError(f"no certified sign bracket in {what}")
+    while b - a > tol and a < (x := 0.5 * (a + b)) < b:
+        if (sign := sign_at(x)) == 0:
+            break
+        a, b = (x, b) if sign > 0 else (a, x)
     return 0.5 * (a + b)
 
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .potential import check_base
+from .potential import check_base, check_finite
 
 # build_cycle keeps this many cycles; enough for every cycle of period <= 13
 # at q = 2, 3, 5 and 8 (58 per base digit, 812 in all), so the certificates
@@ -174,6 +174,7 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
     max_denominator, so at most 1/max_denominator wide.
     """
     check_base(q)
+    check_finite("lam", lam)
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     x = Fraction(lam) % 1

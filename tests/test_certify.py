@@ -29,7 +29,6 @@ from conftest import exact_window_holds, full_bisection, linear_scan_select
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
-UNSETTLED = (-math.inf, math.inf)  # _sign_bracket calls every midpoint
 
 
 def curve(q, max_period, resolution):
@@ -501,14 +500,15 @@ def test_max_period_rejected_before_any_balance_call(monkeypatch):
     assert calls  # the stand-in does see the balance calls
 
 
-# Bisects to tolerance 0 from a certified sign bracket: the lambda bracket at
-# q = 2, c = 1/3, or the c-root at the upper window end of the q = 2
-# period-2 cycle, also from the points _settled finds at tolerance 0.  The
-# bisection must stop at two adjacent floats or at a midpoint whose sign is
-# uncertain.
-ZERO_TOL_BISECTION = """
+# Finds the root to tolerance 0 from a certified sign bracket: the lambda
+# root at q = 2, c = 1/3, or the c-root at the upper window end of the q = 2
+# period-2 cycle.  The root must be the midpoint of the full bisection's
+# bracket, which must end at two adjacent floats or at a midpoint whose sign
+# is uncertain.
+ZERO_TOL_ROOT = """
 import math, sys
 from fractions import Fraction
+from conftest import full_bisection
 from gelfond import certify
 from gelfond.circle import sturmian_balance
 from gelfond.potential import PotentialParams
@@ -526,31 +526,31 @@ else:
 
     def balance_at(c):
         return sturmian_balance(PotentialParams(2, c % 1.0), lam_e)
-settled = (certify._settled(balance_at, a, b, 0.0)
-           if sys.argv[1] == "c_root_settled" else (-math.inf, math.inf))
-lo, hi = certify._sign_bracket(balance_at, a, b, 0.0, sys.argv[1], settled)
+root = certify._root(balance_at, a, b, 0.0, sys.argv[1])
+lo, hi, _ = full_bisection(balance_at, a, b, 0.0)
+assert root == 0.5 * (lo + hi), (root, lo, hi)
 assert a <= lo < hi <= b, (lo, hi)
 assert (math.nextafter(lo, math.inf) == hi or certify._certified_sign(
     balance_at(0.5 * (lo + hi))) == 0), (lo, hi)
 """
 
 
-@pytest.mark.parametrize("bracket", ["lambda_bracket", "c_root",
-                                     "c_root_settled"])
+@pytest.mark.parametrize("bracket", ["lambda_bracket", "c_root"])
 def test_zero_tolerance_terminates(bracket):
     # run in a child process so that a regression fails on the timeout
     # instead of hanging
     src = os.path.dirname(os.path.dirname(certify.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", ZERO_TOL_BISECTION, bracket],
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ZERO_TOL_ROOT, bracket],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
 # Median balance calls per certificate over the c of
-# test_balance_calls_per_certificate: the lambda root, replayed from
-# _settled's points, and the two window-endpoint checks.  The full
+# test_balance_calls_per_certificate: the lambda root, replayed from the
+# points its search settles, and the two window-endpoint checks.  The full
 # bisection makes 43 / 43 / 42 / 41: the two ends of the guarded window,
 # ceil(log2(width / DEFAULT_LAMBDA_TOL)) steps for the width
 # 1/q - 4 * WINDOW_GUARD, and the two checks.
@@ -693,6 +693,38 @@ SYMMETRIC_C = {
 }
 
 
+def root_calls(balance, tol):
+    """The points certify._root calls for balance on [0, 1] at tol, in
+    order, each once; the points full_bisection calls, in order; and the
+    full bisection's bracket, whose midpoint _root returns."""
+    seen, full = [], []
+
+    def recording(into):
+        def balance_at(x):
+            into.append(x)
+            return balance(x)
+        return balance_at
+
+    root = certify._root(recording(seen), 0.0, 1.0, tol, "x")
+    a, b, n_full = full_bisection(recording(full), 0.0, 1.0, tol)
+    assert root == 0.5 * (a + b)
+    assert len(set(seen)) == len(seen)
+    assert len(full) == n_full
+    return seen, full, (a, b)
+
+
+def settled_points(values):
+    """(lo, hi): of the points called, given as {x: BalanceValue}, the
+    nearest to the root whose balance clears twice its bound by
+    SETTLED_MARGIN, on the + side and on the - side; -inf and inf where
+    there is none."""
+    m = certify.SETTLED_MARGIN
+    return (max((x for x, v in values.items()
+                 if v.value - 2.0 * v.err_bound >= m), default=-math.inf),
+            min((x for x, v in values.items()
+                 if -v.value - 2.0 * v.err_bound >= m), default=math.inf))
+
+
 class TestCertifiedSigns:
     """The bisection moves an end only on a certified sign and stops at a
     midpoint whose sign is uncertain; at the symmetric c = 0 and 1/2 that is
@@ -700,43 +732,40 @@ class TestCertifiedSigns:
 
     @pytest.mark.parametrize("value", [1e-3, -1e-3])
     def test_uncertain_first_midpoint_moves_no_end(self, value):
-        # certified + at 0 and - at 1, uncertain in between
-        seen = []
-
-        def balance_at(x):
-            seen.append(x)
+        # certified + at 0 and - at 1, uncertain in between: the search
+        # stops at its first midpoint, and the bisection calls the ends
+        def balance(x):
             if x in (0.0, 1.0):
                 return BalanceValue(1.0 - 2.0 * x, 0.0, 1)
             return BalanceValue(value, 1.0, 1)
 
-        assert certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
-                                     UNSETTLED) == (0.0, 1.0)
-        assert seen == [0.0, 1.0, 0.5]
+        seen, full, bracket = root_calls(balance, 1e-12)
+        assert bracket == (0.0, 1.0)
+        assert full == [0.0, 1.0, 0.5]
+        assert seen == [0.5, 0.0, 1.0]
 
     def test_zero_tolerance_stops_at_adjacent_floats(self):
         # every sign is certified, so only the float spacing ends the search
-        a, b = certify._sign_bracket(
-            lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1),
-            0.0, 1.0, 0.0, "x", UNSETTLED)
+        _, _, (a, b) = root_calls(
+            lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1), 0.0)
         assert math.nextafter(a, math.inf) == b
         assert a < 0.3 <= b
 
     def test_search_stops_at_the_uncertain_midpoint(self):
         # the sign of 0.3 - x is certified only farther than 0.01 from 0.3
-        seen = []
-
-        def balance_at(x):
-            seen.append(x)
+        def balance(x):
             return BalanceValue(0.3 - x, 0.01, 1)
 
-        a, b = certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
-                                     UNSETTLED)
-        assert seen[:2] == [0.0, 1.0]  # the certified ends
-        assert seen[2:] == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
+        seen, full, (a, b) = root_calls(balance, 1e-12)
+        assert full[:2] == [0.0, 1.0]  # the certified ends
+        assert full[2:] == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875]
         assert (a, b) == (0.28125, 0.3125)
-        assert 0.5 * (a + b) == seen[-1]
-        assert certify._certified_sign(balance_at(a)) == 1
-        assert certify._certified_sign(balance_at(b)) == -1
+        assert 0.5 * (a + b) == full[-1] == seen[-1]
+        assert certify._certified_sign(balance(a)) == 1
+        assert certify._certified_sign(balance(b)) == -1
+        # the search settles 0.25 and 0.5, so the ends and the first two
+        # midpoints cost no call; the false-position step 0.3 is uncertain
+        assert seen == [0.5, 0.25, 0.3, 0.375, 0.3125, 0.28125, 0.296875]
 
     @pytest.mark.parametrize("q, c", sorted(SYMMETRIC_C))
     def test_symmetric_c_stops_at_the_guarded_midpoint(self, q, c):
@@ -802,8 +831,8 @@ def record_balance_depths(monkeypatch):
 
 
 def check_settled_premise(balance_at, a, b, tol, rng, where):
-    """Past a point _settled finds in [a, b], whose balance clears twice
-    its bound by SETTLED_MARGIN, every adaptive call certifies that point's
+    """Past a point _root settles in [a, b], whose balance clears twice its
+    bound by SETTLED_MARGIN, every adaptive call certifies that point's
     sign, down to one float beyond it."""
     seen = {}
 
@@ -811,11 +840,9 @@ def check_settled_premise(balance_at, a, b, tol, rng, where):
         seen[x] = balance_at(x)
         return seen[x]
 
-    lo, hi = certify._settled(recording, a, b, tol)
+    certify._root(recording, a, b, tol, "x")
+    lo, hi = settled_points(seen)
     assert a <= lo < hi <= b, where
-    m = certify.SETTLED_MARGIN
-    assert seen[lo].value - 2.0 * seen[lo].err_bound >= m, where
-    assert -seen[hi].value - 2.0 * seen[hi].err_bound >= m, where
     for end, sign, edge in ((lo, 1, a), (hi, -1, b)):
         points = [math.nextafter(end, edge)] + [
             end + (edge - end) * 10.0 ** rng.uniform(-14, 0)
@@ -825,11 +852,19 @@ def check_settled_premise(balance_at, a, b, tol, rng, where):
             assert certify._certified_sign(v) == sign, (where, x)
 
 
+# Median balance calls and levels (the sum of BalanceValue.depth) per
+# _c_root over c_root_cases(q, C_ROOT_MAX_PERIOD[q]); the full bisection
+# makes 36 to 38 calls per root.
+C_ROOT_MAX_PERIOD = {2: 13, 3: 9, 5: 8, 8: 6}
+MEDIAN_CALLS_PER_C_ROOT = {2: 11, 3: 12, 5: 13, 8: 12}
+MEDIAN_LEVELS_PER_C_ROOT = {2: 249, 3: 169, 5: 124, 8: 88}
+
+
 class TestSettledReplay:
     """_root replays the bisection, in c for _c_root and in lambda for
-    find_balance_point, from the points _settled finds, taking the sign of
-    a midpoint beyond them without a call: the same root, bit for bit, from
-    fewer calls."""
+    find_balance_point, from the points its search settles, taking the sign
+    of an end or midpoint beyond them without a call: the same root, bit for
+    bit, from fewer calls."""
 
     @pytest.mark.parametrize("q, max_period", [(2, 13), (5, 8)])
     def test_c_root_is_the_full_bisection(self, monkeypatch, q, max_period):
@@ -846,14 +881,18 @@ class TestSettledReplay:
             assert len(calls) <= n_full + certify.SETTLE_CALLS
 
     def test_median_calls_per_root(self, monkeypatch):
-        calls = count_balance_calls(monkeypatch)
-        per_root = []
-        for lam, _ in c_root_cases(2, 13):
-            calls.clear()
-            certify._c_root(2, lam)
-            per_root.append(len(calls))
-        # the full bisection makes 38 calls at every q = 2 root
-        assert statistics.median(per_root) <= 20
+        depths = record_balance_depths(monkeypatch)
+        calls, levels = {}, {}
+        for q, max_period in C_ROOT_MAX_PERIOD.items():
+            per_root = []
+            for lam, _ in c_root_cases(q, max_period):
+                depths.clear()
+                certify._c_root(q, lam)
+                per_root.append((len(depths), sum(depths)))
+            calls[q] = statistics.median(n for n, _ in per_root)
+            levels[q] = statistics.median(d for _, d in per_root)
+        assert calls == MEDIAN_CALLS_PER_C_ROOT
+        assert levels == MEDIAN_LEVELS_PER_C_ROOT
 
     @staticmethod
     def check_lambda_root(calls, q, c):
@@ -903,37 +942,27 @@ class TestSettledReplay:
                 *certify._guarded_window(-1.0 / q - c, -c),
                 DEFAULT_LAMBDA_TOL, rng, (q, c))
 
-    @pytest.mark.parametrize("balance, tol, settled, called", [
-        # the sign of 0.3 - x certified only farther than 0.01 from 0.3:
-        # the midpoints 0.5, 0.25 and 0.375 lie past the settled points
-        (lambda x: BalanceValue(0.3 - x, 0.01, 1), 1e-12, (0.26, 0.33),
-         [0.3125, 0.28125, 0.296875]),
+    # The test keeps the name it had while the replay was a function of
+    # its own, given the settled points.
+    @pytest.mark.parametrize("balance, tol", [
+        # the sign of 0.3 - x certified only farther than 0.01 from 0.3
+        (lambda x: BalanceValue(0.3 - x, 0.01, 1), 1e-12),
         # every sign certified, down to adjacent floats
-        (lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1), 0.0,
-         (0.25, 0.3125), None),
+        (lambda x: BalanceValue(1.0 if x < 0.3 else -1.0, 0.0, 1), 0.0),
     ], ids=["uncertain_stop", "adjacent_floats"])
-    def test_sign_bracket_skips_settled_midpoints(self, balance, tol,
-                                                  settled, called):
-        seen = []
-
-        def balance_at(x):
-            seen.append(x)
-            return balance(x)
-
-        plain = certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x",
-                                      UNSETTLED)
-        plain_seen = list(seen)
-        seen.clear()
-        lo, hi = settled
-        assert certify._sign_bracket(balance_at, 0.0, 1.0, tol, "x",
-                                     settled) == plain
-        assert plain_seen[:2] == [0.0, 1.0]
-        # the settled points lie between the ends and the root, so the
-        # points called are the plain midpoints strictly inside (lo, hi)
-        assert seen == [x for x in plain_seen[2:] if lo < x < hi]
-        assert len(seen) < len(plain_seen)
-        if called is not None:
-            assert seen == called
+    def test_sign_bracket_skips_settled_midpoints(self, balance, tol):
+        seen, full, _ = root_calls(balance, tol)
+        lo, hi = settled_points({x: balance(x) for x in seen})
+        skipped = set(full) - set(seen)
+        # the bisection's points _root does not call lie past the settled
+        # points, where their signs are known
+        assert skipped and all(x <= lo or x >= hi for x in skipped)
+        if tol:
+            assert len(seen) < len(full)
+        else:
+            # false position crawls along the step, so the search's calls
+            # (at most its cap past the opening) outnumber the skips
+            assert len(seen) <= len(full) + certify.SETTLE_CALLS
 
     def test_end_past_no_settled_point_is_called(self):
         # certified + left of 0.75 and uncertain from there on: the search
@@ -946,23 +975,24 @@ class TestSettledReplay:
             seen.append(x)
             return BalanceValue(0.8 - x, 0.0 if x < 0.75 else 1.0, 1)
 
-        assert certify._settled(balance_at, 0.0, 1.0, 1e-12) == (
-            0.5, math.inf)
-        seen.clear()
         with pytest.raises(GuardError,
                            match=r"^no certified sign bracket in x$"):
             certify._root(balance_at, 0.0, 1.0, 1e-12, "x")
         assert seen == [0.5, 0.75, 1.0]
-        with pytest.raises(GuardError):  # as the plain bisection does
-            certify._sign_bracket(balance_at, 0.0, 1.0, 1e-12, "x",
-                                  UNSETTLED)
 
     def test_uncertified_ends_settle_nothing(self):
+        # the search stops at its uncertain first midpoint; with nothing
+        # settled the end 0 is called, and fails the bracket
+        seen = []
+
         def balance_at(x):
+            seen.append(x)
             return BalanceValue(0.3 - x, 1.0, 1)
 
-        assert certify._settled(balance_at, 0.0, 1.0, 1e-12) == (
-            -math.inf, math.inf)
+        with pytest.raises(GuardError,
+                           match=r"^no certified sign bracket in x$"):
+            certify._root(balance_at, 0.0, 1.0, 1e-12, "x")
+        assert seen == [0.5, 0.0]
 
 
 class TestCompactRecords:

@@ -2,8 +2,9 @@
 (lo, len) arc format that _tau_pairs maps, only potential knows the branch
 constants of f_c, and only series sums over the digit sums, in its one
 direct sum of sigma; |sigma_{q^n}| is otherwise the orbit product, f_c
-on an array is potential_array alone, and every row of beta and gamma
-comes from exponent_table."""
+on an array is potential_array alone, every row of beta and gamma
+comes from exponent_table, and every root of the balance from
+certify._root."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,9 @@ def test_no_second_exponent_driver():
 def test_no_second_array_potential(name):
     # the grids and the fit both read f_c through potential_array
     assert {m for m, names in MODULES.items() if name in names} == set()
+
+
+def test_one_root_routine():
+    # the search and the sign bisection it replays are both certify._root
+    assert {m for m, names in MODULES.items()
+            if names & {"_settled", "_sign_bracket"}} == set()

@@ -12,7 +12,7 @@ from conftest import (direct_profile, modulus_product_fraction,
                       multiplicativity_fraction, polynomial_sum_lists)
 from gelfond import (PotentialParams, digit_sum, exit_sets, exit_time_profile,
                      gelfond_exponent, modulus_product, multiplicativity_check, polynomial_sum,
-                     sup_exponent_fit)
+                     rotation_number, sup_exponent_fit)
 from gelfond.potential import _amp, _f, potential_array
 
 TM_SIGNS = [1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1]
@@ -416,10 +416,12 @@ P2 = PotentialParams(2, 0.3)
     (lambda v: polynomial_sum(P2, 8, v), "x"),
     (lambda v: modulus_product(P2, 3, v), "x"),
     (lambda v: multiplicativity_check(P2, 1, 2, 1, v), "x"),
+    (lambda v: rotation_number(2, v), "lam"),
 ], ids=["exit_sets", "exit_time_profile", "polynomial_sum", "modulus_product",
-        "multiplicativity_check"])
+        "multiplicativity_check", "rotation_number"])
 def test_rejects_non_finite_points(call, name, value):
-    # NaN arcs and sums came back before, and OverflowError from inf
+    # NaN arcs and sums came back before, and OverflowError from inf (also
+    # from the exact Fraction(lam) of rotation_number)
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         call(value)
 
@@ -430,9 +432,11 @@ def test_rejects_non_finite_points(call, name, value):
     (lambda v: exit_sets(2, v, 3), "lam"),
     (lambda v: exit_time_profile(2, v, 3, 8), "lam"),
     (lambda v: polynomial_sum(P2, 8, v), "x"),
-], ids=["exit_sets", "exit_time_profile", "polynomial_sum"])
+    (lambda v: rotation_number(2, v), "lam"),
+], ids=["exit_sets", "exit_time_profile", "polynomial_sum", "rotation_number"])
 def test_rejects_ints_beyond_float_range(call, name, value):
-    # OverflowError came back before, from the conversion to float
+    # OverflowError came back before, from the conversion to float;
+    # rotation_number read them exactly, as no float lam can be
     with pytest.raises(ValueError, match=f"^{name} is beyond the float "
                                          f"range$"):
         call(value)
