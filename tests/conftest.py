@@ -17,6 +17,10 @@ against its earlier two-list form.  Those take the potential kernels as
 arguments, so nothing here imports gelfond.  The --sigma-csv profile, which
 reads the orbit product, is checked against the chunked NumPy direct sum it
 replaced and against a 40-digit product of geometric sums.
+
+One autouse fixture reaches into gelfond: before each test it clears the
+lambda-root estimates that certify keeps for the mirror phase, so the calls
+a certificate makes do not depend on the tests that ran before it.
 """
 
 import cmath
@@ -422,3 +426,10 @@ def sigma_modulus_40(q: int, c: float, n: int, x: float) -> float:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_lambda_estimates():
+    from gelfond import certify
+
+    certify._estimates.clear()

@@ -526,7 +526,7 @@ else:
 
     def balance_at(c):
         return sturmian_balance(PotentialParams(2, c % 1.0), lam_e)
-root = certify._root(balance_at, a, b, 0.0, sys.argv[1])
+root, _ = certify._root(balance_at, a, b, 0.0, sys.argv[1])
 lo, hi, _ = full_bisection(balance_at, a, b, 0.0)
 assert root == 0.5 * (lo + hi), (root, lo, hi)
 assert a <= lo < hi <= b, (lo, hi)
@@ -705,7 +705,7 @@ def root_calls(balance, tol):
             return balance(x)
         return balance_at
 
-    root = certify._root(recording(seen), 0.0, 1.0, tol, "x")
+    root, _ = certify._root(recording(seen), 0.0, 1.0, tol, "x")
     a, b, n_full = full_bisection(recording(full), 0.0, 1.0, tol)
     assert root == 0.5 * (a + b)
     assert len(set(seen)) == len(seen)
@@ -993,6 +993,155 @@ class TestSettledReplay:
                            match=r"^no certified sign bracket in x$"):
             certify._root(balance_at, 0.0, 1.0, 1e-12, "x")
         assert seen == [0.5, 0.0]
+
+
+def bisection_path(a, b, tol, r):
+    """_root's bisection path from [a, b] toward r: its ends, then the
+    midpoints it takes halving toward r."""
+    path = [a, b]
+    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        path.append(mid)
+        a, b = (mid, b) if mid < r else (a, mid)
+    return path
+
+
+def on_path_before(a, b, tol, r, x):
+    """certify._on_path as it stood before it stopped past x: the whole
+    path, searched for the nearest point to x on x's side of r."""
+    return min((p for p in bisection_path(a, b, tol, r)
+                if (p - r) * (x - r) > 0), key=lambda p: abs(p - x))
+
+
+def test_on_path_matches_the_whole_path():
+    rng = random.Random(4321)
+    for _ in range(10_000):
+        a = rng.uniform(-2.0, 1.0)
+        b = a + 10.0 ** rng.uniform(-13, 0)
+        tol = rng.choice((0.0, 1e-12, 10.0 ** rng.uniform(-15, -1)))
+        # r anywhere in [a, b], at an end, or at a point of some path
+        path = bisection_path(a, b, tol, rng.uniform(a, b))
+        r = rng.choice((rng.uniform(a, b), a, b, rng.choice(path)))
+        path = [p for p in bisection_path(a, b, tol, r) if p != r]
+        p, s = rng.choice(path), rng.choice(path)
+        # x near r, at a path point, or halfway between two of them (a tie)
+        x = rng.choice((r + (b - a) * rng.choice((-1, 1))
+                        * 10.0 ** rng.uniform(-16, 0), p, 0.5 * (p + s)))
+        try:
+            expected = on_path_before(a, b, tol, r, x)
+        except ValueError:  # no path point on x's side of r, or x == r
+            with pytest.raises(ValueError):
+                certify._on_path(a, b, tol, r, x)
+            continue
+        assert certify._on_path(a, b, tol, r, x) == expected, (a, b, tol, r, x)
+
+
+def seeded_mirror_cs(q, n=100):
+    rng = random.Random(1100 + q)
+    return [c for c in (rng.random() for _ in range(n)) if c > 0.0]
+
+
+# Median balance calls and levels per lambda root, over seeded_mirror_cs(q):
+# at c, with nothing kept, and at 1 - c, seeded by the estimate kept at c.
+MEDIAN_CALLS_PER_FIRST_ROOT = {2: 13, 3: 14, 5: 13, 8: 12}
+MEDIAN_CALLS_PER_SEEDED_MIRROR = {2: 3, 3: 3, 5: 3, 8: 2}
+MEDIAN_LEVELS_PER_SEEDED_MIRROR = {2: 121, 3: 77, 5: 51, 8: 27}
+
+
+class TestMirrorSeed:
+    """find_balance_point at 1 - c reads the estimate kept at c, mirrored
+    to -1/q - lambda*(c) and shifted into its window; _root's search starts
+    from it, and its replay keeps the full bisection's root, bit for bit,
+    whatever the seed."""
+
+    @staticmethod
+    def key(q, c):
+        return q, round(c * 2**40)
+
+    @pytest.mark.parametrize("q", sorted(MEDIAN_CALLS_PER_SEEDED_MIRROR))
+    def test_mirror_is_the_full_bisection(self, monkeypatch, q):
+        depths = record_balance_depths(monkeypatch)
+        first, mirror = [], []
+        for c in seeded_mirror_cs(q):
+            certify._estimates.clear()
+            for into, cv in ((first, c), (mirror, 1.0 - c)):
+                depths.clear()
+                lam = find_balance_point(PotentialParams(q, cv))
+                into.append((len(depths), sum(depths)))
+            assert self.key(q, c) in certify._estimates
+            certify._estimates.clear()
+            params = PotentialParams(q, 1.0 - c)
+            bra, brb, _ = lambda_bracket(params)
+            assert lam.hex() == find_balance_point(params).hex(), (q, c)
+            assert lam.hex() == (0.5 * (bra + brb)).hex(), (q, c)
+        assert statistics.median(n for n, _ in first) == (
+            MEDIAN_CALLS_PER_FIRST_ROOT[q])
+        assert statistics.median(n for n, _ in mirror) == (
+            MEDIAN_CALLS_PER_SEEDED_MIRROR[q])
+        assert statistics.median(d for _, d in mirror) == (
+            MEDIAN_LEVELS_PER_SEEDED_MIRROR[q])
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_wrong_seed_keeps_the_bits(self, monkeypatch, q):
+        calls = count_balance_calls(monkeypatch)
+        for c in seeded_mirror_cs(q, 4):
+            params = PotentialParams(q, c)
+            bra, brb, _ = lambda_bracket(params)
+            root = 0.5 * (bra + brb)
+            certify._estimates.clear()
+            find_balance_point(params)
+            calls.clear()
+            find_balance_point(params)
+            n_plain = len(calls)
+            r, slope = certify._estimates[self.key(q, c)]
+            glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
+            gap = certify.SEED_AIM / abs(slope)
+            seeds = [(root + off, slope) for off in (1e-9, -1e-9, 1e-3, -1e-3)]
+            seeds += [(root + 3.0 * gap, slope), (root - 3.0 * gap, slope),
+                      (r, 10.0 * slope), (r, 0.1 * slope),
+                      (glo - 0.05, slope), (ghi + 0.05, slope)]
+            for seed in seeds:
+                # kept at 1 - c, as the mirror of the seed find_balance_point
+                # then gives _root
+                certify._estimates.clear()
+                certify._estimates[self.key(q, 1.0 - c)] = (
+                    -1.0 / q - seed[0], seed[1])
+                calls.clear()
+                lam = find_balance_point(params)
+                assert lam.hex() == root.hex(), (q, c, seed)
+                # on these c a wrong seed costs at most its own calls, 1 +
+                # SEED_STEPS a side, over the unseeded search's
+                assert len(set(calls)) == len(calls) <= (
+                    n_plain + 2 * (1 + certify.SEED_STEPS)), (q, c, seed)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_own_mirror_reads_no_seed(self, monkeypatch, q, c):
+        # c = 1/2 is its own mirror, and c = 0's mirror 1 is no key in [0, 1)
+        calls = count_balance_calls(monkeypatch)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            cert(q, c)
+            counts.append(list(calls))
+        assert counts[0] == counts[1]
+        assert len(counts[0]) == 5
+
+    def test_estimates_are_bounded(self, monkeypatch):
+        # a stand-in balance, linear in lambda, so that 3,000 roots are fast
+        monkeypatch.setattr(
+            certify, "sturmian_balance",
+            lambda params, lam: BalanceValue(-(lam + 0.3 + params.c),
+                                             1e-14, 1))
+        cs = [(i + 0.5) / 3000 for i in range(3000)]
+        for c in cs:
+            find_balance_point(PotentialParams(2, c))
+        kept = certify._estimates
+        assert len(kept) == certify.ESTIMATES_SIZE == 1024
+        # the oldest are dropped first
+        assert list(kept) == [self.key(2, c) for c in cs[-1024:]]
+        for value in kept.values():
+            assert type(value) is tuple and len(value) == 2
+            assert all(type(v) is float for v in value)
 
 
 class TestCompactRecords:
