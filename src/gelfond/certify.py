@@ -23,14 +23,12 @@ those points cost no call; its docstring gives the argument that the
 answer is the bisection's, bit for bit.  From 11 to 13 calls per c-root
 and 12 to 14 per lambda zero instead of 36 to 41 (medians at q = 2 to 8).
 
-The amplitude is even, so lambda*(1 - c) = -1/q - lambda*(c) mod 1.  Each
-lambda zero keeps its estimate and slope (the secant through its settled
-points) in a dict of at most ESTIMATES_SIZE entries, the oldest dropped
-first; the zero at 1 - c reads it, mirrored into its window, as the seed
-from which _root's search starts: 2 to 3 calls instead of 12 to 14
-(medians at q = 2 to 8).  A seed only picks the points called, so the
-zero, every certificate and every GuardError stay the bisection's
-whatever the dict holds.
+The amplitude is even, so the balance B has B_{1-c}(-1/q - lambda) =
+-B_c(lambda).  Each lambda zero keeps its settled pair (_root) in a dict,
+and the zero at 1 - c takes its mirror images as settled points
+(find_balance_point): its replay calls only the bisection's points between
+them, 1 to 2 calls instead of 12 to 14 (medians at q = 2 to 8).
+exponent_table computes each c's mirror right after it, in one process.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
 interval; reduction mod 1 happens only at I/O boundaries.
@@ -58,14 +56,12 @@ DEFAULT_VALIDITY_TOL = 1e-11  # width of each validity endpoint's c bracket
 SETTLED_MARGIN = 1e-12  # value - 2 * err_bound past which a side is settled
 SETTLE_AIM = 3e-11      # |balance| at which _root's search steps off the root
 SETTLE_CALLS = 20       # cap on that search's calls past its opening
-SEED_AIM = 0.5e-11      # |balance| at which a seeded root first calls each side
-SEED_STEPS = 3          # outward steps on a seeded side that does not settle
-ESTIMATES_SIZE = 1024   # the lambda-root estimates kept, the oldest dropped
+BRACKETS_SIZE = 1024    # the settled lambda pairs kept, the oldest dropped
 assert SETTLED_MARGIN >= 10 * DEFAULT_TARGET_ERR
 
-# (q, round(c * 2**40)) -> (lambda* estimate, balance slope there): the
-# seeds of the roots at the mirror phase 1 - c
-_estimates: dict[tuple[int, int], tuple[float, float]] = {}
+# _key(q, c) -> (c, lo, hi): the phase and the settled pair of its lambda
+# root, read by the root at the mirror phase 1 - c
+_brackets: dict[tuple[int, int], tuple[float, float, float]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,27 +152,49 @@ def _certified_sign(v: BalanceValue) -> int:
     return 0
 
 
+def _key(q: int, c: float) -> tuple[int, int]:
+    """c's key in _brackets; c and 1.0 - (1.0 - c) almost always share it."""
+    return q, round(c * 2**40)
+
+
+def _outward(k: Fraction, x: float, side: int) -> float:
+    """The float nearest k - x on its side (-1 below, 1 above), or k - x."""
+    y = float(e := k - Fraction(x))  # correctly rounded: one step at most
+    return math.nextafter(y, side * math.inf) if (
+        Fraction(y) - e) * side < 0 else y
+
+
 def find_balance_point(params: PotentialParams) -> float:
     """The lambda in W_c where the balance integral vanishes (lifted): the
-    root of the balance in lambda on the guarded W_c, its search seeded by
-    the estimate kept at the mirror phase 1 - c, if any (module docstring)."""
+    root of the balance in lambda on the guarded W_c, given as settled
+    points the mirror images of the settled pair (lo, hi) kept at a phase
+    s with the key of 1 - c.  B is 1-periodic in lambda and decreases
+    strictly in c, so at -1/q - hi, shifted into W_c and rounded down,
+    B_c >= B_{1-s} = -B_s(hi) >= SETTLED_MARGIN when c <= 1 - s; likewise
+    at -1/q - lo, rounded up, when c >= 1 - s.  An image the phases do not
+    prove is called first."""
     q, c = params.q, params.c
     glo, ghi = _guarded_window(-1.0 / q - c, -c)
-    # keys at 2^-40: c and the float 1.0 - (1.0 - c), at most 2^-53 apart,
-    # almost always share one
-    key, mirror = (q, round(c * 2**40)), (q, round((1.0 - c) * 2**40))
-    seed = _estimates.get(mirror) if mirror != key else None
-    if seed is not None:
-        r = -1.0 / q - seed[0]
-        seed = r + round(0.5 * (glo + ghi) - r), seed[1]
+    key, mirror = _key(q, c), _key(q, 1.0 - c)
+    kept = _brackets.get(mirror) if mirror != key else None
+    lo, hi, first = -math.inf, math.inf, ()
+    if kept is not None:
+        s, plus, minus = kept
+        # lambda -> k - 1/q - lambda maps W_s onto W_c when c = 1 - s
+        k = round(0.5 * (glo + ghi + plus + minus) + 1.0 / q) - Fraction(1, q)
+        lo, hi = _outward(k, minus, -1), _outward(k, plus, 1)
+        if (gap := Fraction(c) + Fraction(s) - 1) < 0:
+            first, hi = (hi,), math.inf
+        elif gap > 0:
+            first, lo = (lo,), -math.inf
     # the binding is read at each call, so a patched one sees every call
-    root, estimate = _root(lambda lam: sturmian_balance(params, lam),
+    root, (lo, hi) = _root(lambda lam: sturmian_balance(params, lam),
                            glo, ghi, DEFAULT_LAMBDA_TOL,
-                           f"lambda for q={q}, c={c!r}", seed)
-    if estimate is not None:
-        _estimates[key] = estimate
-        if len(_estimates) > ESTIMATES_SIZE:
-            del _estimates[next(iter(_estimates))]
+                           f"lambda for q={q}, c={c!r}", lo, hi, first)
+    if -math.inf < lo and hi < math.inf:
+        _brackets[key] = c, lo, hi
+        if len(_brackets) > BRACKETS_SIZE:
+            del _brackets[next(iter(_brackets))]
     return root
 
 
@@ -252,28 +270,12 @@ def _on_path(a: float, b: float, tol: float, r: float, x: float) -> float:
     raise ValueError(f"no point of the path lies on x={x!r}'s side of r")
 
 
-def _seed_sides(a: float, b: float, tol: float, r: float, slope: float):
-    """For a root estimate r where the balance has the given slope: on the
-    + side of r, then on its - side, the points of the bisection path from
-    [a, b] toward r that lie at least SEED_AIM / |slope| from r, nearest
-    first, at most 1 + SEED_STEPS of them."""
-    off = SEED_AIM / abs(slope)
-    path = [a, b]
-    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
-        path.append(mid)
-        a, b = (mid, b) if mid < r else (a, mid)
-    return [sorted((p for p in path if side * (r - p) >= off),
-                   key=lambda p: side * (r - p))[:1 + SEED_STEPS]
-            for side in (1, -1)]
-
-
 def _root(balance_at, a: float, b: float, tol: float, what: str,
-          seed: tuple[float, float] | None = None
-          ) -> tuple[float, tuple[float, float] | None]:
+          lo: float = -math.inf, hi: float = math.inf,
+          first: tuple[float, ...] = ()) -> tuple[float, tuple[float, float]]:
     """The root of the decreasing balance_at in [a, b]: the midpoint of the
     sign bisection's bracket, each point called at most once; and the
-    root's estimate with the balance's slope, the secant through the
-    settled points lo and hi below (None while either is unset).
+    settled pair (lo, hi) below that it ends with.
 
     The bisection certifies balance_at + at a and - at b (GuardError, naming
     what, when either sign is uncertified), then halves [a, b], moving an
@@ -281,19 +283,14 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
     float lies strictly between a and b, or the midpoint's sign is
     uncertain (that midpoint is then the bracket's midpoint).
 
-    A search runs first, and every call records the settled points lo and
-    hi: of the points called, the nearest to the root on its + side where
-    value - 2 * err_bound >= SETTLED_MARGIN, and on its - side where
-    -value - 2 * err_bound >= SETTLED_MARGIN (-inf and inf until one is
-    called).  Given a seed (r, slope), an estimate of the root and the
-    slope there, the search first calls on each side of r the nearest point
-    of the bisection's path toward r that lies at least SEED_AIM / |slope|
-    from r (_seed_sides), stepping outward along the path, up to SEED_STEPS
-    points, while that side has no settled point.  When both sides settle,
-    the search ends there.  Otherwise, or with no seed, it calls the
-    bisection's midpoints toward the root
-    until a certified + and a certified - bracket it, then runs false
-    position (Anderson-Bjorck weights) from that bracket.  Once a certified
+    The settled points lo and hi are the nearest to the root, on its + and
+    on its - side, of the given lo and hi (default -inf and inf) and the
+    points called where +-value - 2 * err_bound >= SETTLED_MARGIN, so that
+    B >= SETTLED_MARGIN at lo and B <= -SETTLED_MARGIN at hi (below).  The
+    points of first are called first.  Until lo and hi are both set, a
+    search calls the bisection's midpoints toward the root until a
+    certified + and a certified - bracket it, then runs false position
+    (Anderson-Bjorck weights) from that bracket.  Once a certified
     value is within 30 SETTLE_AIM of 0, it steps off the root estimate to
     where the balance is about +-SETTLE_AIM, on the side whose settled
     point is farther, and moves that step to the nearest point on the same
@@ -315,19 +312,20 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
       stops on |running| > 2 err_bound, |value| exceeds err_bound; if it
       stops on err_bound <= DEFAULT_TARGET_ERR, |value| >= |B| - 1.31e-13
       > err_bound.  Either way the sign is B's.
-    - At lo, B >= value - 1.31 err_bound >= SETTLED_MARGIN, which is at
-      least 10 DEFAULT_TARGET_ERR; so B > 2.31 DEFAULT_TARGET_ERR at every
-      x <= lo, and the call the bisection would make there, at a midpoint
-      or at the end a, is certified +.  Likewise - at every x >= hi.
+    - At lo, B >= SETTLED_MARGIN, which is at least 10 DEFAULT_TARGET_ERR:
+      at a point called, B >= value - 1.31 err_bound >= SETTLED_MARGIN; a
+      given lo comes with its own proof (find_balance_point).  So
+      B > 2.31 DEFAULT_TARGET_ERR at every x <= lo, and the call the
+      bisection would make there, at a midpoint or at the end a, is
+      certified +.  Likewise - at every x >= hi.
     So every sign taken without a call is the one the call would certify:
     the signs, the bracket and its midpoint are the bisection's, whatever
-    points the search calls, and so whatever seed it is given.  A
-    midpoint whose sign is uncertain lies strictly inside (lo, hi), where
-    it is still called; so does an end with no settled point between it
-    and the root, so GuardError is raised where the bisection raises it.
+    points the search calls.  A midpoint whose sign is uncertain lies
+    strictly inside (lo, hi), where it is still called; so does an end
+    with no settled point between it and the root, so GuardError is raised
+    where the bisection raises it.
     """
     calls: dict[float, BalanceValue] = {}
-    lo, hi = -math.inf, math.inf
 
     def call(x):
         nonlocal lo, hi
@@ -335,24 +333,17 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
         if v is None:
             v = calls[x] = balance_at(x)
             if v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
-                lo = x
+                lo = max(lo, x)
             elif -v.value - 2.0 * v.err_bound >= SETTLED_MARGIN:
-                hi = x
+                hi = min(hi, x)
         return v
 
-    if seed is not None:
-        plus, minus = _seed_sides(a, b, tol, *seed)
-        for x in plus:
-            if lo == -math.inf:
-                call(x)
-        for x in minus:
-            if hi == math.inf:
-                call(x)
-    seeded = lo > -math.inf and hi < math.inf
+    for x in first:
+        call(x)
     u, w, ya, yb = a, b, None, None  # the certified points nearest the root
-    while ya is None or yb is None:
+    while (ya is None or yb is None) and (lo == -math.inf or hi == math.inf):
         x = 0.5 * (u + w)
-        if seeded or not (w - u > tol and u < x < w):
+        if not (w - u > tol and u < x < w):
             break
         v = call(x)
         if (sign := _certified_sign(v)) == 0:
@@ -361,7 +352,7 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
             u, ya = x, v.value
         else:
             w, yb = x, v.value
-    else:  # a certified + and - bracket the root
+    if ya is not None and yb is not None:  # a certified + and - bracket it
         wa, wb = ya, yb  # their false-position weights
         side = 0         # the sign of the last certified point
         for _ in range(SETTLE_CALLS):
@@ -403,10 +394,7 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
         if (sign := sign_at(x)) == 0:
             break
         a, b = (x, b) if sign > 0 else (a, x)
-    if lo == -math.inf or hi == math.inf:
-        return 0.5 * (a + b), None
-    slope = (calls[hi].value - calls[lo].value) / (hi - lo)
-    return 0.5 * (a + b), (lo - calls[lo].value / slope, slope)
+    return 0.5 * (a + b), (lo, hi)
 
 
 def _c_root(q: int, lam_e: float) -> float:
@@ -490,11 +478,11 @@ def _validity_row(args):
     return cycle, _answer(validity_interval, q, cycle)
 
 
-def _exponent_row(args):
-    q, c_value, max_period = args
-    return c_value, _answer(
-        gelfond_exponent, PotentialParams(q, reduce_phase(float(c_value))),
-        max_period)
+def _row_and_mirror(args):
+    q, c_values, max_period = args
+    return [(cv, _answer(gelfond_exponent,
+                         PotentialParams(q, reduce_phase(float(cv))),
+                         max_period)) for cv in c_values]
 
 
 def _pmap(fn, items, threads):
@@ -537,5 +525,16 @@ def exponent_table(q: int = 2, max_period: int = DEFAULT_MAX_PERIOD, *,
     check_base(q)
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    return _pmap(_exponent_row, [(q, cv, max_period) for cv in c_list],
-                 threads)
+    # each c and its mirrors, in list order in one task, so that a mirror
+    # reads the settled pair the first leaves in _brackets
+    c_list, tasks = list(c_list), {}
+    for i, cv in enumerate(c_list):
+        c = reduce_phase(float(cv))
+        tasks.setdefault(min(_key(q, c), _key(q, 1.0 - c)), []).append(i)
+    answers = [None] * len(c_list)
+    for t, rows in zip(tasks.values(), _pmap(
+            _row_and_mirror, [(q, [c_list[i] for i in t], max_period)
+                              for t in tasks.values()], threads)):
+        for i, row in zip(t, rows):
+            answers[i] = row
+    return answers

@@ -19,7 +19,7 @@ reads the orbit product, is checked against the chunked NumPy direct sum it
 replaced and against a 40-digit product of geometric sums.
 
 One autouse fixture reaches into gelfond: before each test it clears the
-lambda-root estimates that certify keeps for the mirror phase, so the calls
+settled lambda pairs that certify keeps for the mirror phase, so the calls
 a certificate makes do not depend on the tests that ran before it.
 """
 
@@ -429,7 +429,7 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def no_kept_lambda_estimates():
+def no_kept_brackets():
     from gelfond import certify
 
-    certify._estimates.clear()
+    certify._brackets.clear()

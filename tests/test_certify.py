@@ -1040,39 +1040,58 @@ def seeded_mirror_cs(q, n=100):
     return [c for c in (rng.random() for _ in range(n)) if c > 0.0]
 
 
+def inexact_mirror_cs():
+    """The i/1000 whose grid mirror (1000 - i)/1000 is not exactly 1 - c."""
+    return [i / 1000 for i in range(1, 1000, 7)
+            if F(i / 1000) + F((1000 - i) / 1000) != 1]
+
+
+def lambda_root_work(depths, q, c):
+    """find_balance_point at (q, c): lambda*, its balance calls and levels."""
+    depths.clear()
+    lam = find_balance_point(PotentialParams(q, c))
+    return lam, (len(depths), sum(depths))
+
+
 # Median balance calls and levels per lambda root, over seeded_mirror_cs(q):
-# at c, with nothing kept, and at 1 - c, seeded by the estimate kept at c.
+# at c, with nothing kept, and at 1 - c, from the settled pair kept at c;
+# and calls at the grid mirror of each of inexact_mirror_cs().
 MEDIAN_CALLS_PER_FIRST_ROOT = {2: 13, 3: 14, 5: 13, 8: 12}
-MEDIAN_CALLS_PER_SEEDED_MIRROR = {2: 3, 3: 3, 5: 3, 8: 2}
-MEDIAN_LEVELS_PER_SEEDED_MIRROR = {2: 121, 3: 77, 5: 51, 8: 27}
+MEDIAN_CALLS_PER_SEEDED_MIRROR = {2: 1, 3: 2, 5: 1, 8: 1}
+MEDIAN_LEVELS_PER_SEEDED_MIRROR = {2: 43, 3: 50, 5: 18, 8: 13}
+MEDIAN_CALLS_PER_INEXACT_MIRROR = {2: 2.5, 3: 3, 5: 2, 8: 2}
 
 
 class TestMirrorSeed:
-    """find_balance_point at 1 - c reads the estimate kept at c, mirrored
-    to -1/q - lambda*(c) and shifted into its window; _root's search starts
-    from it, and its replay keeps the full bisection's root, bit for bit,
-    whatever the seed."""
+    """find_balance_point at 1 - c reads the settled pair (lo, hi) kept at
+    c and gives _root its mirror images, -1/q - hi and -1/q - lo shifted
+    into W_{1-c}, as settled points: both when the kept phase is exactly
+    1 - c, otherwise the one the order of the phases proves, the other
+    called first.  The replay keeps the full bisection's root, bit for bit.
+    The class keeps the name it had while the kept value was a seed for
+    the search."""
 
     @staticmethod
     def key(q, c):
         return q, round(c * 2**40)
+
+    @staticmethod
+    def check_full_bisection(q, c, lam):
+        bra, brb, _ = lambda_bracket(PotentialParams(q, c))
+        assert lam.hex() == (0.5 * (bra + brb)).hex(), (q, c)
 
     @pytest.mark.parametrize("q", sorted(MEDIAN_CALLS_PER_SEEDED_MIRROR))
     def test_mirror_is_the_full_bisection(self, monkeypatch, q):
         depths = record_balance_depths(monkeypatch)
         first, mirror = [], []
         for c in seeded_mirror_cs(q):
-            certify._estimates.clear()
-            for into, cv in ((first, c), (mirror, 1.0 - c)):
-                depths.clear()
-                lam = find_balance_point(PotentialParams(q, cv))
-                into.append((len(depths), sum(depths)))
-            assert self.key(q, c) in certify._estimates
-            certify._estimates.clear()
-            params = PotentialParams(q, 1.0 - c)
-            bra, brb, _ = lambda_bracket(params)
-            assert lam.hex() == find_balance_point(params).hex(), (q, c)
-            assert lam.hex() == (0.5 * (bra + brb)).hex(), (q, c)
+            assert F(c) + F(1.0 - c) == 1  # an exact mirror
+            certify._brackets.clear()
+            first.append(lambda_root_work(depths, q, c)[1])
+            assert certify._brackets[self.key(q, c)][0] == c
+            lam, work = lambda_root_work(depths, q, 1.0 - c)
+            mirror.append(work)
+            self.check_full_bisection(q, 1.0 - c, lam)
         assert statistics.median(n for n, _ in first) == (
             MEDIAN_CALLS_PER_FIRST_ROOT[q])
         assert statistics.median(n for n, _ in mirror) == (
@@ -1080,38 +1099,60 @@ class TestMirrorSeed:
         assert statistics.median(d for _, d in mirror) == (
             MEDIAN_LEVELS_PER_SEEDED_MIRROR[q])
 
+    @pytest.mark.parametrize("q", sorted(MEDIAN_CALLS_PER_INEXACT_MIRROR))
+    def test_inexact_mirror_is_the_full_bisection(self, monkeypatch, q):
+        depths = record_balance_depths(monkeypatch)
+        mirror = []
+        for c in inexact_mirror_cs():
+            certify._brackets.clear()
+            lambda_root_work(depths, q, c)
+            cm = (1000 - round(c * 1000)) / 1000
+            assert self.key(q, 1.0 - cm) == self.key(q, c)
+            lam, work = lambda_root_work(depths, q, cm)
+            mirror.append(work[0])
+            self.check_full_bisection(q, cm, lam)
+        assert statistics.median(mirror) == MEDIAN_CALLS_PER_INEXACT_MIRROR[q]
+
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
-    def test_wrong_seed_keeps_the_bits(self, monkeypatch, q):
+    def test_colliding_key_takes_one_side(self, monkeypatch, q):
+        # a phase 1 - c + d with the key of 1 - c: the order of the phases
+        # proves the image on one side, and the other is the first call
         calls = count_balance_calls(monkeypatch)
-        for c in seeded_mirror_cs(q, 4):
-            params = PotentialParams(q, c)
-            bra, brb, _ = lambda_bracket(params)
-            root = 0.5 * (bra + brb)
-            certify._estimates.clear()
-            find_balance_point(params)
-            calls.clear()
-            find_balance_point(params)
-            n_plain = len(calls)
-            r, slope = certify._estimates[self.key(q, c)]
-            glo, ghi = certify._guarded_window(-1.0 / q - c, -c)
-            gap = certify.SEED_AIM / abs(slope)
-            seeds = [(root + off, slope) for off in (1e-9, -1e-9, 1e-3, -1e-3)]
-            seeds += [(root + 3.0 * gap, slope), (root - 3.0 * gap, slope),
-                      (r, 10.0 * slope), (r, 0.1 * slope),
-                      (glo - 0.05, slope), (ghi + 0.05, slope)]
-            for seed in seeds:
-                # kept at 1 - c, as the mirror of the seed find_balance_point
-                # then gives _root
-                certify._estimates.clear()
-                certify._estimates[self.key(q, 1.0 - c)] = (
-                    -1.0 / q - seed[0], seed[1])
+        settled = tried = 0
+        for c in seeded_mirror_cs(q, 6):
+            certify._brackets.clear()
+            find_balance_point(PotentialParams(q, c))
+            _, lo, hi = certify._brackets[self.key(q, c)]
+            for d in (2.0**-52, -(2.0**-52), 2.0**-42, -(2.0**-42)):
+                cm = 1.0 - c + d
+                if self.key(q, 1.0 - cm) != self.key(q, c):
+                    continue
+                assert F(cm) + F(c) != 1
+                tried += 1
+                certify._brackets.clear()
+                certify._brackets[self.key(q, c)] = c, lo, hi
                 calls.clear()
-                lam = find_balance_point(params)
-                assert lam.hex() == root.hex(), (q, c, seed)
-                # on these c a wrong seed costs at most its own calls, 1 +
-                # SEED_STEPS a side, over the unseeded search's
-                assert len(set(calls)) == len(calls) <= (
-                    n_plain + 2 * (1 + certify.SEED_STEPS)), (q, c, seed)
+                lam = find_balance_point(PotentialParams(q, cm))
+                self.check_full_bisection(q, cm, lam)
+                # k - 1/q - x, in the window of 1 - c
+                glo, ghi = certify._guarded_window(-1.0 / q - cm, -cm)
+                k = round(0.5 * (glo + ghi + lo + hi) + 1.0 / q)
+                probe = k - 1.0 / q - (hi if d > 0 else lo)
+                assert calls[0][1] == pytest.approx(probe, abs=1e-15), (
+                    q, c, d)
+                assert len(set(calls)) == len(calls)
+                # once the probe settles on its side, the bisection calls
+                # only points strictly between it and the proved image
+                v = sturmian_balance(*calls[0])
+                if ((1 if d > 0 else -1) * v.value - 2.0 * v.err_bound
+                        >= certify.SETTLED_MARGIN):
+                    settled += 1
+                    proved = k - F(1, q) - F(lo if d > 0 else hi)
+                    for _, x in calls[1:]:
+                        assert (x - calls[0][1]) * (proved - F(x)) > 0, (
+                            q, c, d, x)
+        # the probe settles at the nearest phases, not at all of the farthest
+        assert 0 < settled < tried
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
     @pytest.mark.parametrize("c", [0.0, 0.5])
@@ -1126,6 +1167,7 @@ class TestMirrorSeed:
         assert counts[0] == counts[1]
         assert len(counts[0]) == 5
 
+    # The test keeps the name it had while the dict held root estimates.
     def test_estimates_are_bounded(self, monkeypatch):
         # a stand-in balance, linear in lambda, so that 3,000 roots are fast
         monkeypatch.setattr(
@@ -1135,13 +1177,55 @@ class TestMirrorSeed:
         cs = [(i + 0.5) / 3000 for i in range(3000)]
         for c in cs:
             find_balance_point(PotentialParams(2, c))
-        kept = certify._estimates
-        assert len(kept) == certify.ESTIMATES_SIZE == 1024
+        kept = certify._brackets
+        assert len(kept) == certify.BRACKETS_SIZE == 1024
         # the oldest are dropped first
         assert list(kept) == [self.key(2, c) for c in cs[-1024:]]
-        for value in kept.values():
-            assert type(value) is tuple and len(value) == 2
+        for c, value in zip(cs[-1024:], kept.values()):
+            assert type(value) is tuple and len(value) == 3
             assert all(type(v) is float for v in value)
+            assert value[0] == c and value[1] < value[2]
+
+
+def test_outward_rounds_away_exactly():
+    # the float on each side of k - x nearest it, k - x itself if a float
+    rng = random.Random(606)
+    for _ in range(2000):
+        q = rng.choice((2, 3, 5, 7, 8))
+        k = rng.randrange(-2, 2) - F(1, q)
+        x = rng.choice((rng.uniform(-2.0, 1.0), -0.5, 0.25, float(k)))
+        e = k - F(x)
+        for side in (-1, 1):
+            y = certify._outward(k, x, side)
+            inward = math.nextafter(y, -side * math.inf)
+            assert (F(y) - e) * side >= 0 > (F(inward) - e) * side, (
+                k, x, side)
+        if F(float(e)) == e:
+            assert certify._outward(k, x, -1) == certify._outward(k, x, 1)
+
+
+def test_root_keeps_the_nearest_settled_points():
+    # given settled points nearer the root than any the search settles are
+    # kept, and a later call nearer still replaces them
+    def balance(x):
+        return BalanceValue(0.3 - x, 0.01, 1)
+
+    for lo, hi in ((0.29, 0.31), (0.29, math.inf), (-math.inf, 0.31),
+                   (0.1, 0.9)):
+        values = {}
+
+        def balance_at(x):
+            values[x] = balance(x)
+            return values[x]
+
+        root, settled = certify._root(balance_at, 0.0, 1.0, 1e-12, "x",
+                                      lo, hi)
+        a, b, _ = full_bisection(balance, 0.0, 1.0, 1e-12)
+        assert root == 0.5 * (a + b)
+        called_lo, called_hi = settled_points(values)
+        assert settled == (max(lo, called_lo), min(hi, called_hi))
+        if lo > -math.inf and hi < math.inf:  # the replay alone runs
+            assert all(lo < x < hi for x in values)
 
 
 class TestCompactRecords:

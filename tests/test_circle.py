@@ -12,7 +12,7 @@ from gelfond.circle import WINDOW_GUARD, _exit_levels, _tau_pairs
 from gelfond.potential import _f, _fp
 
 from conftest import (balance_quadrature_oracle, f_round_form,
-                      forward_exit_times)
+                      forward_exit_times, full_bisection)
 
 
 def covers(pairs, x):
@@ -190,6 +190,44 @@ class TestBalance:
         v1 = sturmian_balance(PotentialParams(2, 0.45), lam)
         v2 = sturmian_balance(PotentialParams(2, 0.46), lam)
         assert v2.value < v1.value - (v1.err_bound + v2.err_bound)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_mirror_phase_negates_the_balance(self, q, rng):
+        # the amplitude is even, so B_{1-c}(-1/q - lam) = -B_c(lam); each
+        # adaptive call errs by at most 1.31 err_bound (certify._root's
+        # docstring), so the two values agree within 1.31 times the sum
+        # of their bounds: loosely far from the root, to about 3e-13 at
+        # the points just beside it that a full bisection reaches
+        for _ in range(4):
+            c = rng.random()  # so that 1.0 - c is exact
+            params = PotentialParams(q, c)
+            glo, ghi = -1.0 / q - c + 2e-6, -c - 2e-6
+            a, b, _ = full_bisection(
+                lambda lam: sturmian_balance(params, lam), glo, ghi, 1e-12)
+            lams = [rng.uniform(glo, ghi) for _ in range(3)]
+            lams += [a - 10.0 ** -k for k in (9, 11)] + [a, b]
+            lams += [b + 10.0 ** -k for k in (9, 11)]
+            for lam in lams:
+                v = sturmian_balance(params, lam)
+                w = sturmian_balance(PotentialParams(q, 1.0 - c),
+                                     -1.0 / q - lam)
+                assert abs(w.value + v.value) <= 1.31 * (
+                    v.err_bound + w.err_bound), (q, c, lam)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_certified_values_decrease_in_c(self, q, rng):
+        # at a fixed lambda the balance falls as c sweeps its window: each
+        # certified interval value +- 1.31 err_bound lies below the last
+        depth = {2: 64, 3: 40, 5: 27, 8: 21}[q]  # err_bound below 1e-17
+        for _ in range(3):
+            lam = rng.uniform(-1.0, 0.0)
+            last = math.inf
+            for j in range(16):
+                # lam + c runs over (1 - 1/q, 1), the window's lift
+                c = (1.0 - (16 - j - 0.5) / (16 * q) - lam) % 1.0
+                v = sturmian_balance(PotentialParams(q, c), lam, depth=depth)
+                assert v.value + 1.31 * v.err_bound < last, (q, lam, c)
+                last = v.value - 1.31 * v.err_bound
 
     def test_depth_consistency(self):
         params = PotentialParams(2, 0.4)
