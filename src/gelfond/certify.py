@@ -26,8 +26,9 @@ and 12 to 14 per lambda zero instead of 36 to 41 (medians at q = 2 to 8).
 The amplitude is even, so the balance B has B_{1-c}(-1/q - lambda) =
 -B_c(lambda).  Each lambda zero keeps its settled pair (_root) in a dict,
 and the zero at 1 - c takes its mirror images as settled points
-(find_balance_point): its replay calls only the bisection's points between
-them, 1 to 2 calls instead of 12 to 14 (medians at q = 2 to 8).
+(find_balance_point), rounded outward from their exact integer ratios:
+its replay calls only the bisection's points between them, 1 to 2 calls
+instead of 12 to 14 (medians at q = 2 to 8).
 exponent_table computes each c's mirror right after it, in one process.
 
 All lambda and c arithmetic runs in lifted coordinates where W_c is a real
@@ -157,11 +158,14 @@ def _key(q: int, c: float) -> tuple[int, int]:
     return q, round(c * 2**40)
 
 
-def _outward(k: Fraction, x: float, side: int) -> float:
-    """The float nearest k - x on its side (-1 below, 1 above), or k - x."""
-    y = float(e := k - Fraction(x))  # correctly rounded: one step at most
+def _outward(k: int, q: int, x: float, side: int) -> float:
+    """The float nearest k - 1/q - x on its side (-1 below, 1 above), or
+    k - 1/q - x itself, from the integer ratio n / d of it."""
+    n, d = x.as_integer_ratio()
+    n, d = (k * q - 1) * d - q * n, q * d
+    yn, yd = (y := n / d).as_integer_ratio()  # correctly rounded: one step
     return math.nextafter(y, side * math.inf) if (
-        Fraction(y) - e) * side < 0 else y
+        yn * d - n * yd) * side < 0 else y
 
 
 def find_balance_point(params: PotentialParams) -> float:
@@ -181,9 +185,10 @@ def find_balance_point(params: PotentialParams) -> float:
     if kept is not None:
         s, plus, minus = kept
         # lambda -> k - 1/q - lambda maps W_s onto W_c when c = 1 - s
-        k = round(0.5 * (glo + ghi + plus + minus) + 1.0 / q) - Fraction(1, q)
-        lo, hi = _outward(k, minus, -1), _outward(k, plus, 1)
-        if (gap := Fraction(c) + Fraction(s) - 1) < 0:
+        k = round(0.5 * (glo + ghi + plus + minus) + 1.0 / q)
+        lo, hi = _outward(k, q, minus, -1), _outward(k, q, plus, 1)
+        (cn, cd), (sn, sd) = c.as_integer_ratio(), s.as_integer_ratio()
+        if (gap := cn * sd + sn * cd - cd * sd) < 0:  # c + s - 1, times cd sd
             first, hi = (hi,), math.inf
         elif gap > 0:
             first, lo = (lo,), -math.inf
@@ -384,16 +389,16 @@ def _root(balance_at, a: float, b: float, tol: float, what: str,
                     w, yb, wb = x, y, y
                 side = sign
 
-    def sign_at(x):
-        return (1 if x <= lo else -1 if x >= hi else
-                _certified_sign(call(x)))
-
-    if not sign_at(a) > 0 > sign_at(b):
+    if not ((a <= lo or a < hi and _certified_sign(call(a)) > 0) and lo < b
+            and (b >= hi or _certified_sign(call(b)) < 0)):
         raise GuardError(f"no certified sign bracket in {what}")
     while b - a > tol and a < (x := 0.5 * (a + b)) < b:
-        if (sign := sign_at(x)) == 0:
+        if x <= lo or x < hi and (sign := _certified_sign(call(x))) > 0:
+            a = x
+        elif x >= hi or sign < 0:
+            b = x
+        else:  # an uncertain sign
             break
-        a, b = (x, b) if sign > 0 else (a, x)
     return 0.5 * (a + b), (lo, hi)
 
 

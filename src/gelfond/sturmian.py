@@ -31,9 +31,9 @@ from fractions import Fraction
 
 from .potential import check_base, check_finite
 
-# build_cycle keeps this many cycles; enough for every cycle of period <= 13
-# at q = 2, 3, 5 and 8 (58 per base digit, 812 in all), so the certificates
-# of a run share one cycle object each.
+# _node caches this many cycles, with their window ends; enough for every
+# cycle of period <= 13 at q = 2, 3, 5 and 8 (58 per base digit, 812 in all),
+# so the certificates of a run share one cycle object each.
 CYCLE_CACHE_SIZE = 1024
 
 
@@ -80,8 +80,6 @@ class LambdaWindow:
     hi: Fraction
 
 
-# typed, so a float base equal to an int one misses the cache and is refused
-@functools.lru_cache(maxsize=CYCLE_CACHE_SIZE, typed=True)
 def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     """Construct the cycle for one (base digit, rotation) pair.
 
@@ -95,6 +93,15 @@ def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     p, m = rotation.numerator, rotation.denominator
     if not (0 <= p < m or (p == 0 and m == 1)):
         raise ValueError(f"rotation must lie in [0,1), got {rotation}")
+    return _node(q, base_digit, p, m)[0]
+
+
+# typed, so a float base equal to an int one misses the cache and is refused
+@functools.lru_cache(maxsize=CYCLE_CACHE_SIZE, typed=True)
+def _node(q: int, base_digit: int, p: int, m: int
+          ) -> tuple[SturmianCycle, int, int, int, int]:
+    """The cycle of rotation p/m and its window [lo, hi], as the integer
+    ratios lo_n, lo_d, hi_n, hi_d (build_cycle checks the arguments)."""
     digits = [base_digit + (j * p) // m - ((j - 1) * p) // m for j in range(1, m + 1)]
     num = 0
     for d in digits:
@@ -104,12 +111,13 @@ def build_cycle(q: int, base_digit: int, rotation: Fraction) -> SturmianCycle:
     for _ in range(m - 1):
         nums.append((nums[-1] * q) % den)
     if len(set(nums)) != m:
-        raise ValueError(f"orbit of rotation {rotation} is not primitive")
+        raise ValueError(f"orbit of rotation {Fraction(p, m)} is not primitive")
     points = tuple(sorted(Fraction(k, den) for k in nums))
     cyc = SturmianCycle(q=q, period=m, rotation=Fraction(p, m) if m > 1 else Fraction(0),
                         base_digit=base_digit, points=points)
     cyc.validate()
-    return cyc
+    win = lambda_window(cyc)
+    return cyc, *win.lo.as_integer_ratio(), *win.hi.as_integer_ratio()
 
 
 def enumerate_cycles(q: int, max_period: int) -> list[SturmianCycle]:
@@ -158,15 +166,18 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
                     ) -> RationalRotation | IrrationalRotation:
     """Rotation number of the truncated map for the arc based at lam.
 
-    x = Fraction(lam) mod 1, reduced exactly (a float lam % 1.0 rounds for
-    lam just below 0), then into [-1/q, 1 - 1/q) by n in {0, 1},
-    which adds n(q-1) to the rotation.  The base digit a is the largest one
-    whose fixed-point window [a/(q-1) - 1/q, a/(q-1)] does not start right
-    of x.  The windows of a + p/m, 0 < p/m < 1, lie between the fixed
-    windows a and a+1 in the order of p/m, so a walk down the Stern-Brocot
-    tree between 0/1 and 1/1, on exact window ends, meets the one holding x,
-    if any, before its denominator exceeds max_denominator (denominators
-    grow along the walk, so it builds at most max_denominator cycles).
+    x = lam mod 1, reduced exactly on lam's integer ratio (a float
+    lam % 1.0 rounds for lam just below 0), then into [-1/q, 1 - 1/q) by n
+    in {0, 1}, which adds n(q-1) to the rotation.  The base digit a is the
+    largest one whose fixed-point window [a/(q-1) - 1/q, a/(q-1)] does not
+    start right of x.  The windows of a + p/m, 0 < p/m < 1, lie between the
+    fixed windows a and a+1 in the order of p/m, so a walk down the
+    Stern-Brocot tree between 0/1 and 1/1 meets the one holding x, if any,
+    before its denominator exceeds max_denominator (denominators grow along
+    the walk, so it builds at most max_denominator cycles).  The walk is
+    exact on integers: each node's cycle is cached with its window ends as
+    integer ratios, compared with x by cross-multiplication, and Fractions
+    are built only for the rotation returned.
 
     Returns RationalRotation when such a window holds x; otherwise an
     IrrationalRotation between the rotations of the last windows passed left
@@ -177,29 +188,30 @@ def rotation_number(q: int, lam: float, max_denominator: int = 64
     check_finite("lam", lam)
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    x = Fraction(lam) % 1
-    n = int(x >= 1 - Fraction(1, q))
-    x -= n
+    # x = xn / xd, xd > 0, from here on; Fraction takes any other rational
+    xn, xd = (lam if isinstance(lam, float) else Fraction(lam)
+              ).as_integer_ratio()
+    xn %= xd
+    n = int(q * xn >= (q - 1) * xd)
+    xn -= n * xd
     shift = n * (q - 1)
     a = q - 2
-    while a > 0 and x < Fraction(a, q - 1) - Fraction(1, q):
+    while a > 0 and q * (q - 1) * xn < (a * q - q + 1) * xd:
         a -= 1
-    left, right = Fraction(0), Fraction(1)
-    p = left  # x is not left of the fixed window a, so right stays above p
+    lp, lm, rp, rm = 0, 1, 1, 1  # the nodes passed left and right of x
+    p, m = 0, 1  # x is not left of the fixed window a, so rp/rm stays above
     while True:
-        cycle = build_cycle(q, a, p)
-        win = lambda_window(cycle)
-        if win.lo <= x <= win.hi:
-            return RationalRotation(a + p + shift, cycle)
-        if x < win.lo:
-            right = p
+        cycle, lo_n, lo_d, hi_n, hi_d = _node(q, a, p, m)
+        if xn * lo_d < lo_n * xd:
+            rp, rm = p, m
+        elif xn * hi_d > hi_n * xd:
+            lp, lm = p, m
         else:
-            left = p
-        if left.denominator + right.denominator > max_denominator:
+            return RationalRotation(a + shift + Fraction(p, m), cycle)
+        if lm + rm > max_denominator:
             break
-        p = Fraction(left.numerator + right.numerator,
-                     left.denominator + right.denominator)
-    lo, hi = a + left + shift, a + right + shift
+        p, m = lp + rp, lm + rm
+    lo, hi = a + shift + Fraction(lp, lm), a + shift + Fraction(rp, rm)
     value = float((lo + hi) / 2)
     half = max(hi - Fraction(value), Fraction(value) - lo)
     uncertainty = float(half)

@@ -7,7 +7,9 @@ time computed by forward orbit iteration (no inverse-branch machinery), and
 the maximizing cycle by a tournament of orbit means over all q = 2 Sturmian
 cycles (no balance integral, no bisection, nothing imported from gelfond),
 the Stern-Brocot cycle selection by a linear scan over every enumerated
-cycle, the scalar potential by its earlier u - round(u) form, and the
+cycle, its integer walk by the Fraction walk it replaced, on cycles read off
+mechanical words, every periodic orbit's mean (not only the Sturmian ones')
+by Birkhoff sums on the grids k/(q^n - 1), the scalar potential by its earlier u - round(u) form, and the
 c-roots by the sign bisection that calls every midpoint.  The two
 batched shift grids are checked against their earlier one-t-at-a-time loops,
 and the probe's exact transfer function against a Gauss-Legendre quadrature
@@ -65,19 +67,99 @@ def balance_quadrature_oracle(q: int, c: float, lam: float, depth: int = 45,
     return float(np.mean(fp * e) / q)
 
 
-def sturmian_cycle_q2(rotation: Fraction) -> tuple[Fraction, ...]:
-    """Sorted exact points of the Sturmian cycle of x -> 2x mod 1 with the
-    given rotation p/m (lowest terms; rotation 0 is the fixed point 0).
+def sturmian_cycle(q: int, base_digit: int,
+                   rotation: Fraction) -> tuple[Fraction, ...]:
+    """Sorted exact points of the Sturmian cycle of x -> q*x mod 1 with the
+    given base digit and rotation p/m (lowest terms; rotation 0 is the
+    fixed point base_digit/(q - 1)).
 
     The cycle is read off the mechanical word w_k = 1 iff (k*p mod m) >= m-p,
-    k = 0..m-1 (p ones among m letters): each of its m cyclic shifts, read
-    as a binary numeral k, is the point k/(2^m - 1).
+    k = 0..m-1 (p ones among m letters): each of its m cyclic shifts, with
+    base_digit added to every letter and read as a base-q numeral k, is the
+    point k/(q^m - 1).
     """
     p, m = rotation.numerator, rotation.denominator
-    word = "".join("1" if (k * p) % m >= m - p else "0" for k in range(m))
-    den = 2 ** m - 1
-    return tuple(sorted(Fraction(int(word[i:] + word[:i], 2), den)
-                        for i in range(m)))
+    digits = [base_digit + ((k * p) % m >= m - p) for k in range(m)]
+    den = q ** m - 1
+    points = []
+    for i in range(m):
+        k = 0
+        for d in digits[i:] + digits[:i]:
+            k = k * q + d
+        points.append(Fraction(k, den))
+    return tuple(sorted(points))
+
+
+def sturmian_cycle_q2(rotation: Fraction) -> tuple[Fraction, ...]:
+    """sturmian_cycle at q = 2, base digit 0."""
+    return sturmian_cycle(2, 0, rotation)
+
+
+def fraction_rotation_walk(q: int, lam, max_denominator: int) -> tuple:
+    """rotation_number's Stern-Brocot walk as it ran on Fractions, on the
+    cycles of sturmian_cycle: ("rational", value, base digit, rotation,
+    points) when the window [s_max - 1/q, s_min] of a node holds
+    Fraction(lam) mod 1, lifted into [-1/q, 1 - 1/q); otherwise
+    ("irrational", value, uncertainty), the interval between the last nodes
+    passed left and right of it, rounded outward."""
+    x = Fraction(lam) % 1
+    n = int(x >= 1 - Fraction(1, q))
+    x -= n
+    shift = n * (q - 1)
+    a = q - 2
+    while a > 0 and x < Fraction(a, q - 1) - Fraction(1, q):
+        a -= 1
+    left, right = Fraction(0), Fraction(1)
+    p = left
+    while True:
+        points = sturmian_cycle(q, a, p)
+        lo, hi = points[-1] - Fraction(1, q), points[0]
+        if lo <= x <= hi:
+            return "rational", a + p + shift, a, p, points
+        if x < lo:
+            right = p
+        else:
+            left = p
+        if left.denominator + right.denominator > max_denominator:
+            break
+        p = Fraction(left.numerator + right.numerator,
+                     left.denominator + right.denominator)
+    lo, hi = a + left + shift, a + right + shift
+    value = float((lo + hi) / 2)
+    half = max(hi - Fraction(value), Fraction(value) - lo)
+    uncertainty = float(half)
+    if uncertainty < half:
+        uncertainty = math.nextafter(uncertainty, math.inf)
+    return "irrational", value, uncertainty
+
+
+def all_orbits_best(q: int, c: float, max_period: int) -> float:
+    """The best mean of f_c(x) = log|sin(pi q u)/sin(pi u)|,
+    u = x + c, over every periodic orbit of x -> q*x mod 1 of period at
+    most max_period, Sturmian or not.
+
+    Every point of period dividing n is k/(q^n - 1), k = 0..q^n - 2, and T
+    maps it to (k*q mod (q^n - 1))/(q^n - 1), so one array of f_c on that
+    grid and n gathers give the Birkhoff sum S_n f_c at every such point.
+    The amplitude is reduced as in potential_array_two_pass, and is q at a
+    removable point u in Z.
+    """
+    best = -math.inf
+    for n in range(1, max_period + 1):
+        N = q ** n - 1
+        k = np.arange(N, dtype=np.int64)
+        u = k / N + c
+        ur = u - np.round(u)
+        vr = q * ur - np.round(q * ur)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            amp = np.abs(np.sin(np.pi * vr) / np.sin(np.pi * ur))
+            g = np.log(np.where(ur == 0.0, float(q), amp))
+        total = g.copy()
+        for _ in range(n - 1):
+            k = k * q % N
+            total += g[k]
+        best = max(best, float(total.max()) / n)
+    return best
 
 
 class SturmianTournament:

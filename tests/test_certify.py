@@ -25,7 +25,8 @@ from gelfond.certify import DEFAULT_LAMBDA_TOL, period2_validity_q2
 from gelfond.circle import sturmian_balance
 from gelfond.potential import _f
 
-from conftest import exact_window_holds, full_bisection, linear_scan_select
+from conftest import (all_orbits_best, exact_window_holds, full_bisection,
+                      linear_scan_select)
 from reference_tables import TABLE2_BASELINE, VALIDITY_BASELINE
 
 LOG2 = math.log(2.0)
@@ -1155,6 +1156,34 @@ class TestMirrorSeed:
         assert 0 < settled < tried
 
     @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_exact_pair_calls_between_both_images(self, monkeypatch, q):
+        # phases c + s = 1 exactly, either first: both images are settled
+        # points, so the root at s calls only points strictly between them
+        calls = count_balance_calls(monkeypatch)
+        pairs = [(c, 1.0 - c) for c in seeded_mirror_cs(q, 40)
+                 if F(c) + F(1.0 - c) == 1]
+        pairs += [(0.375, 0.625), (2.0**-30, 1.0 - 2.0**-30),
+                  (0.5 - 2.0**-40, 0.5 + 2.0**-40)]
+        pairs += [(s, c) for c, s in pairs]
+        between = 0
+        for c, s in pairs:
+            assert F(c) + F(s) == 1 and self.key(q, 1.0 - s) == self.key(q, c)
+            certify._brackets.clear()
+            find_balance_point(PotentialParams(q, c))
+            _, lo, hi = certify._brackets[self.key(q, c)]
+            calls.clear()
+            lam = find_balance_point(PotentialParams(q, s))
+            self.check_full_bisection(q, s, lam)
+            # k - 1/q - x, in the window of s
+            glo, ghi = certify._guarded_window(-1.0 / q - s, -s)
+            k = round(0.5 * (glo + ghi + lo + hi) + 1.0 / q)
+            below, above = k - F(1, q) - F(hi), k - F(1, q) - F(lo)
+            for _, x in calls:
+                assert below < F(x) < above, (q, c, x)
+            between += len(calls)
+        assert len(pairs) >= 20 and between > 0
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
     @pytest.mark.parametrize("c", [0.0, 0.5])
     def test_own_mirror_reads_no_seed(self, monkeypatch, q, c):
         # c = 1/2 is its own mirror, and c = 0's mirror 1 is no key in [0, 1)
@@ -1187,21 +1216,50 @@ class TestMirrorSeed:
             assert value[0] == c and value[1] < value[2]
 
 
+# The longest period all_orbits_best searches at each q: every orbit of
+# period <= P, in a few hundredths of a second per c.
+ALL_ORBITS_PERIOD = {2: 16, 3: 10, 5: 7, 8: 5}
+
+
+@pytest.mark.parametrize("q", sorted(ALL_ORBITS_PERIOD))
+def test_no_periodic_orbit_beats_beta(q):
+    # the paper's theorem: the Sturmian cycle maximizes f_c over every
+    # invariant measure, so over every periodic orbit, Sturmian or not
+    rng = random.Random(4400 + q)
+    cs = [0.0, 0.25, 1.0 / 3.0, 0.5, 0.75] + [rng.random() for _ in range(6)]
+    if q == 2:
+        cs += [float(c) for c in certify.DEFAULT_TABLE2_FRACTIONS]
+    period = ALL_ORBITS_PERIOD[q]
+    reached = 0
+    for c in cs:
+        # the reference c = 8/21 needs a cycle of period 21
+        res = gelfond_exponent(PotentialParams(q, c), max_period=25)
+        assert isinstance(res, GelfondCertificate), res
+        best = all_orbits_best(q, c, period)
+        assert best <= res.beta + 1e-12, (q, c, best - res.beta)
+        if res.cycle.period <= period:
+            reached += 1
+            assert best >= res.beta - 1e-12, (q, c, best - res.beta)
+    assert reached >= 11
+
+
 def test_outward_rounds_away_exactly():
-    # the float on each side of k - x nearest it, k - x itself if a float
+    # the float on each side of k - 1/q - x nearest it, itself if a float
     rng = random.Random(606)
     for _ in range(2000):
         q = rng.choice((2, 3, 5, 7, 8))
-        k = rng.randrange(-2, 2) - F(1, q)
-        x = rng.choice((rng.uniform(-2.0, 1.0), -0.5, 0.25, float(k)))
-        e = k - F(x)
+        k = rng.randrange(-2, 2)
+        x = rng.choice((rng.uniform(-2.0, 1.0), -0.5, 0.25,
+                        float(k - F(1, q))))
+        e = k - F(1, q) - F(x)
         for side in (-1, 1):
-            y = certify._outward(k, x, side)
+            y = certify._outward(k, q, x, side)
             inward = math.nextafter(y, -side * math.inf)
             assert (F(y) - e) * side >= 0 > (F(inward) - e) * side, (
-                k, x, side)
+                k, q, x, side)
         if F(float(e)) == e:
-            assert certify._outward(k, x, -1) == certify._outward(k, x, 1)
+            assert certify._outward(k, q, x, -1) == certify._outward(
+                k, q, x, 1)
 
 
 def test_root_keeps_the_nearest_settled_points():

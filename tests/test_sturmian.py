@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import gelfond.sturmian as sturmian
-from gelfond import (IrrationalRotation, RationalRotation, build_cycle,
-                     enumerate_cycles, lambda_window, rotation_number)
+from gelfond import (IrrationalRotation, RationalRotation, SturmianCycle,
+                     build_cycle, enumerate_cycles, lambda_window,
+                     rotation_number)
 from gelfond.cli import fmt, main
 
-from conftest import exact_window_holds, linear_scan_select
+from conftest import (exact_window_holds, fraction_rotation_walk,
+                      linear_scan_select, sturmian_cycle)
 from reference_tables import PRINTED_TABLE1
 
 
@@ -208,6 +211,60 @@ class TestRotationNumber:
             rot = rotation_number(2, lam)
             assert isinstance(rot, RationalRotation)
             assert rot.value == F(1, 2)
+
+
+def oracle_rotation(q, lam, max_denominator):
+    """rotation_number's answer as the Fraction walk of conftest gives it."""
+    kind, value, *rest = fraction_rotation_walk(q, lam, max_denominator)
+    if kind == "irrational":
+        return IrrationalRotation(value, *rest)
+    a, rotation, points = rest
+    return RationalRotation(value, SturmianCycle(
+        q=q, period=len(points), rotation=rotation, base_digit=a,
+        points=points))
+
+
+class TestIntegerWalk:
+    """The walk on integer ratios against the Fraction walk it replaced,
+    compared by repr: the same types and values, bit for bit."""
+
+    @staticmethod
+    def window_end_lams(q):
+        # the float nearest each end of some windows, and one float either
+        # side: the ends of dyadic windows are floats themselves
+        for a in range(q - 1):
+            for rot in (F(0), F(1, 2), F(1, 3), F(2, 5), F(5, 8)):
+                points = sturmian_cycle(q, a, rot)
+                for end in (points[-1] - F(1, q), points[0]):
+                    lam = float(end)
+                    yield from (lam, math.nextafter(lam, -math.inf),
+                                math.nextafter(lam, math.inf))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_matches_fraction_walk(self, q):
+        rng = random.Random(3700 + q)
+        lams = [rng.uniform(-3.0, 3.0) for _ in range(300)]
+        # just below 0 (a float % 1.0 rounds to 1.0 there; -0.2 is the
+        # rounding case at q = 5), ints, and float window ends
+        lams += [-1e-20, -5e-324, -0.2, 0, 1, -1, 2, -3, 0.0, 0.25, 0.5,
+                 -0.25, -0.5, 1.25, 2.5]
+        lams += list(self.window_end_lams(q))
+        rational = 0
+        for lam in lams:
+            for max_denominator in (1, 2, 5, 13, 64):
+                rot = rotation_number(q, lam, max_denominator)
+                assert repr(rot) == repr(oracle_rotation(
+                    q, lam, max_denominator)), (q, lam, max_denominator)
+                rational += isinstance(rot, RationalRotation)
+        assert 0 < rational < 5 * len(lams)
+
+    def test_rational_lam_is_its_float(self):
+        # an int, a NumPy integer or a Fraction is read exactly, like the
+        # float of the same value
+        for q in (2, 3, 5, 8):
+            for lam in (-2, 0, 1, 3, np.int64(-1), F(5, 4), F(-1, 8)):
+                assert repr(rotation_number(q, lam)) == repr(
+                    rotation_number(q, float(lam))), (q, lam)
 
 
 def enclosure(rot):
